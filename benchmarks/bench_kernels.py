@@ -1,25 +1,18 @@
-"""Benchmark: compiled count-table kernel vs the pure fallbacks.
+"""Kernel smoke run: the int64 NumPy count-table kernel vs the big-integer one.
 
-Runs the same dense bigraded table fills through the Cython extension (when
-built), the vectorized NumPy fallback, and the big-integer fallback, and
-reports wall times and speedups.  Also times a representative chamber fit.
+Runs the same dense bigraded table fills through both kernels, checks that
+they agree, and reports wall times.  Also times a representative chamber fit.
+The repository's benchmark is perfbench/; this script is a quick check.
 
 Usage: python benchmarks/bench_kernels.py
 """
 
 import time
 
-import numpy as np
-
-from vpfbetti import _kernels_py
+from vpfbetti import kernels
 from vpfbetti.chambers import chamber_complex_2xn, global_lattice
 from vpfbetti.counting import DegreeMatrix
 from vpfbetti.quasipoly import fit_chamber_qp
-
-try:
-    from vpfbetti import _kernels
-except ImportError:
-    _kernels = None
 
 WORKLOADS = [
     ("degrees (2,3,6), t <= 2000", [2, 3, 6], 2000, 12000),
@@ -39,26 +32,21 @@ def time_call(fn, *args, repeats=3):
 
 
 def main():
-    print(f"compiled kernel available: {_kernels is not None}")
     for label, degrees, t_max, mu_max in WORKLOADS:
         cells = (t_max + 1) * (mu_max + 1)
         print(f"\n{label}  ({cells} cells)")
-        t_np, ref = time_call(_kernels_py.bigraded_table, degrees, t_max, mu_max)
-        print(f"  numpy fallback : {t_np * 1e3:9.1f} ms")
-        if _kernels is not None:
-            t_c, out = time_call(_kernels.bigraded_table, degrees, t_max, mu_max)
-            assert np.array_equal(np.asarray(out), ref)
-            print(f"  compiled       : {t_c * 1e3:9.1f} ms   ({t_np / t_c:.2f}x vs numpy)")
+        t_np, ref = time_call(kernels.bigraded_table_int64, degrees, t_max, mu_max)
+        print(f"  numpy int64     : {t_np * 1e3:8.1f} ms")
         if cells <= 2_000_000:
             t_big, big = time_call(
-                _kernels_py.bigraded_table_bigint, degrees, t_max, mu_max, repeats=1
+                kernels.bigraded_table_bigint, degrees, t_max, mu_max, repeats=1
             )
             assert all(
                 int(ref[t][mu]) == big[t][mu]
                 for t in range(0, t_max + 1, max(1, t_max // 7))
                 for mu in range(0, mu_max + 1, max(1, mu_max // 17))
             )
-            print(f"  big-int fallback: {t_big * 1e3:8.1f} ms   ({t_big / t_np:.1f}x slower than numpy)")
+            print(f"  big-int         : {t_big * 1e3:8.1f} ms   ({t_big / t_np:.1f}x slower than numpy)")
 
     print("\nchamber fit, degrees (2,3,6), global lattice (12 residues):")
     ring = DegreeMatrix.bigraded([2, 3, 6])

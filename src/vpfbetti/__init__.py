@@ -1,7 +1,7 @@
 """Exact vector partition functions, multigraded Hilbert functions, and the
 eventual piecewise quasi-polynomial tables of graded Betti numbers of ideal
 powers.  All arithmetic is exact (arbitrary-precision integers and
-rationals); the hot counting kernel optionally runs as a compiled extension.
+rationals).
 """
 
 from .chambers import (
@@ -21,7 +21,6 @@ from .hilbert import (
     hf_module,
     series_identity_check,
 )
-from .kernels import HAVE_COMPILED as compiled_kernels_available
 from .lattices import (
     IntMatrix,
     Lattice,
@@ -88,7 +87,6 @@ __all__ = [
     "chamber_complex_2xn",
     "chamber_from_generators",
     "ci_shifts",
-    "compiled_kernels_available",
     "count",
     "equal_on_region",
     "eval_betti",

@@ -35,6 +35,15 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise UsageError(f"could not parse {what} {text!r}: comma-separated integers expected") from exc
 
 
+def _parse_ring(text: str) -> DegreeMatrix:
+    """The bigraded ring of a --degrees value."""
+    degrees = _parse_int_list(text, "--degrees")
+    try:
+        return DegreeMatrix.bigraded(degrees)
+    except ValueError as exc:
+        raise UsageError(f"invalid --degrees {text!r}: {exc}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -48,7 +57,11 @@ def _load_spec(args) -> "ToriSpec":
         with open(args.spec) as fh:
             return ingest(fh.read())
     if getattr(args, "degrees", None):
-        return ci_shifts(_parse_int_list(args.degrees, "--degrees"))
+        degrees = _parse_int_list(args.degrees, "--degrees")
+        try:
+            return ci_shifts(degrees)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     raise UsageError("provide --spec FILE or --degrees D1,D2,...")
 
 
@@ -56,13 +69,21 @@ def _cmd_count(args) -> int:
     point = _parse_int_list(args.point, "point")
     if args.matrix:
         with open(args.matrix) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"matrix file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "rows" not in doc:
             raise UsageError("matrix file must be JSON of the form {\"rows\": [[...], ...]}")
         rows = doc["rows"]
-        A = DegreeMatrix.from_columns(list(zip(*rows)))
+        try:
+            if len({len(row) for row in rows}) > 1:
+                raise ValueError("rows of unequal length")
+            A = DegreeMatrix.from_columns(list(zip(*rows)))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"invalid matrix rows: {exc}") from exc
     elif args.degrees:
-        A = DegreeMatrix.bigraded(_parse_int_list(args.degrees, "--degrees"))
+        A = _parse_ring(args.degrees)
     else:
         raise UsageError("provide --degrees or --matrix")
     if len(point) != A.dim:
@@ -73,6 +94,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     point = _parse_int_list(args.point, "point")
+    if len(point) != 2:
+        raise UsageError(f"point has {len(point)} coordinates, a bidegree has 2")
     if args.spec or args.index is not None:
         spec = _load_spec(args)
         if args.index is None:
@@ -89,7 +112,7 @@ def _cmd_hilbert(args) -> int:
         return 0
     if not args.degrees:
         raise UsageError("provide --degrees (ring query) or --spec with --index (module query)")
-    degrees = _parse_int_list(args.degrees, "--degrees")
+    degrees = _parse_ring(args.degrees).degrees
     res = hf_bigraded_ring(degrees, point)
     if args.format == "structured":
         doc = {"point": point, "value": res.value}
@@ -106,7 +129,7 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_chambers(args) -> int:
-    degrees = _parse_int_list(args.degrees, "--degrees")
+    degrees = list(_parse_ring(args.degrees).degrees)
     chambers = chamber_complex_2xn(sorted(degrees))
     glattice = global_lattice(degrees)
     if args.format == "structured":
@@ -146,6 +169,12 @@ def _cmd_chambers(args) -> int:
     return 0
 
 
+def _strip_bounds(dec, region) -> tuple[str, str]:
+    """The rendered lower and upper lines of a region's strip."""
+    lo, hi = dec.lines[region.lower], dec.lines[region.upper]
+    return textfmt.line_str(lo.slope, lo.intercept), textfmt.line_str(hi.slope, hi.intercept)
+
+
 def _cmd_regions(args) -> int:
     spec = _load_spec(args)
     kappa = spec.tor(args.index)
@@ -162,11 +191,10 @@ def _cmd_regions(args) -> int:
     if args.format == "csv":
         rows = ["region,lower,upper,residue,poly"]
         for r in dec.regions:
+            lo, hi = _strip_bounds(dec, r)
             for res in sorted(r.piece.pieces):
                 poly = textfmt.poly_str(r.piece.pieces[res], ("mu", "t"))
-                rows.append(f"{r.lower},{textfmt.line_str(dec.lines[r.lower].slope, dec.lines[r.lower].intercept)},"
-                            f"{textfmt.line_str(dec.lines[r.upper].slope, dec.lines[r.upper].intercept)},"
-                            f"\"{list(res)}\",\"{poly}\"")
+                rows.append(f"{r.lower},{lo},{hi},\"{list(res)}\",\"{poly}\"")
         _emit("\n".join(rows) + "\n", args.out)
         return 0
     lines = [
@@ -185,8 +213,7 @@ def _cmd_regions(args) -> int:
     else:
         lines.append("regions (half-open [lower, upper), last closed):")
         for r in dec.regions:
-            lo = textfmt.line_str(dec.lines[r.lower].slope, dec.lines[r.lower].intercept)
-            hi = textfmt.line_str(dec.lines[r.upper].slope, dec.lines[r.upper].intercept)
+            lo, hi = _strip_bounds(dec, r)
             lines.append(f"  [{lo} .. {hi})")
             for res in sorted(r.piece.pieces):
                 poly = textfmt.poly_str(r.piece.pieces[res], ("mu", "t"))
@@ -196,8 +223,7 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_rees_ci(args) -> int:
-    spec = ci_shifts(_parse_int_list(args.degrees, "--degrees"))
-    _emit(serialize(spec), args.out)
+    _emit(serialize(_load_spec(args)), args.out)
     return 0
 
 

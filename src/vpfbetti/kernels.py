@@ -1,23 +1,12 @@
-"""Kernel selection: compiled extension when importable, pure fallback otherwise.
+"""Dense count-table kernels: vectorized int64 NumPy rows, or big-int lists.
 
-Set the environment variable ``VPFBETTI_PURE=1`` to force the fallback even
-when the compiled module is present (used by the benchmark and by tests).
+`bigraded_table` takes the int64 kernel whenever every table value provably
+fits in 64 bits, and the arbitrary-precision kernel otherwise.
 """
 
-import os
 from math import comb
 
-from . import _kernels_py
-
-if os.environ.get("VPFBETTI_PURE"):
-    _compiled = None
-else:
-    try:
-        from . import _kernels as _compiled
-    except ImportError:
-        _compiled = None
-
-HAVE_COMPILED = _compiled is not None
+import numpy as np
 
 # int64 guard: table values never exceed the number of compositions of t_max.
 _INT64_SAFE = 2**62
@@ -31,13 +20,33 @@ def value_bound(n_columns, t_max):
 
 
 def bigraded_table(degrees, t_max, mu_max):
-    """Dense table T[t][mu] of counts for columns (d, 1), exact.
-
-    Chooses the compiled kernel when available and when all values provably
-    fit in 64 bits; otherwise computes with arbitrary-precision integers.
-    """
+    """Dense table T[t][mu] of counts for columns (d, 1), exact."""
     degrees = [int(d) for d in degrees]
     if value_bound(len(degrees), t_max) < _INT64_SAFE:
-        impl = _compiled if _compiled is not None else _kernels_py
-        return impl.bigraded_table(degrees, t_max, mu_max)
-    return _kernels_py.bigraded_table_bigint(degrees, t_max, mu_max)
+        return bigraded_table_int64(degrees, t_max, mu_max)
+    return bigraded_table_bigint(degrees, t_max, mu_max)
+
+
+def bigraded_table_int64(degrees, t_max, mu_max):
+    """NumPy int64 rows; the caller guarantees that every value fits."""
+    a = np.zeros((t_max + 1, mu_max + 1), dtype=np.int64)
+    a[0, 0] = 1
+    for d in degrees:
+        for t in range(1, t_max + 1):
+            a[t, d:] += a[t - 1, : mu_max + 1 - d]
+    return a
+
+
+def bigraded_table_bigint(degrees, t_max, mu_max):
+    """Lists of Python integers, for tables whose values may exceed 64 bits."""
+    rows = [[0] * (mu_max + 1) for _ in range(t_max + 1)]
+    rows[0][0] = 1
+    for d in degrees:
+        for t in range(1, t_max + 1):
+            prev = rows[t - 1]
+            cur = rows[t]
+            for mu in range(d, mu_max + 1):
+                v = prev[mu - d]
+                if v:
+                    cur[mu] += v
+    return rows

@@ -10,8 +10,10 @@ not fit; a mismatch is a hard structural error, never a silent repair.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
+from types import MappingProxyType
 
 from .chambers import Chamber
 from .counting import DegreeMatrix, count
@@ -26,20 +28,80 @@ class LatticeMismatchError(ValueError):
     """Operands are quasi-polynomials over different lattices."""
 
 
-class Polynomial:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+class _Frozen:
+    """Slots set once at construction; any later assignment raises."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
 
-    def __init__(self, nvars: int, terms=()):
-        data = dict(terms) if not isinstance(terms, dict) else terms
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exp, coeff in data.items():
-            c = Fraction(coeff)
-            if c != 0:
-                clean[tuple(int(e) for e in exp)] = c
-        self.nvars = int(nvars)
-        self.terms = clean
+    @classmethod
+    def _build(cls, **fields):
+        obj = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(obj, name, value)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _taylor_shift(nums: dict, a) -> dict:
+    """Integer coefficients of p(x - a) from those of p(x), for integer a."""
+    for i, ai in enumerate(a):
+        ai = operator.index(ai)
+        if not ai:
+            continue
+        out: dict[tuple[int, ...], int] = {}
+        for exp, n in nums.items():
+            # (x_i - a_i)^e = sum_k C(e, k) x_i^k (-a_i)^(e - k)
+            e = exp[i]
+            power = 1
+            for k in range(e, -1, -1):
+                key = exp[:i] + (k,) + exp[i + 1:]
+                out[key] = out.get(key, 0) + n * comb(e, k) * power
+                power *= -ai
+        nums = out
+    return nums
+
+
+class Polynomial(_Frozen):
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    Stored as integer numerators over one positive denominator `den`, reduced
+    (no zero numerator; den and the numerators share no factor), so equal
+    polynomials have equal fields.  `terms` is a read-only view of the
+    reduced Fraction coefficients.
+    """
+
+    __slots__ = ("nvars", "den", "_nums")
+
+    def __new__(cls, nvars: int, terms=()):
+        coeffs = {
+            tuple(int(e) for e in exp): Fraction(c) for exp, c in dict(terms).items()
+        }
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        return cls._from_ints(
+            int(nvars),
+            den,
+            {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()},
+        )
+
+    @classmethod
+    def _from_ints(cls, nvars: int, den: int, nums: dict) -> "Polynomial":
+        """The polynomial sum(nums[e] * x^e) / den, reduced; den != 0."""
+        nums = {e: n for e, n in nums.items() if n}
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            nums = {e: n // g for e, n in nums.items()}
+        return cls._build(nvars=nvars, den=den, _nums=nums)
+
+    def __reduce__(self):
+        return Polynomial, (self.nvars, dict(self.terms))
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -47,129 +109,104 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
-        return cls(nvars, {tuple(0 for _ in range(nvars)): Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "Polynomial":
-        exp = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exp: Fraction(1)})
+    @property
+    def terms(self) -> MappingProxyType:
+        return MappingProxyType(
+            {e: Fraction(n, self.den) for e, n in self._nums.items()}
+        )
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self._nums), default=0)
 
     def eval(self, point) -> Fraction:
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            v = coeff
+        total = 0
+        for exp, n in self._nums.items():
             for x, e in zip(point, exp):
                 if e:
-                    v *= Fraction(x) ** e
-            total += v
-        return total
+                    n *= x**e
+            total += n
+        return Fraction(total, self.den)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial(self.nvars, {e: v * c for e, v in self.terms.items()})
+        if c == 1:
+            return self
+        return Polynomial._from_ints(
+            self.nvars,
+            self.den * c.denominator,
+            {e: n * c.numerator for e, n in self._nums.items()},
+        )
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        out = dict(self.terms)
-        for e, v in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + v
-        return Polynomial(self.nvars, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "Polynomial":
-        return self.scale(-1)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + v1 * v2
-        return Polynomial(self.nvars, out)
-
-    def compose_affine(self, matrix_rows, offset) -> "Polynomial":
-        """p(M x + c) as a polynomial in the new variables x."""
-        nv = len(matrix_rows[0])
-        lin = []
-        for row, c in zip(matrix_rows, offset):
-            terms = {tuple(0 for _ in range(nv)): Fraction(c)}
-            for j, a in enumerate(row):
-                if a:
-                    exp = tuple(1 if k == j else 0 for k in range(nv))
-                    terms[exp] = Fraction(a)
-            lin.append(Polynomial(nv, terms))
-        out = Polynomial.zero(nv)
-        powers: list[dict[int, Polynomial]] = [
-            {0: Polynomial.constant(nv, 1)} for _ in lin
-        ]
-
-        def power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * lin[i]
-            return cache[e]
-
-        for exp, coeff in self.terms.items():
-            term = Polynomial.constant(nv, coeff)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        nums = {e: n * fa for e, n in self._nums.items()}
+        for e, n in other._nums.items():
+            nums[e] = nums.get(e, 0) + n * fb
+        return Polynomial._from_ints(self.nvars, den, nums)
 
     def shifted(self, a) -> "Polynomial":
-        """p(x - a)."""
-        n = self.nvars
-        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return self.compose_affine(ident, [-x for x in a])
+        """p(x - a) for an integer vector a; the denominator is unchanged."""
+        return Polynomial._from_ints(self.nvars, self.den, _taylor_shift(self._nums, a))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        return (
+            isinstance(other, Polynomial)
+            and self.nvars == other.nvars
+            and self.den == other.den
+            and self._nums == other._nums
+        )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self._nums.items())))
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "Polynomial(0)"
         bits = []
-        for exp in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+        for exp in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
             mono = "*".join(
                 f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e
             )
-            c = self.terms[exp]
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
+            bits.append(f"{terms[exp]}" + (f"*{mono}" if mono else ""))
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
-class QuasiPolynomial:
-    """One polynomial per residue class of a full-rank lattice in Z^d."""
+class QuasiPolynomial(_Frozen):
+    """One polynomial per residue class of a full-rank lattice in Z^d.
+
+    Immutable: `pieces` is a read-only mapping from every canonical residue
+    to its Polynomial.
+    """
 
     __slots__ = ("lattice", "pieces")
 
-    def __init__(self, lattice: Lattice, pieces):
+    def __new__(cls, lattice: Lattice, pieces):
         keys = lattice.residues()
         table = dict(pieces)
         extra = set(table) - set(keys)
         if extra:
             raise ValueError(f"piece keys not among canonical residues: {sorted(extra)}")
-        self.lattice = lattice
-        self.pieces = {
-            k: table.get(k, Polynomial.zero(lattice.dim)) for k in keys
-        }
+        zero = Polynomial.zero(lattice.dim)
+        return cls._build(
+            lattice=lattice,
+            pieces=MappingProxyType({k: table.get(k, zero) for k in keys}),
+        )
+
+    def _same_lattice(self, pieces: dict) -> "QuasiPolynomial":
+        """A quasi-polynomial over self.lattice; pieces has every residue key."""
+        return QuasiPolynomial._build(lattice=self.lattice, pieces=MappingProxyType(pieces))
+
+    def __reduce__(self):
+        return QuasiPolynomial, (self.lattice, dict(self.pieces))
 
     @classmethod
     def zero(cls, lattice: Lattice) -> "QuasiPolynomial":
@@ -191,27 +228,24 @@ class QuasiPolynomial:
     def shift(self, a, c=1) -> "QuasiPolynomial":
         """r with r(x) = c * self(x - a), realized by re-keying the pieces."""
         a = tuple(int(x) for x in a)
-        c = Fraction(c)
-        out = {}
-        for key, piece in self.pieces.items():
-            new_key = self.lattice.reduce(tuple(k + s for k, s in zip(key, a)))
-            out[new_key] = piece.shifted(a).scale(c)
-        return QuasiPolynomial(self.lattice, out)
+        reduce = self.lattice.reduce
+        return self._same_lattice(
+            {
+                reduce(tuple(k + s for k, s in zip(key, a))): piece.shifted(a).scale(c)
+                for key, piece in self.pieces.items()
+            }
+        )
 
     def scale(self, c) -> "QuasiPolynomial":
-        return QuasiPolynomial(
-            self.lattice, {k: p.scale(c) for k, p in self.pieces.items()}
-        )
+        return self._same_lattice({k: p.scale(c) for k, p in self.pieces.items()})
 
     def add(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
         if self.lattice != other.lattice:
             raise LatticeMismatchError(
                 "operands use different lattices; refine to a common sublattice first"
             )
-        return QuasiPolynomial(
-            self.lattice,
-            {k: self.pieces[k] + other.pieces[k] for k in self.pieces},
-        )
+        theirs = other.pieces
+        return self._same_lattice({k: p + theirs[k] for k, p in self.pieces.items()})
 
     def __add__(self, other):
         return self.add(other)
@@ -496,98 +530,41 @@ def fit_chamber_qp(
         return (a // det_t, b // det_t)
 
     w1, w2 = _quadrant_basis(lattice, to_z)
-    det_w = w1[0] * w2[1] - w1[1] * w2[0]
     fit_k, val_k = _design_k_points(deg, validate_factor * m)
-    all_k = fit_k + val_k
-
-    design = [[k[0] ** i * k[1] ** j for (i, j) in monos] for k in fit_k]
+    # the pattern as u-offsets from an anchor: an integer linear image of
+    # the k-grid, so the fit points stay unisolvent
+    steps = [
+        to_u((k[0] * w1[0] + k[1] * w2[0], k[0] * w1[1] + k[1] * w2[1]))
+        for k in fit_k + val_k
+    ]
+    design = [[v[0] ** i * v[1] ** j for (i, j) in monos] for v in steps[:m]]
     inv = _invert_fractions(design)
     if inv is None:
         raise FitError("internal: interpolation design is singular")
 
-    def offset(k):
-        return (k[0] * w1[0] + k[1] * w2[0], k[0] * w1[1] + k[1] * w2[1])
-
-    offsets = [offset(k) for k in all_k]
-
     # integer form of the design inverse: coefficient numerators over inv_den
-    inv_den = 1
-    for row in inv:
-        for f in row:
-            inv_den = inv_den * f.denominator // gcd(inv_den, f.denominator)
+    inv_den = lcm(*(f.denominator for row in inv for f in row))
     inv_num = [[int(f * inv_den) for f in row] for row in inv]
-
-    # k = W^-1 (z - anchor) with z = T u: the linear part is shared by every
-    # residue class, so precompute the monomial products in it once
-    lin1 = Polynomial(
-        2,
-        {
-            (1, 0): Fraction(w2[1] * h1[0] - w2[0] * h2[0], det_w),
-            (0, 1): Fraction(w2[1] * h1[1] - w2[0] * h2[1], det_w),
-        },
-    )
-    lin2 = Polynomial(
-        2,
-        {
-            (1, 0): Fraction(-w1[1] * h1[0] + w1[0] * h2[0], det_w),
-            (0, 1): Fraction(-w1[1] * h1[1] + w1[0] * h2[1], det_w),
-        },
-    )
-    lin_products: dict[tuple[int, int], Polynomial] = {}
-    p1 = Polynomial.constant(2, 1)
-    for i in range(deg + 1):
-        p12 = p1
-        for j in range(deg + 1 - i):
-            lin_products[(i, j)] = p12
-            p12 = p12 * lin2
-        p1 = p1 * lin1
 
     pieces = {}
     for res in lattice.residues():
         # translate the representative into the cone as cheaply as possible
-        anchor = _anchor_shift(to_z(res), w1, w2)
-        u_pts = [to_u((anchor[0] + o[0], anchor[1] + o[1])) for o in offsets]
+        anchor = to_u(_anchor_shift(to_z(res), w1, w2))
+        u_pts = [(anchor[0] + v[0], anchor[1] + v[1]) for v in steps]
         vals = [count(A, u) for u in u_pts]
+        # p(u) = q(u - anchor), q with numerators nums over inv_den
         nums = [
             sum(f * v for f, v in zip(row, vals[:m]) if f) for row in inv_num
         ]
-        for k, v in zip(val_k, vals[m:]):
-            acc = 0
-            for (i, j), num in zip(monos, nums):
-                if num:
-                    acc += num * k[0] ** i * k[1] ** j
-            if acc != v * inv_den:
+        for v, u, val in zip(steps[m:], u_pts[m:], vals[m:]):
+            acc = sum(n * v[0] ** i * v[1] ** j for (i, j), n in zip(monos, nums) if n)
+            if acc != val * inv_den:
                 raise FitError(
-                    f"validation failed at "
-                    f"{to_u((anchor[0] + offset(k)[0], anchor[1] + offset(k)[1]))} "
-                    f"for residue {res}: wrong chamber or lattice input"
+                    f"validation failed at {u} for residue {res}: "
+                    "wrong chamber or lattice input"
                 )
-        # expand p(k1, k2) with k_i = lin_i + c_i by binomial sums over the
-        # precomputed products of the shared linear parts
-        c1 = Fraction(-(w2[1] * anchor[0] - w2[0] * anchor[1]), det_w)
-        c2 = Fraction(-(-w1[1] * anchor[0] + w1[0] * anchor[1]), det_w)
-        c1p = [Fraction(1)]
-        c2p = [Fraction(1)]
-        for _ in range(deg):
-            c1p.append(c1p[-1] * c1)
-            c2p.append(c2p[-1] * c2)
-        scalars: dict[tuple[int, int], Fraction] = {}
-        for (i, j), num in zip(monos, nums):
-            if not num:
-                continue
-            coeff = Fraction(num, inv_den)
-            for a in range(i + 1):
-                for b in range(j + 1):
-                    key = (a, b)
-                    add = coeff * comb(i, a) * comb(j, b) * c1p[i - a] * c2p[j - b]
-                    scalars[key] = scalars.get(key, Fraction(0)) + add
-        terms: dict[tuple[int, int], Fraction] = {}
-        for key, s in scalars.items():
-            if not s:
-                continue
-            for exp, c in lin_products[key].terms.items():
-                terms[exp] = terms.get(exp, Fraction(0)) + s * c
-        pieces[res] = Polynomial(2, terms)
+        q = dict(zip(monos, nums))
+        pieces[res] = Polynomial._from_ints(2, inv_den, _taylor_shift(q, anchor))
 
     result = QuasiPolynomial(lattice, pieces)
     # apex-window sweep: covers the tip and stretches of both boundary rays

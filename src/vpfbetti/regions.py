@@ -116,10 +116,13 @@ def sort_lines(shifts, degrees, t0: int) -> tuple[HalfLine, ...]:
 
 def _binomial_in_t(shift_t: int, n: int) -> Polynomial:
     """C(t - shift_t + n - 1, n - 1) as a polynomial in t (one variable)."""
-    poly = Polynomial.constant(1, Fraction(1, factorial(n - 1)))
+    # integer coefficients of prod_{k=1}^{n-1} (t + k - shift_t), lowest first
+    coeffs = [1]
     for k in range(1, n):
-        poly = poly * Polynomial(1, {(1,): 1, (0,): k - shift_t})
-    return poly
+        c = k - shift_t
+        coeffs = [c * lo + hi for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+    den = factorial(n - 1)
+    return Polynomial(1, {(i,): Fraction(v, den) for i, v in enumerate(coeffs)})
 
 
 def _degenerate_decomposition(kappa: KappaNumerator, d: int) -> RegionDecomposition:

@@ -20,21 +20,22 @@ def frac_str(value) -> str:
 
 
 def poly_dict(p: Polynomial) -> dict:
+    terms = p.terms
     return {
         "terms": [
-            {"exp": list(exp), "coeff": frac_str(p.terms[exp])}
-            for exp in sorted(p.terms)
+            {"exp": list(exp), "coeff": frac_str(terms[exp])} for exp in sorted(terms)
         ]
     }
 
 
 def poly_str(p: Polynomial, names) -> str:
     """Human-readable rendering like '1/4*mu - 1/2*t + 1'."""
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
     bits = []
-    for exp in sorted(p.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-        coeff = p.terms[exp]
+    for exp in sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
+        coeff = terms[exp]
         mono = "*".join(
             f"{names[i]}" + (f"^{e}" if e > 1 else "")
             for i, e in enumerate(exp)
@@ -93,14 +94,7 @@ def decomposition_dict(dec: RegionDecomposition) -> dict:
         ]
     else:
         out["regions"] = [
-            {
-                "lower": r.lower,
-                "upper": r.upper,
-                "pieces": [
-                    {"residue": list(res), "poly": poly_dict(r.piece.pieces[res])}
-                    for res in sorted(r.piece.pieces)
-                ],
-            }
+            {"lower": r.lower, "upper": r.upper, "pieces": qp_dict(r.piece)["pieces"]}
             for r in dec.regions
         ]
     return out

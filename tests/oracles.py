@@ -1,7 +1,9 @@
 """Independent oracles used by the test suite.
 
 brute_count enumerates solutions directly and shares no code with the
-library's dynamic programs.  The closed-form fixtures reproduce the
+library's dynamic programs, and poly_eval_reference evaluates a polynomial
+term by term in Fractions, independently of the integer-numerator
+representation the library stores.  The closed-form fixtures reproduce the
 traditionally quoted piecewise tables for the worked example with generator
 degrees (2, 3, 6); the first-syzygy table is kept verbatim, including its
 two known defects, so tests can pin down exactly where the oracle disagrees.
@@ -28,6 +30,18 @@ def brute_count(columns, u):
         return total
 
     return rec(0, u)
+
+
+def poly_eval_reference(coeffs, point):
+    """Term-by-term Fraction evaluation of {exponent tuple: coefficient} at point."""
+    total = Fraction(0)
+    for exp, coeff in coeffs.items():
+        v = Fraction(coeff)
+        for x, e in zip(point, exp):
+            if e:
+                v *= Fraction(x) ** e
+        total += v
+    return total
 
 
 def P_formula(x, y):

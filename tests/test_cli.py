@@ -45,6 +45,37 @@ def test_count_bad_point(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv, matrix",
+    [
+        (["count", "--degrees=-1,2", "1,1"], None),
+        (["hilbert", "--degrees", "2,3,-1", "5,2"], None),
+        (["hilbert", "--degrees", "2,3,6", "5"], None),
+        (["regions", "--degrees", "2,3,0", "--index", "1"], None),
+        (["chambers", "--degrees", "2,3,-1"], None),
+        (["count", "--matrix", "{matrix}", "1,1"], '{"rows": [[1, 0, 1], [0, 0, 1]]}'),
+        (["count", "--matrix", "{matrix}", "1,1"], '{"rows": [[1, 0'),
+        (["count", "--matrix", "{matrix}", "1,1"], '{"rows": [[1, 2], [1]]}'),
+    ],
+    ids=[
+        "count-negative-degree",
+        "hilbert-negative-degree",
+        "hilbert-short-point",
+        "regions-zero-degree",
+        "chambers-negative-degree",
+        "matrix-zero-column",
+        "matrix-malformed-json",
+        "matrix-ragged-rows",
+    ],
+)
+def test_bad_input_exits_2(capsys, tmp_path, argv, matrix):
+    path = tmp_path / "m.json"
+    if matrix is not None:
+        path.write_text(matrix)
+    rc, out, err = run(capsys, *[a.replace("{matrix}", str(path)) for a in argv])
+    assert rc == 2 and out == "" and err.startswith("error: ")
+
+
 def test_hilbert_ring(capsys):
     rc, out, _ = run(capsys, "hilbert", "--degrees", "2,3,6", "12,2")
     assert rc == 0

@@ -1,9 +1,6 @@
-import numpy as np
-import pytest
-
 from oracles import brute_count
 from vpfbetti import kernels
-from vpfbetti._kernels_py import bigraded_table, bigraded_table_bigint
+from vpfbetti.kernels import bigraded_table_bigint, bigraded_table_int64
 
 
 def table_entries(table, t_max, mu_max):
@@ -11,7 +8,7 @@ def table_entries(table, t_max, mu_max):
 
 
 def test_fallback_matches_brute_force():
-    table = bigraded_table([2, 3, 6], 5, 20)
+    table = bigraded_table_int64([2, 3, 6], 5, 20)
     cols = [(2, 1), (3, 1), (6, 1)]
     for t in range(6):
         for mu in range(21):
@@ -19,18 +16,9 @@ def test_fallback_matches_brute_force():
 
 
 def test_bigint_matches_fallback():
-    a = bigraded_table([1, 2, 5, 5], 8, 30)
+    a = bigraded_table_int64([1, 2, 5, 5], 8, 30)
     b = bigraded_table_bigint([1, 2, 5, 5], 8, 30)
     assert table_entries(a, 8, 30) == table_entries(b, 8, 30)
-
-
-@pytest.mark.skipif(not kernels.HAVE_COMPILED, reason="compiled kernel not built")
-def test_compiled_matches_fallback():
-    from vpfbetti import _kernels
-
-    a = _kernels.bigraded_table([2, 3, 6, 7], 12, 90)
-    b = bigraded_table([2, 3, 6, 7], 12, 90)
-    assert np.array_equal(np.asarray(a), b)
 
 
 def test_dispatch_uses_bigint_when_unsafe(monkeypatch):
