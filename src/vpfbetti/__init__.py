@@ -18,6 +18,7 @@ from .hilbert import (
     KappaNumerator,
     RingHilbertValue,
     hf_bigraded_ring,
+    hf_grid,
     hf_module,
     series_identity_check,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "fit_chamber_qp",
     "global_lattice",
     "hf_bigraded_ring",
+    "hf_grid",
     "hf_module",
     "hnf",
     "in_pos_cone",

@@ -167,19 +167,7 @@ def series_coeffs(A: DegreeMatrix, bound) -> dict[tuple[int, ...], int]:
         raise ValueError("bound dimension mismatch")
     if any(b < 0 for b in bound):
         raise ValueError("bound must be componentwise nonnegative")
-    if not A.columns:
-        out = {cell: 0 for cell in itertools.product(*[range(b + 1) for b in bound])}
-        out[tuple(0 for _ in bound)] = 1
-        return out
-    if A.is_bigraded():
-        mu_max, t_max = bound
-        table = kernels.bigraded_table(list(A.degrees), t_max, mu_max)
-        return {
-            (mu, t): int(table[t][mu])
-            for mu in range(mu_max + 1)
-            for t in range(t_max + 1)
-        }
-    return _box_table(A.columns, bound)
+    return {u: count(A, u) for u in itertools.product(*[range(b + 1) for b in bound])}
 
 
 def in_pos_cone(A: DegreeMatrix, u) -> bool:

@@ -3,18 +3,21 @@
 A module is described by its kappa numerator: a finite signed multiset of
 shift vectors.  Multiplying the numerator into the ambient ring's Hilbert
 series gives the module's Hilbert series, so pointwise values are signed
-sums of counts.  Works in any grading dimension.
+sums of counts.  Point values work in any grading dimension; value grids
+and the series identity check need a bigraded ring.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
+from . import kernels
 from .chambers import chamber_complex_2xn, global_lattice, locate
-from .counting import DegreeMatrix, count, series_coeffs
+from .counting import DegreeMatrix, count
 from .quasipoly import fit_chamber_qp
 
 
@@ -77,31 +80,51 @@ def hf_module(kappa: KappaNumerator, u) -> int:
     return total
 
 
-def series_identity_check(kappa: KappaNumerator, bound) -> bool:
-    """Does the truncated product numerator * ring series match the value table?
+def hf_grid(kappa: KappaNumerator, lo, hi) -> np.ndarray:
+    """hf_module(kappa, (mu, t)) at every lo <= (mu, t) <= hi, as g[t - lo_t, mu - lo_mu].
 
-    Compares, coefficientwise on [0, bound], the polynomial-times-series
-    product against hf_module evaluated point by point.
+    One count table, reaching hi minus the lowest shift, read as one shifted
+    slice per numerator term.  Entries are Python ints.  Bigraded rings only.
+    """
+    if not kappa.ring.is_bigraded():
+        raise ValueError("value grids require a bigraded ring")
+    (mu0, t0), (mu1, t1) = lo, hi
+    g = np.zeros((max(t1 - t0 + 1, 0), max(mu1 - mu0 + 1, 0)), dtype=object)
+    if not kappa.terms or not g.size:
+        return g
+    reach_mu = mu1 - min(a[0] for a in kappa.shifts)
+    reach_t = t1 - min(a[1] for a in kappa.shifts)
+    table = np.array(
+        kernels.bigraded_table(kappa.ring.degrees, max(reach_t, 0), max(reach_mu, 0)),
+        dtype=object,
+    )
+    for (a_mu, a_t), c in kappa.terms:
+        mu, t = max(mu0, a_mu), max(t0, a_t)  # lowest point with u - a >= 0
+        if mu <= mu1 and t <= t1:
+            part = table[t - a_t: t1 - a_t + 1, mu - a_mu: mu1 - a_mu + 1]
+            g[t - t0:, mu - mu0:] += c * part
+    return g
+
+
+def series_identity_check(kappa: KappaNumerator, bound) -> bool:
+    """Does the value grid times prod_j (1 - x^{d_j} y) leave exactly the numerator?
+
+    The Hilbert series is numerator / prod_j (1 - x^{d_j} y).  The grid runs
+    from the lowest shift, below which every value is zero, up to bound, so
+    the product is exact on it.  Bigraded rings only.
     """
     bound = tuple(int(b) for b in bound)
-    pad = [0] * kappa.ring.dim
-    for shift, _ in kappa.terms:
-        for i, s in enumerate(shift):
-            pad[i] = max(pad[i], -s)
-    ext = tuple(b + p for b, p in zip(bound, pad))
-    table = series_coeffs(kappa.ring, ext)
-    for u in itertools.product(*[range(b + 1) for b in bound]):
-        lhs = 0
-        for shift, coeff in kappa.terms:
-            v = tuple(a - b for a, b in zip(u, shift))
-            if all(x >= 0 for x in v):
-                lhs += coeff * table[v]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DataIntegrityWarning)
-            rhs = hf_module(kappa, u)
-        if lhs != rhs:
-            return False
-    return True
+    lo = tuple(min((a[i] for a in kappa.shifts), default=0) for i in (0, 1))
+    g = hf_grid(kappa, lo, bound)
+    w = g.shape[1]
+    for d in kappa.ring.degrees:
+        if d < w:
+            g[1:, d:] -= g[:-1, : w - d].copy()
+    want = np.zeros_like(g)
+    for (a_mu, a_t), c in kappa.terms:
+        if a_mu <= bound[0] and a_t <= bound[1]:
+            want[a_t - lo[1], a_mu - lo[0]] = c
+    return bool((g == want).all())
 
 
 @dataclass(frozen=True)

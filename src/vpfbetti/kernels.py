@@ -32,6 +32,8 @@ def bigraded_table_int64(degrees, t_max, mu_max):
     a = np.zeros((t_max + 1, mu_max + 1), dtype=np.int64)
     a[0, 0] = 1
     for d in degrees:
+        if d > mu_max:
+            continue  # the column never fits inside the table
         for t in range(1, t_max + 1):
             a[t, d:] += a[t - 1, : mu_max + 1 - d]
     return a

@@ -82,21 +82,7 @@ class IntMatrix:
 
     def rank(self) -> int:
         """Exact rank over Q."""
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        rank = 0
-        for c in range(self.cols):
-            pivot = next((r for r in range(rank, self.rows) if m[r][c] != 0), None)
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            inv = 1 / m[rank][c]
-            m[rank] = [v * inv for v in m[rank]]
-            for r in range(self.rows):
-                if r != rank and m[r][c] != 0:
-                    f = m[r][c]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-            rank += 1
-        return rank
+        return len(rref(self.entries)[1])
 
 
 def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -225,6 +211,32 @@ def residues(L: Lattice) -> tuple[tuple[int, ...], ...]:
     return L.residues()
 
 
+def rref(rows, ncols=None):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination.
+
+    Pivots are sought in the first `ncols` columns (default: all).  Returns
+    the reduced rows as lists of Fractions and the pivot columns in order.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
 def solve_exact(matrix_rows, rhs):
     """Solve M x = b exactly over Q.
 
@@ -233,30 +245,11 @@ def solve_exact(matrix_rows, rhs):
     system are set to zero.
     """
     rows = [list(r) for r in matrix_rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    n = len(rows[0]) if rows else 0
+    red, pivots = rref([row + [b] for row, b in zip(rows, rhs)], n)
+    if any(row[n] != 0 for row in red[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][n]
+    for row, c in zip(red, pivots):
+        x[c] = row[n]
     return tuple(x)

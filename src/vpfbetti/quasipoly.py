@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 from .chambers import Chamber
 from .counting import DegreeMatrix, count
-from .lattices import Lattice, lattice_from_columns
+from .lattices import Lattice, lattice_from_columns, rref
 
 
 class FitError(RuntimeError):
@@ -311,20 +311,11 @@ def _lagrange_gauss(v1, v2):
 def _invert_fractions(rows):
     """Inverse of a small square matrix over Q; None when singular."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots = rref(aug, n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in red]
 
 
 def _window_points(chamber: Chamber, s_max: int):

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .chambers import chamber_complex_2xn, global_lattice, locate
-from .hilbert import DataIntegrityWarning, KappaNumerator, hf_module
+from .chambers import locate
+from .hilbert import DataIntegrityWarning, KappaNumerator, _ring_chamber_data
 from .lattices import Lattice, solve_exact
-from .quasipoly import FitError, Polynomial, QuasiPolynomial, fit_chamber_qp
+from .quasipoly import FitError, Polynomial, QuasiPolynomial
 
 
 class BelowThresholdError(ValueError):
@@ -175,9 +175,7 @@ def region_decomposition(kappa: KappaNumerator, degrees=None) -> RegionDecomposi
     shifts = kappa.shifts
     t0 = stability_threshold(shifts, E)
     lines = sort_lines(shifts, E, t0)
-    lattice = global_lattice(E)
-    chambers = chamber_complex_2xn(sorted(ring.degrees))
-    fits = [fit_chamber_qp(ring, c, lattice) for c in chambers]
+    _, chambers, lattice, fits = _ring_chamber_data(ring.degrees)
 
     t_probe = t0 + 1
     regions = []

@@ -11,7 +11,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
-from .hilbert import DataIntegrityWarning, hf_module, series_identity_check
+from .hilbert import DataIntegrityWarning, hf_grid, series_identity_check
 from .regions import RegionDecomposition, eval_betti, region_decomposition
 from .rees import ToriSpec, serialize
 
@@ -81,6 +81,10 @@ def _grid_mu_range(dec: RegionDecomposition, t: int, pad: int = 5):
     return lo - pad, hi + pad
 
 
+def _unsorted(values) -> bool:
+    return any(b < a for a, b in zip(values, values[1:]))
+
+
 def check_decomposition(dec: RegionDecomposition, tmax: int, pad: int = 5):
     """Oracle equivalence, support exactness, and line ordering up to tmax."""
     checks = []
@@ -95,28 +99,28 @@ def check_decomposition(dec: RegionDecomposition, tmax: int, pad: int = 5):
         )
         return checks
 
+    bands = [(t, *_grid_mu_range(dec, t, pad)) for t in range(dec.t0, tmax + 1)]
+    mu_lo = min(lo for _, lo, _ in bands)
+    want_grid = hf_grid(kappa, (mu_lo, dec.t0), (max(hi for _, _, hi in bands), tmax))
     equiv_witness = None
     support_witness = None
     negative_witness = None
-    for t in range(dec.t0, tmax + 1):
-        lo, hi = _grid_mu_range(dec, t, pad)
-        for mu in range(lo, hi + 1):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DataIntegrityWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataIntegrityWarning)
+        for t, lo, hi in bands:
+            row = want_grid[t - dec.t0]
+            for mu in range(lo, hi + 1):
                 got = eval_betti(dec, mu, t)
-                want = hf_module(kappa, (mu, t))
-            if got != want and equiv_witness is None:
-                equiv_witness = (mu, t, got, want)
-            if (got == 0) != (want == 0) and support_witness is None:
-                support_witness = (mu, t, got, want)
-            if want < 0 and negative_witness is None:
-                negative_witness = (mu, t, want)
-        if equiv_witness and support_witness and negative_witness:
-            break
-    npoints = sum(
-        _grid_mu_range(dec, t, pad)[1] - _grid_mu_range(dec, t, pad)[0] + 1
-        for t in range(dec.t0, tmax + 1)
-    )
+                want = row[mu - mu_lo]
+                if got != want and equiv_witness is None:
+                    equiv_witness = (mu, t, got, want)
+                if (got == 0) != (want == 0) and support_witness is None:
+                    support_witness = (mu, t, got, want)
+                if want < 0 and negative_witness is None:
+                    negative_witness = (mu, t, want)
+            if equiv_witness and support_witness and negative_witness:
+                break
+    npoints = sum(hi - lo + 1 for _, lo, hi in bands)
     checks.append(
         CheckResult(
             "oracle equivalence",
@@ -142,20 +146,15 @@ def check_decomposition(dec: RegionDecomposition, tmax: int, pad: int = 5):
         )
     )
 
-    order_witness = None
-    for t in range(dec.t0, tmax + 1):
-        vals = [line.value(t) for line in dec.lines]
-        if any(b < a for a, b in zip(vals, vals[1:])):
-            order_witness = (t,)
-            break
-        slopes = [line.slope for line in dec.lines]
-        if any(s2 < s1 for s1, s2 in zip(slopes, slopes[1:])):
-            # slope blocks may not interleave once values are sorted
-            for s1, s2 in zip(slopes, slopes[1:]):
-                if s2 < s1:
-                    order_witness = (t,)
-                    break
-            break
+    # slope blocks may not interleave once values are sorted
+    if _unsorted([line.slope for line in dec.lines]):
+        order_witness = (dec.t0,)
+    else:
+        order_witness = next(
+            ((t,) for t in range(dec.t0, tmax + 1)
+             if _unsorted([line.value(t) for line in dec.lines])),
+            None,
+        )
     checks.append(
         CheckResult(
             "line ordering",

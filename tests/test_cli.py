@@ -40,6 +40,11 @@ def test_count_usage_error(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_count_degree_wider_than_first_table(capsys):
+    rc, out, _ = run(capsys, "count", "--degrees", "1,20", "1,1")
+    assert rc == 0 and out.strip() == "1"
+
+
 def test_count_bad_point(capsys):
     rc, _, err = run(capsys, "count", "--degrees", "2,3", "a,b")
     assert rc == 2

@@ -1,12 +1,18 @@
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_count, ring_hilbert_closed_form
+from vpfbetti import counting, kernels
 from vpfbetti.chambers import DegenerateGradingError
 from vpfbetti.counting import DegreeMatrix, count
 from vpfbetti.hilbert import (
     DataIntegrityWarning,
     KappaNumerator,
     hf_bigraded_ring,
+    hf_grid,
     hf_module,
     series_identity_check,
 )
@@ -128,3 +134,57 @@ def test_hf_module_any_dimension():
             A.columns, tuple(a - b for a, b in zip(u, (1, 1, 2)))
         )
         assert hf_module(kappa, u) == want
+
+
+def test_series_identity_requires_bigraded_ring():
+    A = DegreeMatrix.from_columns([(1, 0, 1), (0, 1, 1), (1, 1, 2)])
+    kappa = KappaNumerator.from_terms(A, [((0, 0, 0), 1)])
+    with pytest.raises(ValueError):
+        series_identity_check(kappa, (3, 3, 3))
+
+
+def test_series_identity_catches_corrupted_table(monkeypatch):
+    # both sides of a table-against-itself comparison would read the bad cell
+    fill = kernels.bigraded_table
+
+    def corrupted(degrees, t_max, mu_max):
+        table = fill(degrees, t_max, mu_max)
+        table[3][9] += 1
+        return table
+
+    monkeypatch.setattr(counting, "_ORACLES", {})
+    monkeypatch.setattr(kernels, "bigraded_table", corrupted)
+    for kappa in (KappaNumerator.from_terms(RING, [((0, 0), 1)]), TOR1):
+        assert not series_identity_check(kappa, (40, 12))
+
+
+def test_hf_grid_layout():
+    g = hf_grid(TOR1, (20, 6), (30, 10))
+    assert g.shape == (5, 11)
+    assert g[10 - 6, 28 - 20] == hf_module(TOR1, (28, 10)) == 3
+    assert type(g[4, 8]) is int
+
+
+@st.composite
+def bigraded_numerators(draw):
+    degrees = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    ring = DegreeMatrix.bigraded(degrees)
+    shift = st.tuples(st.integers(-6, 8), st.integers(-3, 4))
+    terms = draw(st.lists(st.tuples(shift, st.integers(-3, 3)), max_size=5))
+    kappa = KappaNumerator.from_terms(ring, terms)
+    lo = (draw(st.integers(-10, 4)), draw(st.integers(-5, 2)))
+    hi = (lo[0] + draw(st.integers(0, 14)), lo[1] + draw(st.integers(0, 6)))
+    return kappa, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(bigraded_numerators())
+def test_hf_grid_matches_hf_module_and_series_identity(case):
+    kappa, lo, hi = case
+    g = hf_grid(kappa, lo, hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataIntegrityWarning)
+        for t in range(lo[1], hi[1] + 1):
+            for mu in range(lo[0], hi[0] + 1):
+                assert g[t - lo[1], mu - lo[0]] == hf_module(kappa, (mu, t))
+    assert series_identity_check(kappa, hi)

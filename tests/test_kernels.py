@@ -41,3 +41,11 @@ def test_degree_zero_column():
     for t in range(5):
         for mu in range(9):
             assert int(table[t][mu]) == brute_count(cols, (mu, t))
+
+
+def test_int64_skips_degrees_wider_than_table():
+    # mu_max + 1 < d < 2 (mu_max + 1): the shifted source slice would run past the row
+    for degrees, mu_max in (([1, 20], 15), ([3, 12], 8), ([2, 7], 5)):
+        a = bigraded_table_int64(degrees, 6, mu_max)
+        b = bigraded_table_bigint(degrees, 6, mu_max)
+        assert table_entries(a, 6, mu_max) == table_entries(b, 6, mu_max)
