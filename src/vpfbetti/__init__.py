@@ -22,6 +22,7 @@ from .hilbert import (
     hf_module,
     series_identity_check,
 )
+from .kernels import BudgetExceededError
 from .lattices import (
     IntMatrix,
     Lattice,
@@ -65,6 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BelowThresholdError",
+    "BudgetExceededError",
     "Chamber",
     "DataIntegrityWarning",
     "DegenerateGradingError",

@@ -16,6 +16,7 @@ from . import textfmt
 from .chambers import DegenerateGradingError, chamber_complex_2xn, global_lattice
 from .counting import DegreeMatrix, count
 from .hilbert import hf_bigraded_ring, hf_module
+from .kernels import BudgetExceededError
 from .lattices import IntMatrix, hnf
 from .quasipoly import FitError
 from .rees import SpecFormatError, UnsupportedRankError, ci_shifts, ingest, serialize
@@ -357,7 +358,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, SpecFormatError, UnsupportedRankError, DegenerateGradingError) as exc:
+    except (
+        UsageError, SpecFormatError, UnsupportedRankError, DegenerateGradingError,
+        BudgetExceededError,
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except FileNotFoundError as exc:

@@ -3,15 +3,19 @@
 count(A, u) is the number of ways to write u as a nonnegative integer
 combination of the columns of A.  Nonnegative columns with no zero column
 make the grading positive, so every count is finite.  Bigraded matrices
-(second row all ones) are served from a cached dense table filled by the
-selected kernel; everything else runs a boxed dynamic program in pure Python.
+(second row all ones) are read from cached cone-sheared rows that grow one
+row at a time (`kernels.BandRows`); everything else runs a boxed dynamic
+program in pure Python.  Both caches are safe to share between threads, and
+every table is checked against `kernels.MAX_TABLE_CELLS` before it grows.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import kernels
 from .lattices import IntMatrix
@@ -65,61 +69,56 @@ class DegreeMatrix:
 
 
 class _BigradedOracle:
-    """Grow-on-demand dense count table for one bigraded matrix."""
+    """Reader of one bigraded matrix's band rows, grown to the largest t and offset asked for."""
 
     def __init__(self, degrees):
-        self.degrees = list(degrees)
-        self.max_deg = max(self.degrees) if self.degrees else 0
-        self.t_max = -1
-        self.mu_max = -1
-        self.table = None
-
-    def ensure(self, mu, t):
-        if t <= self.t_max and mu <= self.mu_max:
-            return
-        new_t = max(t, 2 * self.t_max, 16)
-        new_mu = max(mu, 2 * self.mu_max, 16)
-        if new_t * self.max_deg <= 4 * new_mu:
-            # cheap to cover the whole cone up to new_t; avoids regrowth
-            new_mu = max(new_mu, self.max_deg * new_t)
-        self.table = kernels.bigraded_table(self.degrees, new_t, new_mu)
-        self.t_max = new_t
-        self.mu_max = new_mu
+        self.band = kernels.BandRows(degrees)
+        self.lock = threading.Lock()
 
     def value(self, u):
         mu, t = u
-        if t < 0 or mu < 0:
+        band = self.band
+        k = mu - band.lo * t
+        if t < 0 or not 0 <= k <= band.width * t:
             return 0
-        if mu > self.max_deg * t or mu < min(self.degrees) * t:
-            return 0
-        self.ensure(mu, t)
-        return int(self.table[t][mu])
+        rows = band.rows  # replaced only by lists and rows at least as long
+        if t >= len(rows) or k >= len(rows[t]):
+            with self.lock:
+                band.extend(t, k)
+            rows = band.rows
+        return int(rows[t][k])
 
 
 class _GeneralOracle:
-    """Boxed dynamic program for arbitrary nonnegative degree matrices."""
+    """Boxed dynamic program for arbitrary nonnegative degree matrices.
+
+    On a miss only the coordinates past the box grow, to at least twice
+    their old bound; bound and table are replaced together as one tuple.
+    """
 
     def __init__(self, columns, dim):
         self.columns = columns
         self.dim = dim
-        self.bound = None
-        self.table = None
+        self.box = None  # (bound, table)
+        self.lock = threading.Lock()
 
-    def ensure(self, u):
-        if self.bound is not None and all(a <= b for a, b in zip(u, self.bound)):
-            return
-        bound = tuple(
-            max(a, 2 * b if self.bound else a, 8)
-            for a, b in zip(u, self.bound or u)
-        )
-        self.table = _box_table(self.columns, bound)
-        self.bound = bound
+    def _grow(self, u):
+        with self.lock:
+            box = self.box
+            old = box[0] if box else (-1,) * self.dim
+            if box is None or any(a > b for a, b in zip(u, old)):
+                bound = tuple(b if a <= b else max(a, 2 * b, 8) for a, b in zip(u, old))
+                kernels.check_cells(prod(b + 1 for b in bound), "count box")
+                box = self.box = (bound, _box_table(self.columns, bound))
+            return box
 
     def value(self, u):
         if any(x < 0 for x in u):
             return 0
-        self.ensure(u)
-        return self.table.get(tuple(u), 0)
+        box = self.box
+        if box is None or any(a > b for a, b in zip(u, box[0])):
+            box = self._grow(u)
+        return box[1].get(u, 0)
 
 
 def _box_table(columns, bound):
@@ -137,16 +136,20 @@ def _box_table(columns, bound):
 
 
 _ORACLES: dict[DegreeMatrix, object] = {}
+_ORACLES_LOCK = threading.Lock()
 
 
 def _oracle(A: DegreeMatrix):
     cached = _ORACLES.get(A)
     if cached is None:
-        if A.is_bigraded():
-            cached = _BigradedOracle(A.degrees)
-        else:
-            cached = _GeneralOracle(A.columns, A.dim)
-        _ORACLES[A] = cached
+        with _ORACLES_LOCK:
+            cached = _ORACLES.get(A)
+            if cached is None:
+                if A.is_bigraded():
+                    cached = _BigradedOracle(A.degrees)
+                else:
+                    cached = _GeneralOracle(A.columns, A.dim)
+                _ORACLES[A] = cached
     return cached
 
 

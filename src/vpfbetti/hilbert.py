@@ -85,11 +85,14 @@ def hf_grid(kappa: KappaNumerator, lo, hi) -> np.ndarray:
 
     One count table, reaching hi minus the lowest shift, read as one shifted
     slice per numerator term.  Entries are Python ints.  Bigraded rings only.
+    A grid or table over `kernels.MAX_TABLE_CELLS` raises BudgetExceededError.
     """
     if not kappa.ring.is_bigraded():
         raise ValueError("value grids require a bigraded ring")
     (mu0, t0), (mu1, t1) = lo, hi
-    g = np.zeros((max(t1 - t0 + 1, 0), max(mu1 - mu0 + 1, 0)), dtype=object)
+    shape = (max(t1 - t0 + 1, 0), max(mu1 - mu0 + 1, 0))
+    kernels.check_cells(shape[0] * shape[1], "value grid")
+    g = np.zeros(shape, dtype=object)
     if not kappa.terms or not g.size:
         return g
     reach_mu = mu1 - min(a[0] for a in kappa.shifts)

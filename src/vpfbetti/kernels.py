@@ -1,7 +1,12 @@
-"""Dense count-table kernels: vectorized int64 NumPy rows, or big-int lists.
+"""Count tables of bigraded rings as cone-sheared rows, grown in place.
 
-`bigraded_table` takes the int64 kernel whenever every table value provably
-fits in 64 bits, and the arbitrary-precision kernel otherwise.
+For columns (d_j, 1) every count of bidegree (mu, t) is zero outside the band
+min(d)*t <= mu <= max(d)*t, so `BandRows` stores row t as the offsets
+mu - min(d)*t in [0, (max(d) - min(d))*t], cut at the largest offset asked
+for.  Rows are int64 while the proven value bound fits in 64 bits and Python
+integers (dtype=object) from then on.
+`bigraded_table` is the dense window of those rows that value grids read.
+Every table is checked against MAX_TABLE_CELLS before anything is allocated.
 """
 
 from math import comb
@@ -11,6 +16,21 @@ import numpy as np
 # int64 guard: table values never exceed the number of compositions of t_max.
 _INT64_SAFE = 2**62
 
+# Largest table, in cells, that any count table may have.
+MAX_TABLE_CELLS = 50_000_000
+
+
+class BudgetExceededError(RuntimeError):
+    """A count table would exceed MAX_TABLE_CELLS; nothing was allocated."""
+
+
+def check_cells(cells, what):
+    """Raise BudgetExceededError if a table of `cells` cells is over the budget."""
+    if cells > MAX_TABLE_CELLS:
+        raise BudgetExceededError(
+            f"{what} needs {cells} cells, over the budget of {MAX_TABLE_CELLS}"
+        )
+
 
 def value_bound(n_columns, t_max):
     """Upper bound on any entry of a bigraded count table with n columns."""
@@ -19,36 +39,82 @@ def value_bound(n_columns, t_max):
     return comb(t_max + n_columns - 1, n_columns - 1)
 
 
+def band_cells(width, t_max, cap):
+    """Cells of rows 0..t_max, row t holding min(cap, width * t) + 1 offsets."""
+    full = t_max if width == 0 else min(t_max, cap // width)  # rows that fit whole
+    return (full + 1) * (width * full + 2) // 2 + (t_max - full) * (cap + 1)
+
+
+class BandRows:
+    """Exact counts of one bigraded ring, one cone-sheared row per t.
+
+    rows[t][k] is the count at bidegree (lo * t + k, t) for k up to
+    min(cap, width * t): rows stop at the largest offset asked for, never past
+    the band.  Row t of stage j (the first j columns) is stage j-1's row t
+    plus stage j's row t-1 shifted by d_j - lo.  The last row of every stage
+    is kept, so a taller `extend` continues where it stopped; a larger cap,
+    at least double the old one, rebuilds the rows past the last one the old
+    cap held whole.  Not synchronised: callers that share one instance
+    between threads serialise `extend`.  Readers may hold `rows`: it is
+    replaced, never changed, and only by a list at least as long whose rows
+    are at least as long.
+    """
+
+    def __init__(self, degrees):
+        degrees = [int(d) for d in degrees]
+        self.lo = min(degrees)
+        self.width = max(degrees) - self.lo
+        self.shifts = [d - self.lo for d in degrees]
+        self.cap = 0
+        one = np.ones(1, dtype=np.int64)
+        self.rows = [one]
+        self._last = [one] * len(degrees)  # row len(rows) - 1 of every stage
+        self._whole = (0, self._last)  # the last row the cap holds whole, every stage
+
+    def extend(self, t_max, k_max=0):
+        """Make rows 0..t_max hold offsets 0..k_max; check the budget first."""
+        t_max = max(t_max, len(self.rows) - 1)
+        cap = self.cap if k_max <= self.cap else max(k_max, 2 * self.cap)
+        if t_max < len(self.rows) and cap == self.cap:
+            return
+        check_cells(band_cells(self.width, t_max, cap), f"count table to t={t_max}")
+        whole = self._whole
+        if cap == self.cap:
+            rows, last = list(self.rows), self._last
+        else:  # rows up to the last whole one stay; the rest are rebuilt
+            rows, last = self.rows[: whole[0] + 1], whole[1]
+        n = len(self.shifts)
+        for t in range(len(rows), t_max + 1):
+            dtype = np.int64 if value_bound(n, t) < _INT64_SAFE else object
+            row = np.zeros(min(cap, self.width * t) + 1, dtype=dtype)
+            stages = []
+            for j, (s, prev) in enumerate(zip(self.shifts, last)):
+                if j:
+                    row = row.copy()
+                m = min(len(prev), len(row) - s)
+                if m > 0:
+                    row[s: s + m] += prev[:m]
+                stages.append(row)
+            last = stages
+            rows.append(row)
+            if self.width * t <= cap:
+                whole = (t, stages)
+        self.cap, self._last, self._whole, self.rows = cap, last, whole, rows
+
+
 def bigraded_table(degrees, t_max, mu_max):
-    """Dense table T[t][mu] of counts for columns (d, 1), exact."""
-    degrees = [int(d) for d in degrees]
-    if value_bound(len(degrees), t_max) < _INT64_SAFE:
-        return bigraded_table_int64(degrees, t_max, mu_max)
-    return bigraded_table_bigint(degrees, t_max, mu_max)
+    """Dense table T[t][mu] of counts for columns (d, 1), exact, as one array.
 
-
-def bigraded_table_int64(degrees, t_max, mu_max):
-    """NumPy int64 rows; the caller guarantees that every value fits."""
-    a = np.zeros((t_max + 1, mu_max + 1), dtype=np.int64)
-    a[0, 0] = 1
-    for d in degrees:
-        if d > mu_max:
-            continue  # the column never fits inside the table
-        for t in range(1, t_max + 1):
-            a[t, d:] += a[t - 1, : mu_max + 1 - d]
-    return a
-
-
-def bigraded_table_bigint(degrees, t_max, mu_max):
-    """Lists of Python integers, for tables whose values may exceed 64 bits."""
-    rows = [[0] * (mu_max + 1) for _ in range(t_max + 1)]
-    rows[0][0] = 1
-    for d in degrees:
-        for t in range(1, t_max + 1):
-            prev = rows[t - 1]
-            cur = rows[t]
-            for mu in range(d, mu_max + 1):
-                v = prev[mu - d]
-                if v:
-                    cur[mu] += v
-    return rows
+    Built from fresh band rows; int64 unless a row past the 64-bit bound is
+    inside the window, then dtype=object.
+    """
+    check_cells((t_max + 1) * (mu_max + 1), "count window")
+    band = BandRows(degrees)
+    lo = band.lo
+    t_top = t_max if lo == 0 else min(t_max, mu_max // lo)  # later rows start past mu_max
+    band.extend(t_top, mu_max)  # row t needs offsets up to mu_max - lo * t
+    table = np.zeros((t_max + 1, mu_max + 1), dtype=band.rows[t_top].dtype)
+    for t in range(t_top + 1):
+        start = lo * t
+        table[t, start: start + len(band.rows[t])] = band.rows[t][: mu_max + 1 - start]
+    return table

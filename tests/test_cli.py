@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -42,6 +43,25 @@ def test_count_usage_error(capsys):
 
 def test_count_degree_wider_than_first_table(capsys):
     rc, out, _ = run(capsys, "count", "--degrees", "1,20", "1,1")
+    assert rc == 0 and out.strip() == "1"
+
+
+def test_count_over_budget_exits_2_without_allocating(capsys):
+    tracemalloc.start()
+    try:
+        # rows to t = 10**5 holding offsets up to 5 * 10**4: 3.75e9 cells
+        rc, out, err = run(capsys, "count", "--degrees", "1,2", "150000,100000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == "" and err.startswith("error:") and "budget" in err
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("degrees,point", [("1,1000000", "10,10"), ("2,1000", "4000,2000")])
+def test_count_widely_spread_degrees_near_the_band_edge(capsys, degrees, point):
+    # the whole band would be over the budget; the rows asked for are tiny
+    rc, out, _ = run(capsys, "count", "--degrees", degrees, point)
     assert rc == 0 and out.strip() == "1"
 
 

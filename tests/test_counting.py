@@ -1,9 +1,12 @@
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from oracles import brute_count
+from vpfbetti import BudgetExceededError, counting
 from vpfbetti.counting import DegreeMatrix, count, in_pos_cone, series_coeffs
 
 RING_236 = DegreeMatrix.bigraded([2, 3, 6])
@@ -144,3 +147,39 @@ def test_degree_matrix_validation():
 def test_degree_matrix_rank():
     assert RING_236.rank() == 2
     assert DegreeMatrix.bigraded([1, 1]).rank() == 1
+
+
+def test_count_shared_ring_from_eight_threads(monkeypatch):
+    # every thread asks for ever larger t, so rows are appended while others read
+    monkeypatch.setattr(counting, "_ORACLES", {})
+    ring = DegreeMatrix.bigraded([2, 3, 6, 7])
+    rng = random.Random(11)
+    jobs = [
+        [(rng.randint(2 * t, 7 * t), t) for t in range(k, 400, 8)] for k in range(8)
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda pts: [count(ring, u) for u in pts], pts) for pts in jobs]
+            answers = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    monkeypatch.setattr(counting, "_ORACLES", {})
+    assert answers == [[count(ring, u) for u in pts] for pts in jobs]
+    assert len(counting._ORACLES[ring].band.rows) == 400
+
+
+def test_general_box_grows_only_the_missed_coordinate(monkeypatch):
+    monkeypatch.setattr(counting, "_ORACLES", {})
+    A = DegreeMatrix.from_columns([(1, 0, 1), (0, 1, 1), (1, 1, 2)])
+    assert count(A, (2, 3, 4)) == brute_count(A.columns, (2, 3, 4))
+    assert counting._ORACLES[A].box[0] == (8, 8, 8)
+    for u, bound in (((20, 1, 20), (20, 8, 20)), ((3, 9, 2), (20, 16, 20))):
+        assert count(A, u) == brute_count(A.columns, u)
+        assert counting._ORACLES[A].box[0] == bound
+    for u in itertools.product((0, 5, 11), (0, 7, 16), (0, 9, 20)):
+        assert count(A, u) == brute_count(A.columns, u)
+    with pytest.raises(BudgetExceededError):
+        count(A, (1000, 1000, 1000))
+    assert counting._ORACLES[A].box[0] == (20, 16, 20)

@@ -165,6 +165,11 @@ def test_hf_grid_layout():
     assert type(g[4, 8]) is int
 
 
+def test_hf_grid_over_budget_raises_before_allocating():
+    with pytest.raises(kernels.BudgetExceededError):
+        hf_grid(TOR1, (0, 0), (10**6, 10**5))
+
+
 @st.composite
 def bigraded_numerators(draw):
     degrees = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))

@@ -1,31 +1,68 @@
+from math import comb
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracles import brute_count
-from vpfbetti import kernels
-from vpfbetti.kernels import bigraded_table_bigint, bigraded_table_int64
+from vpfbetti import counting, kernels
+from vpfbetti.counting import DegreeMatrix, count
 
 
-def table_entries(table, t_max, mu_max):
-    return [[int(table[t][mu]) for mu in range(mu_max + 1)] for t in range(t_max + 1)]
+def assert_window_matches(degrees, t_max, mu_max):
+    table = kernels.bigraded_table(degrees, t_max, mu_max)
+    assert table.shape == (t_max + 1, mu_max + 1)
+    cols = [(d, 1) for d in degrees]
+    for t in range(t_max + 1):
+        for mu in range(mu_max + 1):
+            assert int(table[t][mu]) == brute_count(cols, (mu, t)), (mu, t)
 
 
-def test_fallback_matches_brute_force():
-    table = bigraded_table_int64([2, 3, 6], 5, 20)
-    cols = [(2, 1), (3, 1), (6, 1)]
-    for t in range(6):
-        for mu in range(21):
-            assert table[t][mu] == brute_count(cols, (mu, t))
+def test_rows_match_brute_force():
+    assert_window_matches([2, 3, 6], 5, 20)
+    oracle = counting._BigradedOracle([2, 3, 6])
+    for t in range(7):
+        for mu in range(-1, 40):
+            assert oracle.value((mu, t)) == brute_count([(2, 1), (3, 1), (6, 1)], (mu, t))
+    assert [len(row) for row in oracle.band.rows] == [4 * t + 1 for t in range(7)]
 
 
-def test_bigint_matches_fallback():
-    a = bigraded_table_int64([1, 2, 5, 5], 8, 30)
-    b = bigraded_table_bigint([1, 2, 5, 5], 8, 30)
-    assert table_entries(a, 8, 30) == table_entries(b, 8, 30)
+def test_degree_zero_column():
+    # a generator of degree zero still has bidegree (0, 1): counts stay finite
+    assert_window_matches([0, 2], 4, 8)
+
+
+def test_degrees_wider_than_window():
+    # most columns never fit inside the window; some rows start past mu_max
+    for degrees, mu_max in (([1, 20], 15), ([3, 12], 8), ([2, 7], 5), ([9, 11], 4)):
+        assert_window_matches(degrees, 6, mu_max)
+
+
+def test_repeated_degrees():
+    assert_window_matches([2, 2, 3, 3, 3], 5, 16)
+
+
+def test_single_degree_has_zero_width_band():
+    band = kernels.BandRows([4])
+    band.extend(9)
+    assert band.width == 0
+    assert [row.tolist() for row in band.rows] == [[1]] * 10
+    assert_window_matches([4], 5, 22)
 
 
 def test_dispatch_uses_bigint_when_unsafe(monkeypatch):
+    # the bound for two columns is t + 1: rows from t = 4 on hold Python ints
     monkeypatch.setattr(kernels, "_INT64_SAFE", 5)
+    band = kernels.BandRows([1, 1])
+    band.extend(2)
+    band.extend(6)
+    assert [row.dtype for row in band.rows] == [np.int64] * 4 + [object] * 3
+    assert all(type(v) is int for row in band.rows[4:] for v in row)
+    assert band.rows[6].tolist() == [7]
     table = kernels.bigraded_table([1, 1], 6, 6)
-    assert isinstance(table, list)  # big-int list path
-    assert table[6][6] == 7
+    assert table.dtype == object and table[6][6] == 7
+    assert kernels.bigraded_table([1, 1], 3, 6).dtype == np.int64
 
 
 def test_value_bound():
@@ -34,18 +71,75 @@ def test_value_bound():
     assert kernels.value_bound(3, 4) == 15  # compositions of 4 into 3 parts
 
 
-def test_degree_zero_column():
-    # a generator of degree zero still has bidegree (0, 1): counts stay finite
-    table = kernels.bigraded_table([0, 2], 4, 8)
-    cols = [(0, 1), (2, 1)]
-    for t in range(5):
-        for mu in range(9):
-            assert int(table[t][mu]) == brute_count(cols, (mu, t))
+def test_band_cells_closed_form():
+    for width in range(4):
+        for t in range(8):
+            for cap in range(12):
+                want = sum(min(cap, width * s) + 1 for s in range(t + 1))
+                assert kernels.band_cells(width, t, cap) == want
 
 
-def test_int64_skips_degrees_wider_than_table():
-    # mu_max + 1 < d < 2 (mu_max + 1): the shifted source slice would run past the row
-    for degrees, mu_max in (([1, 20], 15), ([3, 12], 8), ([2, 7], 5)):
-        a = bigraded_table_int64(degrees, 6, mu_max)
-        b = bigraded_table_bigint(degrees, 6, mu_max)
-        assert table_entries(a, 6, mu_max) == table_entries(b, 6, mu_max)
+def test_budget_raises_before_allocating(monkeypatch):
+    monkeypatch.setattr(kernels, "MAX_TABLE_CELLS", 90)
+    band = kernels.BandRows([1, 3])
+    band.extend(8, 16)  # the whole band to t = 8: 81 cells
+    with pytest.raises(kernels.BudgetExceededError):
+        band.extend(9, 18)  # the cap doubles to 32, so the whole band: 100 cells
+    assert len(band.rows) == 9 and band.cap == 16
+    band.extend(8, 16)
+    with pytest.raises(kernels.BudgetExceededError):
+        kernels.bigraded_table([1, 3], 9, 9)
+
+
+def test_rows_stop_at_largest_offset_asked():
+    degrees = [1, 10**6]
+    cols = [(d, 1) for d in degrees]
+    band = kernels.BandRows(degrees)
+    band.extend(10)
+    assert [len(row) for row in band.rows] == [1] * 11
+    band.extend(10, 5)
+    assert [len(row) for row in band.rows] == [1] + [6] * 10
+    band.extend(12, 7)  # a larger offset rebuilds at twice the cap
+    assert band.cap == 10 and [len(row) for row in band.rows] == [1] + [11] * 12
+    for t, row in enumerate(band.rows):
+        assert row.tolist() == [brute_count(cols, (t + k, t)) for k in range(len(row))]
+
+
+def test_wide_window_stays_inside_the_budget(monkeypatch):
+    # rows of the window stop at mu_max, not at the band's edge
+    monkeypatch.setattr(kernels, "MAX_TABLE_CELLS", 11 * 11)
+    assert_window_matches([1, 10**6], 10, 10)
+    assert_window_matches([3, 2000], 10, 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(-2, 30), st.integers(-1, 9)), min_size=1, max_size=12),
+)
+def test_random_order_queries_match_brute_force(degrees, points):
+    # each query extends the rows to its own t, so growth comes in uneven steps
+    oracle = counting._BigradedOracle(degrees)
+    cols = [(d, 1) for d in degrees]
+    for mu, t in points:
+        assert oracle.value((mu, t)) == brute_count(cols, (mu, t))
+    lo, width = min(degrees), max(degrees) - min(degrees)
+    in_band = [(t, mu - lo * t) for mu, t in points if 0 <= mu - lo * t <= width * t]
+    band = oracle.band
+    assert len(band.rows) == max([t for t, _ in in_band] + [0]) + 1
+    assert band.cap <= 2 * max([k for _, k in in_band] + [0])
+    assert [len(row) for row in band.rows] == [
+        min(band.cap, width * t) + 1 for t in range(len(band.rows))
+    ]
+
+
+def test_twelve_equal_columns_across_the_64_bit_switch():
+    ring = DegreeMatrix.bigraded([5] * 12)
+    for t in range(261):
+        assert count(ring, (5 * t, t)) == comb(t + 11, 11)
+    band = kernels.BandRows([5] * 12)
+    band.extend(260)
+    dtypes = [row.dtype for row in band.rows]
+    switch = dtypes.index(object)
+    assert 100 < switch < 260 and set(dtypes[switch:]) == {np.dtype(object)}
+    assert comb(switch + 11, 11) >= kernels._INT64_SAFE > comb(switch + 10, 11)
