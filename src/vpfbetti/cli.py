@@ -3,7 +3,7 @@
 Commands: count, hilbert, chambers, regions, rees-ci, verify, reproduce.
 All numeric output is exact; structured output is canonical JSON that can be
 re-ingested.  Exit codes: 0 success, 1 verification failure, 2 usage or
-parse error.
+parse error, including a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -53,10 +53,17 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read_text(path: str, what: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{what} {path!r} is not UTF-8 text: {exc}") from exc
+
+
 def _load_spec(args) -> "ToriSpec":
     if getattr(args, "spec", None):
-        with open(args.spec) as fh:
-            return ingest(fh.read())
+        return ingest(_read_text(args.spec, "spec file"))
     if getattr(args, "degrees", None):
         degrees = _parse_int_list(args.degrees, "--degrees")
         try:
@@ -69,19 +76,24 @@ def _load_spec(args) -> "ToriSpec":
 def _cmd_count(args) -> int:
     point = _parse_int_list(args.point, "point")
     if args.matrix:
-        with open(args.matrix) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"matrix file is not valid JSON: {exc}") from exc
+        try:
+            doc = json.loads(_read_text(args.matrix, "matrix file"))
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"matrix file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "rows" not in doc:
             raise UsageError("matrix file must be JSON of the form {\"rows\": [[...], ...]}")
         rows = doc["rows"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise UsageError("matrix rows must be JSON lists")
+        for row in rows:
+            for x in row:
+                if type(x) is not int:  # not a float, a bool or a string either
+                    raise UsageError(f"matrix entries must be JSON integers, got {x!r}")
         try:
             if len({len(row) for row in rows}) > 1:
                 raise ValueError("rows of unequal length")
             A = DegreeMatrix.from_columns(list(zip(*rows)))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise UsageError(f"invalid matrix rows: {exc}") from exc
     elif args.degrees:
         A = _parse_ring(args.degrees)
@@ -364,7 +376,7 @@ def main(argv=None) -> int:
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable file, or a directory
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except FitError as exc:

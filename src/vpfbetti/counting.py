@@ -3,10 +3,11 @@
 count(A, u) is the number of ways to write u as a nonnegative integer
 combination of the columns of A.  Nonnegative columns with no zero column
 make the grading positive, so every count is finite.  Bigraded matrices
-(second row all ones) are read from cached cone-sheared rows that grow one
-row at a time (`kernels.BandRows`); everything else runs a boxed dynamic
-program in pure Python.  Both caches are safe to share between threads, and
-every table is checked against `kernels.MAX_TABLE_CELLS` before it grows.
+(second row all ones) are read from the ring's shared cone-sheared rows
+(`kernels.band_rows`), the same rows that value grids read; everything else
+runs a boxed dynamic program in pure Python.  Both caches are safe to share
+between threads, and every table is checked against
+`kernels.MAX_TABLE_CELLS` before it grows.
 """
 
 from __future__ import annotations
@@ -68,27 +69,6 @@ class DegreeMatrix:
         ).rank()
 
 
-class _BigradedOracle:
-    """Reader of one bigraded matrix's band rows, grown to the largest t and offset asked for."""
-
-    def __init__(self, degrees):
-        self.band = kernels.BandRows(degrees)
-        self.lock = threading.Lock()
-
-    def value(self, u):
-        mu, t = u
-        band = self.band
-        k = mu - band.lo * t
-        if t < 0 or not 0 <= k <= band.width * t:
-            return 0
-        rows = band.rows  # replaced only by lists and rows at least as long
-        if t >= len(rows) or k >= len(rows[t]):
-            with self.lock:
-                band.extend(t, k)
-            rows = band.rows
-        return int(rows[t][k])
-
-
 class _GeneralOracle:
     """Boxed dynamic program for arbitrary nonnegative degree matrices.
 
@@ -135,6 +115,8 @@ def _box_table(columns, bound):
     return table
 
 
+# memo of each matrix's table: looking a band up by its sorted degrees on
+# every count would cost more than the read itself
 _ORACLES: dict[DegreeMatrix, object] = {}
 _ORACLES_LOCK = threading.Lock()
 
@@ -146,7 +128,7 @@ def _oracle(A: DegreeMatrix):
             cached = _ORACLES.get(A)
             if cached is None:
                 if A.is_bigraded():
-                    cached = _BigradedOracle(A.degrees)
+                    cached = kernels.band_rows(A.degrees)
                 else:
                     cached = _GeneralOracle(A.columns, A.dim)
                 _ORACLES[A] = cached

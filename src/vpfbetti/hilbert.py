@@ -83,8 +83,9 @@ def hf_module(kappa: KappaNumerator, u) -> int:
 def hf_grid(kappa: KappaNumerator, lo, hi) -> np.ndarray:
     """hf_module(kappa, (mu, t)) at every lo <= (mu, t) <= hi, as g[t - lo_t, mu - lo_mu].
 
-    One count table, reaching hi minus the lowest shift, read as one shifted
-    slice per numerator term.  Entries are Python ints.  Bigraded rings only.
+    One window of the ring's shared count rows (the rows `count` reads),
+    reaching hi minus the lowest shift, read as one shifted slice per
+    numerator term.  Entries are Python ints.  Bigraded rings only.
     A grid or table over `kernels.MAX_TABLE_CELLS` raises BudgetExceededError.
     """
     if not kappa.ring.is_bigraded():

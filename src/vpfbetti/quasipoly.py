@@ -19,6 +19,10 @@ from .chambers import Chamber
 from .counting import DegreeMatrix, count
 from .lattices import Lattice, lattice_from_columns, rref
 
+# held-out validation points per fitted coefficient, in every chamber fit and
+# in the estimate of its extent
+VALIDATE_FACTOR = 3
+
 
 class FitError(RuntimeError):
     """No polynomial of the expected degree matches the counts (bad chamber or lattice)."""
@@ -442,7 +446,7 @@ def _design_k_points(deg: int, extra: int):
     return fit, val
 
 
-def pattern_extent_estimate(chamber, lattice, deg: int, validate_factor: int = 3):
+def pattern_extent_estimate(chamber, lattice, deg: int):
     """Rough upper bounds (max height t, count-table cells) for a chamber fit.
 
     Cheap to evaluate (no residue enumeration), so callers can skip instances
@@ -455,7 +459,7 @@ def pattern_extent_estimate(chamber, lattice, deg: int, validate_factor: int = 3
 
     v1, v2 = _quadrant_basis(lattice, to_z)
     m = (deg + 1) * (deg + 2) // 2
-    fit_k, val_k = _design_k_points(deg, validate_factor * m)
+    fit_k, val_k = _design_k_points(deg, VALIDATE_FACTOR * m)
     kmax = max(k[0] + k[1] for k in fit_k + val_k)
     p = lattice.basis[0][0]
     q = lattice.basis[1][1]
@@ -474,19 +478,13 @@ def pattern_extent_estimate(chamber, lattice, deg: int, validate_factor: int = 3
     return tmax, cells
 
 
-def fit_chamber_qp(
-    A: DegreeMatrix,
-    chamber: Chamber,
-    lattice: Lattice,
-    *,
-    validate_factor: int = 3,
-) -> QuasiPolynomial:
+def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> QuasiPolynomial:
     """Recover the counting quasi-polynomial of A on a closed planar chamber.
 
     The lattice must be the chamber lattice or any full-rank sublattice of
     it.  Per residue class, a polynomial of total degree at most n - d is
     interpolated through a fixed unisolvent pattern of lattice translates
-    anchored deep inside the chamber, then checked on `validate_factor`
+    anchored deep inside the chamber, then checked on VALIDATE_FACTOR
     times as many held-out pattern points; finally the assembled pieces are
     swept against the counts on a window at the apex of the chamber, which
     exercises both boundary rays.  Any mismatch raises FitError: wrong
@@ -494,8 +492,6 @@ def fit_chamber_qp(
     """
     if A.dim != 2:
         raise ValueError("chamber fitting is implemented for planar gradings only")
-    if validate_factor < 1:
-        raise ValueError("validate_factor must be at least 1")
     deg = A.size - A.dim
     if deg < 0:
         raise ValueError("need at least as many columns as the grading rank")
@@ -521,7 +517,7 @@ def fit_chamber_qp(
         return (a // det_t, b // det_t)
 
     w1, w2 = _quadrant_basis(lattice, to_z)
-    fit_k, val_k = _design_k_points(deg, validate_factor * m)
+    fit_k, val_k = _design_k_points(deg, VALIDATE_FACTOR * m)
     # the pattern as u-offsets from an anchor: an integer linear image of
     # the k-grid, so the fit points stay unisolvent
     steps = [

@@ -20,6 +20,9 @@ from .hilbert import DataIntegrityWarning, KappaNumerator, _ring_chamber_data
 from .lattices import Lattice, solve_exact
 from .quasipoly import FitError, Polynomial, QuasiPolynomial
 
+# heights past the interpolation points on which the eventual total is validated
+TOTAL_BETTI_CHECKS = 4
+
 
 class BelowThresholdError(ValueError):
     """Query below the stability threshold; evaluate hf_module directly instead."""
@@ -249,11 +252,11 @@ def _as_int(value: Fraction, point) -> int:
     return v
 
 
-def total_betti_polynomial(dec: RegionDecomposition, validate_points: int = 4) -> Polynomial:
+def total_betti_polynomial(dec: RegionDecomposition) -> Polynomial:
     """The eventual polynomial t -> sum_mu eval_betti(mu, t), fitted exactly.
 
     Interpolates on t = t0 .. t0 + n (n = number of ring generators) and
-    validates on the next `validate_points` heights; a mismatch would mean
+    validates on the next TOTAL_BETTI_CHECKS heights; a mismatch would mean
     the decomposition is broken and raises FitError.
     """
     n = dec.kappa.ring.size
@@ -275,7 +278,7 @@ def total_betti_polynomial(dec: RegionDecomposition, validate_points: int = 4) -
     if sol is None:
         raise FitError("impossible: square Vandermonde system was inconsistent")
     poly = Polynomial(1, {(k,): c for k, c in enumerate(sol)})
-    for t in range(dec.t0 + n + 1, dec.t0 + n + 1 + validate_points):
+    for t in range(dec.t0 + n + 1, dec.t0 + n + 1 + TOTAL_BETTI_CHECKS):
         if poly.eval((t,)) != row_sum(t):
             raise FitError(
                 f"eventual polynomial validation failed at t = {t}: "

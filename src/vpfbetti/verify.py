@@ -15,6 +15,9 @@ from .hilbert import DataIntegrityWarning, hf_grid, series_identity_check
 from .regions import RegionDecomposition, eval_betti, region_decomposition
 from .rees import ToriSpec, serialize
 
+# lattice points checked beyond each side of the support at every height
+GRID_PAD = 5
+
 
 @dataclass
 class CheckResult:
@@ -71,21 +74,21 @@ def digest_of(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _grid_mu_range(dec: RegionDecomposition, t: int, pad: int = 5):
+def _grid_mu_range(dec: RegionDecomposition, t: int):
     if dec.degenerate:
         d = dec.degrees[0]
         bs = sorted(dec.ray_pieces)
-        return d * t + bs[0] - pad, d * t + bs[-1] + pad
+        return d * t + bs[0] - GRID_PAD, d * t + bs[-1] + GRID_PAD
     lo = dec.lines[0].value(t)
     hi = dec.lines[-1].value(t)
-    return lo - pad, hi + pad
+    return lo - GRID_PAD, hi + GRID_PAD
 
 
 def _unsorted(values) -> bool:
     return any(b < a for a, b in zip(values, values[1:]))
 
 
-def check_decomposition(dec: RegionDecomposition, tmax: int, pad: int = 5):
+def check_decomposition(dec: RegionDecomposition, tmax: int):
     """Oracle equivalence, support exactness, and line ordering up to tmax."""
     checks = []
     kappa = dec.kappa
@@ -99,7 +102,7 @@ def check_decomposition(dec: RegionDecomposition, tmax: int, pad: int = 5):
         )
         return checks
 
-    bands = [(t, *_grid_mu_range(dec, t, pad)) for t in range(dec.t0, tmax + 1)]
+    bands = [(t, *_grid_mu_range(dec, t)) for t in range(dec.t0, tmax + 1)]
     mu_lo = min(lo for _, lo, _ in bands)
     want_grid = hf_grid(kappa, (mu_lo, dec.t0), (max(hi for _, _, hi in bands), tmax))
     equiv_witness = None

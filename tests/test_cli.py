@@ -71,16 +71,28 @@ def test_count_bad_point(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, matrix",
+    "argv, content",
     [
         (["count", "--degrees=-1,2", "1,1"], None),
         (["hilbert", "--degrees", "2,3,-1", "5,2"], None),
         (["hilbert", "--degrees", "2,3,6", "5"], None),
         (["regions", "--degrees", "2,3,0", "--index", "1"], None),
         (["chambers", "--degrees", "2,3,-1"], None),
-        (["count", "--matrix", "{matrix}", "1,1"], '{"rows": [[1, 0, 1], [0, 0, 1]]}'),
-        (["count", "--matrix", "{matrix}", "1,1"], '{"rows": [[1, 0'),
-        (["count", "--matrix", "{matrix}", "1,1"], '{"rows": [[1, 2], [1]]}'),
+        (["count", "--matrix", "{file}", "1,1"], '{"rows": [[1, 0, 1], [0, 0, 1]]}'),
+        (["count", "--matrix", "{file}", "1,1"], '{"rows": [[1, 0'),
+        (["count", "--matrix", "{file}", "1,1"], '{"rows": [[1, 2], [1]]}'),
+        # only JSON integers are matrix entries: 1.5 would be truncated to 1
+        (["count", "--matrix", "{file}", "3,2"], '{"rows": [[1.5, 1], [1, 1]]}'),
+        (["count", "--matrix", "{file}", "3,2"], '{"rows": [[1e400, 1], [1, 1]]}'),
+        (["count", "--matrix", "{file}", "3,2"], '{"rows": [[true, 1], [1, 1]]}'),
+        (["count", "--matrix", "{file}", "3,2"], '{"rows": [["3", 1], [1, 1]]}'),
+        (["count", "--matrix", "{file}", "3,2"], '{"rows": ["31", "11"]}'),
+        # file arguments that cannot be read are input errors, not verification failures
+        (["count", "--matrix", "{dir}", "1,1"], None),
+        (["verify", "--spec", "{dir}"], None),
+        (["count", "--matrix", "{file}", "1,1"], b'{"rows": [[1, 0], [0, 1]]}\xff'),
+        (["verify", "--spec", "{file}"], serialize(ci_shifts((2, 3))).encode() + b"\xe9"),
+        (["count", "--degrees", "2,3", "5,2", "--out", "{dir}"], None),
     ],
     ids=[
         "count-negative-degree",
@@ -91,13 +103,26 @@ def test_count_bad_point(capsys):
         "matrix-zero-column",
         "matrix-malformed-json",
         "matrix-ragged-rows",
+        "matrix-float-entry",
+        "matrix-overflowing-float-entry",
+        "matrix-bool-entry",
+        "matrix-string-entry",
+        "matrix-string-rows",
+        "matrix-directory",
+        "spec-directory",
+        "matrix-not-utf8",
+        "spec-not-utf8",
+        "out-directory",
     ],
 )
-def test_bad_input_exits_2(capsys, tmp_path, argv, matrix):
-    path = tmp_path / "m.json"
-    if matrix is not None:
-        path.write_text(matrix)
-    rc, out, err = run(capsys, *[a.replace("{matrix}", str(path)) for a in argv])
+def test_bad_input_exits_2(capsys, tmp_path, argv, content):
+    path = tmp_path / "input.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    argv = [a.replace("{file}", str(path)).replace("{dir}", str(tmp_path)) for a in argv]
+    rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == "" and err.startswith("error: ")
 
 

@@ -149,9 +149,8 @@ def test_degree_matrix_rank():
     assert DegreeMatrix.bigraded([1, 1]).rank() == 1
 
 
-def test_count_shared_ring_from_eight_threads(monkeypatch):
+def test_count_shared_ring_from_eight_threads(fresh_tables):
     # every thread asks for ever larger t, so rows are appended while others read
-    monkeypatch.setattr(counting, "_ORACLES", {})
     ring = DegreeMatrix.bigraded([2, 3, 6, 7])
     rng = random.Random(11)
     jobs = [
@@ -165,13 +164,12 @@ def test_count_shared_ring_from_eight_threads(monkeypatch):
             answers = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(switch)
-    monkeypatch.setattr(counting, "_ORACLES", {})
+    fresh_tables()
     assert answers == [[count(ring, u) for u in pts] for pts in jobs]
-    assert len(counting._ORACLES[ring].band.rows) == 400
+    assert len(counting._ORACLES[ring].rows) == 400
 
 
-def test_general_box_grows_only_the_missed_coordinate(monkeypatch):
-    monkeypatch.setattr(counting, "_ORACLES", {})
+def test_general_box_grows_only_the_missed_coordinate(fresh_tables):
     A = DegreeMatrix.from_columns([(1, 0, 1), (0, 1, 1), (1, 1, 2)])
     assert count(A, (2, 3, 4)) == brute_count(A.columns, (2, 3, 4))
     assert counting._ORACLES[A].box[0] == (8, 8, 8)

@@ -1,11 +1,14 @@
+import random
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_count, ring_hilbert_closed_form
-from vpfbetti import counting, kernels
+from vpfbetti import kernels
 from vpfbetti.chambers import DegenerateGradingError
 from vpfbetti.counting import DegreeMatrix, count
 from vpfbetti.hilbert import (
@@ -143,7 +146,7 @@ def test_series_identity_requires_bigraded_ring():
         series_identity_check(kappa, (3, 3, 3))
 
 
-def test_series_identity_catches_corrupted_table(monkeypatch):
+def test_series_identity_catches_corrupted_table(monkeypatch, fresh_tables):
     # both sides of a table-against-itself comparison would read the bad cell
     fill = kernels.bigraded_table
 
@@ -152,9 +155,18 @@ def test_series_identity_catches_corrupted_table(monkeypatch):
         table[3][9] += 1
         return table
 
-    monkeypatch.setattr(counting, "_ORACLES", {})
     monkeypatch.setattr(kernels, "bigraded_table", corrupted)
     for kappa in (KappaNumerator.from_terms(RING, [((0, 0), 1)]), TOR1):
+        assert not series_identity_check(kappa, (40, 12))
+
+
+def test_series_identity_catches_a_corrupted_served_row(fresh_tables):
+    # the check must certify the rows count serves, not a private copy
+    unit = KappaNumerator.from_terms(RING, [((0, 0), 1)])
+    assert series_identity_check(unit, (40, 12)) and count(RING, (9, 3)) == 1
+    kernels.band_rows(RING.degrees).rows[3][9 - 2 * 3] += 1
+    assert count(RING, (9, 3)) == 2
+    for kappa in (unit, TOR1):
         assert not series_identity_check(kappa, (40, 12))
 
 
@@ -185,11 +197,45 @@ def bigraded_numerators(draw):
 @settings(max_examples=150, deadline=None)
 @given(bigraded_numerators())
 def test_hf_grid_matches_hf_module_and_series_identity(case):
+    # hf_grid and hf_module read the same rows, so both answer to brute force
     kappa, lo, hi = case
     g = hf_grid(kappa, lo, hi)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataIntegrityWarning)
         for t in range(lo[1], hi[1] + 1):
             for mu in range(lo[0], hi[0] + 1):
-                assert g[t - lo[1], mu - lo[0]] == hf_module(kappa, (mu, t))
+                want = sum(
+                    c * brute_count(kappa.ring.columns, (mu - a_mu, t - a_t))
+                    for (a_mu, a_t), c in kappa.terms
+                )
+                assert g[t - lo[1], mu - lo[0]] == want == hf_module(kappa, (mu, t))
     assert series_identity_check(kappa, hi)
+
+
+def test_hf_grid_and_count_share_one_ring_from_eight_threads(fresh_tables):
+    # grids and point reads grow the same rows while the other kind reads them
+    ring = DegreeMatrix.bigraded([2, 3, 6, 7])
+    kappa = KappaNumerator.from_terms(ring, [((0, 0), 1), ((9, 2), -1)])
+    rng = random.Random(23)
+    jobs = []
+    for k in range(8):
+        ts = range(k, 240, 4 if k % 2 else 16)
+        if k % 2:
+            jobs.append([("count", (rng.randint(2 * t, 7 * t), t)) for t in ts])
+        else:
+            jobs.append([("grid", ((2 * t, t - 3), (2 * t + 60, t))) for t in ts])
+
+    def run(job):
+        return [count(ring, a) if kind == "count" else hf_grid(kappa, *a).tolist() for kind, a in job]
+
+    want = [run(job) for job in jobs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):  # a race shows in some rounds only
+            fresh_tables()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, job) for job in jobs]
+                assert [f.result(timeout=120) for f in futures] == want
+    finally:
+        sys.setswitchinterval(switch)

@@ -21,11 +21,11 @@ def assert_window_matches(degrees, t_max, mu_max):
 
 def test_rows_match_brute_force():
     assert_window_matches([2, 3, 6], 5, 20)
-    oracle = counting._BigradedOracle([2, 3, 6])
+    band = kernels.BandRows([2, 3, 6])
     for t in range(7):
         for mu in range(-1, 40):
-            assert oracle.value((mu, t)) == brute_count([(2, 1), (3, 1), (6, 1)], (mu, t))
-    assert [len(row) for row in oracle.band.rows] == [4 * t + 1 for t in range(7)]
+            assert band.value((mu, t)) == brute_count([(2, 1), (3, 1), (6, 1)], (mu, t))
+    assert [len(row) for row in band.rows] == [4 * t + 1 for t in range(7)]
 
 
 def test_degree_zero_column():
@@ -51,7 +51,7 @@ def test_single_degree_has_zero_width_band():
     assert_window_matches([4], 5, 22)
 
 
-def test_dispatch_uses_bigint_when_unsafe(monkeypatch):
+def test_dispatch_uses_bigint_when_unsafe(monkeypatch, fresh_tables):
     # the bound for two columns is t + 1: rows from t = 4 on hold Python ints
     monkeypatch.setattr(kernels, "_INT64_SAFE", 5)
     band = kernels.BandRows([1, 1])
@@ -105,7 +105,7 @@ def test_rows_stop_at_largest_offset_asked():
         assert row.tolist() == [brute_count(cols, (t + k, t)) for k in range(len(row))]
 
 
-def test_wide_window_stays_inside_the_budget(monkeypatch):
+def test_wide_window_stays_inside_the_budget(monkeypatch, fresh_tables):
     # rows of the window stop at mu_max, not at the band's edge
     monkeypatch.setattr(kernels, "MAX_TABLE_CELLS", 11 * 11)
     assert_window_matches([1, 10**6], 10, 10)
@@ -119,13 +119,12 @@ def test_wide_window_stays_inside_the_budget(monkeypatch):
 )
 def test_random_order_queries_match_brute_force(degrees, points):
     # each query extends the rows to its own t, so growth comes in uneven steps
-    oracle = counting._BigradedOracle(degrees)
+    band = kernels.BandRows(degrees)
     cols = [(d, 1) for d in degrees]
     for mu, t in points:
-        assert oracle.value((mu, t)) == brute_count(cols, (mu, t))
+        assert band.value((mu, t)) == brute_count(cols, (mu, t))
     lo, width = min(degrees), max(degrees) - min(degrees)
     in_band = [(t, mu - lo * t) for mu, t in points if 0 <= mu - lo * t <= width * t]
-    band = oracle.band
     assert len(band.rows) == max([t for t, _ in in_band] + [0]) + 1
     assert band.cap <= 2 * max([k for _, k in in_band] + [0])
     assert [len(row) for row in band.rows] == [
@@ -143,3 +142,51 @@ def test_twelve_equal_columns_across_the_64_bit_switch():
     switch = dtypes.index(object)
     assert 100 < switch < 260 and set(dtypes[switch:]) == {np.dtype(object)}
     assert comb(switch + 11, 11) >= kernels._INT64_SAFE > comb(switch + 10, 11)
+
+
+def test_int64_rows_match_rows_forced_onto_python_ints(monkeypatch):
+    # the whole band of (1..7) to t = 60, once in int64 and once as dtype=object
+    degrees = [1, 2, 3, 4, 5, 6, 7]
+    fast = kernels.BandRows(degrees)
+    fast.extend(60, 6 * 60)
+    monkeypatch.setattr(kernels, "_INT64_SAFE", 0)  # every row past row 0 holds Python ints
+    slow = kernels.BandRows(degrees)
+    slow.extend(60, 6 * 60)
+    assert {row.dtype for row in fast.rows} == {np.dtype(np.int64)}
+    assert {row.dtype for row in slow.rows[1:]} == {np.dtype(object)}
+    assert [row.tolist() for row in fast.rows] == [row.tolist() for row in slow.rows]
+    assert [len(row) for row in fast.rows] == [6 * t + 1 for t in range(61)]
+
+
+def test_window_reads_the_shared_rows(fresh_tables):
+    # count and the dense window read one table per ring, whatever the degree order
+    ring = DegreeMatrix.bigraded([6, 2, 3])
+    assert count(ring, (30, 8)) == brute_count(ring.columns, (30, 8))
+    band = kernels.band_rows([2, 3, 6])
+    assert counting._ORACLES[ring] is band and kernels.band_rows((3, 6, 2)) is band
+    rows = band.rows
+    kernels.bigraded_table([3, 2, 6], 20, 50)
+    assert band.rows is rows and len(rows) == 21
+    assert_window_matches([2, 6, 3], 12, 30)
+
+
+def test_rows_stay_valid_after_an_error_mid_extension(monkeypatch):
+    # rows change in place, so an error must leave a state later extensions can build on
+    degrees = [1, 2, 5]
+    band = kernels.BandRows(degrees)
+    band.extend(8, 20)  # rows 6..8 are cut
+    bound = kernels.value_bound
+    for stop in (7, 10):  # inside the rebuild of rows 6..8, then among the appended rows
+        def failing(n, t, stop=stop):
+            if t == stop:
+                raise MemoryError
+            return bound(n, t)
+
+        monkeypatch.setattr(kernels, "value_bound", failing)
+        with pytest.raises(MemoryError):
+            band.extend(12, 45)
+        monkeypatch.setattr(kernels, "value_bound", bound)
+    cols = [(d, 1) for d in degrees]
+    for t in range(15):
+        for mu in range(5 * t + 2):
+            assert band.value((mu, t)) == brute_count(cols, (mu, t)), (mu, t)
