@@ -146,7 +146,7 @@ def _ring_chamber_data(degrees: tuple[int, ...]):
     chambers = chamber_complex_2xn(sorted(degrees))
     lattice = global_lattice(degrees)
     fits = tuple(fit_chamber_qp(ring, c, lattice) for c in chambers)
-    return ring, chambers, lattice, fits
+    return chambers, lattice, fits
 
 
 def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
@@ -158,7 +158,7 @@ def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
     """
     degrees = tuple(int(d) for d in degrees)
     u = (int(u[0]), int(u[1]))
-    ring, chambers, lattice, fits = _ring_chamber_data(degrees)
+    chambers, lattice, fits = _ring_chamber_data(degrees)
     located = locate(chambers, u)
     if not located:
         return RingHilbertValue(0, None, None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .chambers import locate
 from .hilbert import DataIntegrityWarning, KappaNumerator, _ring_chamber_data
@@ -178,7 +178,7 @@ def region_decomposition(kappa: KappaNumerator, degrees=None) -> RegionDecomposi
     shifts = kappa.shifts
     t0 = stability_threshold(shifts, E)
     lines = sort_lines(shifts, E, t0)
-    _, chambers, lattice, fits = _ring_chamber_data(ring.degrees)
+    chambers, lattice, fits = _ring_chamber_data(ring.degrees)
 
     t_probe = t0 + 1
     regions = []
@@ -205,55 +205,76 @@ def region_decomposition(kappa: KappaNumerator, degrees=None) -> RegionDecomposi
     )
 
 
-def eval_betti(dec: RegionDecomposition, mu: int, t: int) -> int:
-    """Evaluate the decomposition at (mu, t); zero outside the line support.
+def row_support(dec: RegionDecomposition, t: int) -> tuple[int, int]:
+    """Lowest and highest mu at which row t can be nonzero; (0, -1) when none can."""
+    if not dec.lines:
+        return 0, -1
+    return dec.lines[0].value(t), dec.lines[-1].value(t)
 
-    Only valid in the stable range t >= t0; below it, callers must use
-    hf_module on the numerator directly.
+
+def eval_row(dec: RegionDecomposition, t: int, lo: int, hi: int) -> list[int]:
+    """Exact values at (mu, t) for lo <= mu <= hi; zero off the line support.
+
+    Only valid in the stable range t >= t0.  Never warns: a negative value is
+    returned as it is.  Along a row the residue class of (mu, t) repeats with
+    period m, the least m > 0 with (m, 0) in the lattice, so each strip looks
+    up the piece of each class once and evaluates it at every m-th mu.
     """
-    mu = int(mu)
-    t = int(t)
+    t, lo, hi = int(t), int(lo), int(hi)
     if t < dec.t0:
         raise BelowThresholdError(
             f"t = {t} is below the stability threshold {dec.t0}; use hf_module"
         )
+    out = [0] * max(hi - lo + 1, 0)
     if dec.degenerate:
-        b = mu - dec.degrees[0] * t
-        poly = dec.ray_pieces.get(b)
-        if poly is None:
-            return 0
-        return _as_int(poly.eval((t,)), (mu, t))
-    if not dec.lines:
-        return 0
+        for b, poly in dec.ray_pieces.items():
+            mu = dec.degrees[0] * t + b
+            if lo <= mu <= hi:
+                out[mu - lo] = _as_int(poly.eval((t,)), (mu, t))
+        return out
+    if not dec.regions:
+        return out
+    (p, q), (_, r) = dec.lattice.basis
+    m = p * r // gcd(q, r)
     vals = [line.value(t) for line in dec.lines]
-    if mu < vals[0] or mu > vals[-1]:
-        return 0
-    idx = None
-    for i in range(len(vals) - 1):
-        if vals[i] <= mu < vals[i + 1]:
-            idx = i
-            break
-    if idx is None:
-        idx = len(vals) - 2  # mu == vals[-1]: the last strip is closed above
-    value = dec.regions[idx].piece.eval((mu, t))
-    return _as_int(value, (mu, t))
+    last = len(dec.regions) - 1
+    for i, region in enumerate(dec.regions):
+        # half-open strip [vals[i], vals[i + 1]), the last one closed above
+        start = max(vals[i], lo)
+        stop = min(vals[i + 1] + (i == last), hi + 1)
+        for first in range(start, min(start + m, stop)):
+            _, poly = region.piece.piece_at((first, t))
+            for mu in range(first, stop, m):
+                out[mu - lo] = _as_int(poly.eval((mu, t)), (mu, t))
+    return out
+
+
+def eval_betti(dec: RegionDecomposition, mu: int, t: int) -> int:
+    """Evaluate the decomposition at (mu, t); zero outside the line support.
+
+    Only valid in the stable range t >= t0; below it, callers must use
+    hf_module on the numerator directly.  A negative value warns with
+    DataIntegrityWarning.
+    """
+    mu, t = int(mu), int(t)
+    v = eval_row(dec, t, mu, mu)[0]
+    if v < 0:
+        warnings.warn(
+            f"negative value {v} at {(mu, t)}: inconsistent shift data",
+            DataIntegrityWarning,
+            stacklevel=2,
+        )
+    return v
 
 
 def _as_int(value: Fraction, point) -> int:
     if value.denominator != 1:
         raise RuntimeError(f"non-integer piece value {value} at {point}")
-    v = int(value)
-    if v < 0:
-        warnings.warn(
-            f"negative value {v} at {point}: inconsistent shift data",
-            DataIntegrityWarning,
-            stacklevel=3,
-        )
-    return v
+    return int(value)
 
 
 def total_betti_polynomial(dec: RegionDecomposition) -> Polynomial:
-    """The eventual polynomial t -> sum_mu eval_betti(mu, t), fitted exactly.
+    """The eventual polynomial t -> sum of row t of the decomposition, fitted exactly.
 
     Interpolates on t = t0 .. t0 + n (n = number of ring generators) and
     validates on the next TOTAL_BETTI_CHECKS heights; a mismatch would mean
@@ -262,15 +283,7 @@ def total_betti_polynomial(dec: RegionDecomposition) -> Polynomial:
     n = dec.kappa.ring.size
 
     def row_sum(t: int) -> int:
-        if dec.degenerate:
-            return sum(
-                _as_int(p.eval((t,)), (b, t)) for b, p in dec.ray_pieces.items()
-            )
-        if not dec.lines:
-            return 0
-        lo = dec.lines[0].value(t)
-        hi = dec.lines[-1].value(t)
-        return sum(eval_betti(dec, mu, t) for mu in range(lo, hi + 1))
+        return sum(eval_row(dec, t, *row_support(dec, t)))
 
     ts = list(range(dec.t0, dec.t0 + n + 1))
     rows = [[Fraction(t) ** k for k in range(n + 1)] for t in ts]

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import hashlib
 import time
-import warnings
 from dataclasses import dataclass, field
 
-from .hilbert import DataIntegrityWarning, hf_grid, series_identity_check
-from .regions import RegionDecomposition, eval_betti, region_decomposition
+from .hilbert import hf_grid, series_identity_check
+from .regions import RegionDecomposition, eval_row, region_decomposition, row_support
 from .rees import ToriSpec, serialize
 
 # lattice points checked beyond each side of the support at every height
@@ -74,16 +73,6 @@ def digest_of(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _grid_mu_range(dec: RegionDecomposition, t: int):
-    if dec.degenerate:
-        d = dec.degrees[0]
-        bs = sorted(dec.ray_pieces)
-        return d * t + bs[0] - GRID_PAD, d * t + bs[-1] + GRID_PAD
-    lo = dec.lines[0].value(t)
-    hi = dec.lines[-1].value(t)
-    return lo - GRID_PAD, hi + GRID_PAD
-
-
 def _unsorted(values) -> bool:
     return any(b < a for a, b in zip(values, values[1:]))
 
@@ -102,27 +91,24 @@ def check_decomposition(dec: RegionDecomposition, tmax: int):
         )
         return checks
 
-    bands = [(t, *_grid_mu_range(dec, t)) for t in range(dec.t0, tmax + 1)]
+    supports = [(t, *row_support(dec, t)) for t in range(dec.t0, tmax + 1)]
+    bands = [(t, lo - GRID_PAD, hi + GRID_PAD) for t, lo, hi in supports]
     mu_lo = min(lo for _, lo, _ in bands)
     want_grid = hf_grid(kappa, (mu_lo, dec.t0), (max(hi for _, _, hi in bands), tmax))
     equiv_witness = None
     support_witness = None
     negative_witness = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DataIntegrityWarning)
-        for t, lo, hi in bands:
-            row = want_grid[t - dec.t0]
-            for mu in range(lo, hi + 1):
-                got = eval_betti(dec, mu, t)
-                want = row[mu - mu_lo]
-                if got != want and equiv_witness is None:
-                    equiv_witness = (mu, t, got, want)
-                if (got == 0) != (want == 0) and support_witness is None:
-                    support_witness = (mu, t, got, want)
-                if want < 0 and negative_witness is None:
-                    negative_witness = (mu, t, want)
-            if equiv_witness and support_witness and negative_witness:
-                break
+    for t, lo, hi in bands:
+        wants = want_grid[t - dec.t0, lo - mu_lo: hi - mu_lo + 1]
+        for mu, got, want in zip(range(lo, hi + 1), eval_row(dec, t, lo, hi), wants):
+            if got != want and equiv_witness is None:
+                equiv_witness = (mu, t, got, want)
+            if (got == 0) != (want == 0) and support_witness is None:
+                support_witness = (mu, t, got, want)
+            if want < 0 and negative_witness is None:
+                negative_witness = (mu, t, want)
+        if equiv_witness and support_witness and negative_witness:
+            break
     npoints = sum(hi - lo + 1 for _, lo, hi in bands)
     checks.append(
         CheckResult(

@@ -1,9 +1,11 @@
 """Independent oracles used by the test suite.
 
 brute_count enumerates solutions directly and shares no code with the
-library's dynamic programs, and poly_eval_reference evaluates a polynomial
+library's dynamic programs, poly_eval_reference evaluates a polynomial
 term by term in Fractions, independently of the integer-numerator
-representation the library stores.  The closed-form fixtures reproduce the
+representation the library stores, and eval_betti_reference evaluates a
+region decomposition one point at a time by searching its strips, apart
+from the library's row evaluator.  The closed-form fixtures reproduce the
 traditionally quoted piecewise tables for the worked example with generator
 degrees (2, 3, 6); the first-syzygy table is kept verbatim, including its
 two known defects, so tests can pin down exactly where the oracle disagrees.
@@ -42,6 +44,29 @@ def poly_eval_reference(coeffs, point):
                 v *= Fraction(x) ** e
         total += v
     return total
+
+
+def eval_betti_reference(dec, mu, t):
+    """A decomposition's value at (mu, t), t >= t0, by a search over its strips.
+
+    Half-open strips [L_i(t), L_{i+1}(t)), the last closed above; a
+    single-degree decomposition carries one polynomial in t per ray
+    mu = d*t + b.  Each point reduces its own residue class.
+    """
+    if dec.degenerate:
+        poly = dec.ray_pieces.get(mu - dec.degrees[0] * t)
+        value = Fraction(0) if poly is None else poly.eval((t,))
+    else:
+        vals = [line.value(t) for line in dec.lines]
+        if not vals or mu < vals[0] or mu > vals[-1]:
+            return 0
+        idx = next(
+            (i for i in range(len(vals) - 1) if vals[i] <= mu < vals[i + 1]),
+            len(vals) - 2,  # mu == vals[-1]: the last strip is closed above
+        )
+        value = dec.regions[idx].piece.eval((mu, t))
+    assert value.denominator == 1, (value, mu, t)
+    return int(value)
 
 
 def P_formula(x, y):

@@ -243,6 +243,25 @@ def test_verify_corrupted_fails_with_witness(capsys, tmp_path):
     assert "[FAIL]" in out and "witness=" in out
 
 
+def test_verify_catches_a_piece_used_outside_its_cone(capsys, tmp_path):
+    # R + R(-1, 0) over degrees (1, 2): the strip [2t, 2t + 1] gets the piece
+    # 2, but hf_module(3, 1) is 1.  The strip's probe at t0 + 1 sits on the
+    # closed upper edge of the (0, 0) term's cone, so that term's chamber
+    # quasi-polynomial is used above the cone.
+    doc = {
+        "generators": [[1, 1], [2, 1]],
+        "tor": [{"index": 1, "shifts": [{"a": [0, 0], "c": 1}, {"a": [1, 0], "c": 1}]}],
+    }
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(doc))
+    rc, out, _ = run(
+        capsys, "verify", "--spec", str(path), "--tmax", "6", "--format", "structured"
+    )
+    assert rc == 1
+    failed = {c["name"]: c["witness"] for c in json.loads(out)["checks"] if not c["passed"]}
+    assert failed == {"tor1: oracle equivalence": [3, 1, 2, 1]}
+
+
 def test_verify_tmax_zero_warns(capsys):
     rc, out, err = run(capsys, "verify", "--degrees", "2,3,6", "--tmax", "0")
     assert rc == 0

@@ -3,7 +3,10 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import eval_betti_reference
 from vpfbetti.counting import DegreeMatrix
 from vpfbetti.hilbert import DataIntegrityWarning, KappaNumerator, hf_module
 from vpfbetti.quasipoly import FitError, Polynomial
@@ -11,8 +14,10 @@ from vpfbetti.regions import (
     BelowThresholdError,
     HalfLine,
     eval_betti,
+    eval_row,
     intersection_height,
     region_decomposition,
+    row_support,
     sort_lines,
     stability_threshold,
     total_betti_polynomial,
@@ -244,3 +249,42 @@ def test_first_region_mod_selector():
         key = (a * res[1] - res[0]) % dec.modulus
         groups.setdefault(key, set()).add(frozenset(piece.terms.items()))
     assert all(len(v) == 1 for v in groups.values())
+
+
+# (2,3,6) and (2,3,6,7) repeat along a row with periods 12 and 60, not the
+# first basis entries 6 and 12; (2,2) has a single degree
+@pytest.mark.parametrize("degrees", [(2, 3, 6), (2, 3, 6, 7), (2, 2)])
+@settings(max_examples=25, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.tuples(st.integers(0, 14), st.integers(0, 3)), st.integers(-2, 2)),
+        max_size=3,
+    ),
+    dt=st.integers(0, 5),
+    from_top=st.booleans(),
+    offset=st.integers(-8, 8),
+    width=st.integers(0, 70),
+)
+@example(terms=[], dt=0, from_top=False, offset=-2, width=5)
+@example(terms=[((3, 1), 1), ((0, 0), -1)], dt=1, from_top=False, offset=0, width=1)
+@example(terms=[((3, 1), 1), ((0, 0), -1)], dt=1, from_top=True, offset=1, width=1)
+def test_eval_row_matches_the_per_point_reference(degrees, terms, dt, from_top, offset, width):
+    # rows start at either end of the support and run inside, across or
+    # beyond it; width 1 is a single point, width 0 an empty row
+    dec = region_decomposition(
+        KappaNumerator.from_terms(DegreeMatrix.bigraded(degrees), terms)
+    )
+    t = dec.t0 + dt
+    lo = row_support(dec, t)[from_top] + offset
+    got = eval_row(dec, t, lo, lo + width - 1)
+    assert got == [eval_betti_reference(dec, mu, t) for mu in range(lo, lo + width)]
+
+
+def test_eval_row_returns_negative_values_without_warning():
+    ring = DegreeMatrix.bigraded([2, 3, 6])
+    dec = region_decomposition(KappaNumerator.from_terms(ring, [((0, 0), 1), ((2, 1), -2)]))
+    t = dec.t0 + 9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = eval_row(dec, t, *row_support(dec, t))
+    assert min(row) < 0

@@ -1,0 +1,57 @@
+import json
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
+from vpfbetti.rees import ci_shifts, ingest, serialize
+from vpfbetti.regions import region_decomposition
+from vpfbetti.verify import check_decomposition, verify_spec
+
+
+def sign_flipped_236():
+    """The (2, 3, 6) shifts with the first syzygy (5, 1) sign-flipped: not a module."""
+    doc = json.loads(serialize(ci_shifts((2, 3, 6))))
+    for entry in doc["tor"]:
+        if entry["index"] == 1:
+            for shift in entry["shifts"]:
+                if shift["a"] == [5, 1]:
+                    shift["c"] = -1
+    return ingest(doc)
+
+
+def report_without_duration(spec, tmax):
+    out = verify_spec(spec, tmax).to_dict()
+    del out["duration_s"]
+    return out
+
+
+def test_check_decomposition_leaves_warning_filters_alone(monkeypatch):
+    # the filters are process-wide: a check that changes them races with
+    # every other thread, so it must not touch them at all
+    dec = region_decomposition(sign_flipped_236().tor(1))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("process-wide warning filters touched")
+
+    # undone before pytest, which uses both, reports the outcome
+    with monkeypatch.context() as patch:
+        patch.setattr(warnings, "catch_warnings", refuse)
+        patch.setattr(warnings, "simplefilter", refuse)
+        checks = {c.name: c for c in check_decomposition(dec, 10)}
+    assert not checks["nonnegative values"].passed
+    assert checks["nonnegative values"].witness == (13, 5, -1)
+
+
+def test_verify_spec_from_eight_threads(fresh_tables):
+    spec = sign_flipped_236()
+    want = report_without_duration(spec, 12)
+    assert not want["passed"]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fresh_tables()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(report_without_duration, spec, 12) for _ in range(8)]
+            assert [f.result(timeout=120) for f in futures] == [want] * 8
+    finally:
+        sys.setswitchinterval(switch)
