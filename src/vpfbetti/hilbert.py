@@ -9,6 +9,7 @@ and the series identity check need a bigraded ring.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,7 +19,7 @@ import numpy as np
 from . import kernels
 from .chambers import chamber_complex_2xn, global_lattice, locate
 from .counting import DegreeMatrix, count
-from .quasipoly import fit_chamber_qp
+from .quasipoly import QuasiPolynomial, fit_chamber_qp
 
 
 class DataIntegrityWarning(UserWarning):
@@ -140,13 +141,46 @@ class RingHilbertValue:
     residue: tuple[int, ...] | None
 
 
+class _ChamberFits:
+    """fits[i]: chamber i fitted over its own lattice, presented over the global one.
+
+    Fitted on first read under the ring's lock, so once whatever the threads,
+    and read without it after that.  A fit that raises is not kept.
+    """
+
+    def __init__(self, ring: DegreeMatrix, chambers, lattice):
+        self._ring, self._chambers, self._lattice = ring, chambers, lattice
+        self._fits = [None] * len(chambers)
+        self._lock = threading.Lock()
+
+    def __getitem__(self, i: int) -> QuasiPolynomial:
+        fit = self._fits[i]
+        if fit is None:
+            with self._lock:
+                fit = self._fits[i]
+                if fit is None:
+                    c = self._chambers[i]
+                    fit = fit_chamber_qp(self._ring, c, c.lattice).restrict_to(self._lattice)
+                    self._fits[i] = fit
+        return fit
+
+
 @lru_cache(maxsize=64)
 def _ring_chamber_data(degrees: tuple[int, ...]):
+    """Chambers, global lattice and lazy fits of the ring with these sorted degrees."""
     ring = DegreeMatrix.bigraded(degrees)
-    chambers = chamber_complex_2xn(sorted(degrees))
+    chambers = chamber_complex_2xn(degrees)
     lattice = global_lattice(degrees)
-    fits = tuple(fit_chamber_qp(ring, c, lattice) for c in chambers)
-    return chambers, lattice, fits
+    return chambers, lattice, _ChamberFits(ring, chambers, lattice)
+
+
+_RINGS_LOCK = threading.Lock()  # lru_cache alone may build a ring twice on concurrent misses
+
+
+def _ring_data(degrees):
+    """`_ring_chamber_data` of the ring with these degrees in any order, built once."""
+    with _RINGS_LOCK:
+        return _ring_chamber_data(tuple(sorted(int(d) for d in degrees)))
 
 
 def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
@@ -156,9 +190,8 @@ def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
     closure contains u and the residue class that selected the polynomial
     piece; outside the positive cone the value is 0 with no attribution.
     """
-    degrees = tuple(int(d) for d in degrees)
     u = (int(u[0]), int(u[1]))
-    chambers, lattice, fits = _ring_chamber_data(degrees)
+    chambers, lattice, fits = _ring_data(degrees)
     located = locate(chambers, u)
     if not located:
         return RingHilbertValue(0, None, None)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .chambers import locate
-from .hilbert import DataIntegrityWarning, KappaNumerator, _ring_chamber_data
+from .hilbert import DataIntegrityWarning, KappaNumerator, _ring_data
 from .lattices import Lattice, solve_exact
 from .quasipoly import FitError, Polynomial, QuasiPolynomial
 
@@ -178,10 +178,11 @@ def region_decomposition(kappa: KappaNumerator, degrees=None) -> RegionDecomposi
     shifts = kappa.shifts
     t0 = stability_threshold(shifts, E)
     lines = sort_lines(shifts, E, t0)
-    chambers, lattice, fits = _ring_chamber_data(ring.degrees)
+    chambers, lattice, fits = _ring_data(ring.degrees)
 
     t_probe = t0 + 1
     regions = []
+    terms = {}  # (chamber, shift, coeff) -> the shifted chamber fit, built once
     for i in range(len(lines) - 1):
         mu_probe = lines[i].value(t_probe)
         piece = QuasiPolynomial.zero(lattice)
@@ -192,7 +193,10 @@ def region_decomposition(kappa: KappaNumerator, degrees=None) -> RegionDecomposi
                 continue
             # on a shared wall the higher chamber is the one valid on the
             # strip above the probe line as well as on the line itself
-            piece = piece.add(fits[located[-1]].shift(shift, coeff))
+            key = (located[-1], shift, coeff)
+            if key not in terms:
+                terms[key] = fits[located[-1]].shift(shift, coeff)
+            piece = piece.add(terms[key])
         regions.append(Region(lower=i, upper=i + 1, piece=piece))
     return RegionDecomposition(
         t0=t0,

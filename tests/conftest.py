@@ -1,20 +1,22 @@
 import pytest
 
-from vpfbetti import counting, kernels
+from vpfbetti import counting, hilbert, kernels
 
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """Empty count caches for one test; call the returned function to empty them again.
+    """Empty count and chamber-fit caches for one test; call the returned function to empty them again.
 
-    Both caches go together: the shared band rows of every ring
-    (`kernels._BANDS`) and the per-matrix memo that points at them
-    (`counting._ORACLES`).
+    The caches go together: the shared band rows of every ring
+    (`kernels._BANDS`), the per-matrix memo that points at them
+    (`counting._ORACLES`), and the per-ring chamber fits
+    (`hilbert._ring_chamber_data`), so a test that counts fits starts cold.
     """
 
     def reset():
         monkeypatch.setattr(kernels, "_BANDS", {})
         monkeypatch.setattr(counting, "_ORACLES", {})
+        hilbert._ring_chamber_data.cache_clear()
 
     reset()
     return reset

@@ -5,13 +5,19 @@ library's dynamic programs, poly_eval_reference evaluates a polynomial
 term by term in Fractions, independently of the integer-numerator
 representation the library stores, and eval_betti_reference evaluates a
 region decomposition one point at a time by searching its strips, apart
-from the library's row evaluator.  The closed-form fixtures reproduce the
+from the library's row evaluator.  ring_fits_reference fits every chamber
+of a ring up front over the global lattice, the eager path the library's
+lazy own-lattice fits must agree with.  The closed-form fixtures reproduce the
 traditionally quoted piecewise tables for the worked example with generator
 degrees (2, 3, 6); the first-syzygy table is kept verbatim, including its
 two known defects, so tests can pin down exactly where the oracle disagrees.
 """
 
 from fractions import Fraction
+
+from vpfbetti.chambers import chamber_complex_2xn, global_lattice
+from vpfbetti.counting import DegreeMatrix
+from vpfbetti.quasipoly import fit_chamber_qp
 
 
 def brute_count(columns, u):
@@ -67,6 +73,14 @@ def eval_betti_reference(dec, mu, t):
         value = dec.regions[idx].piece.eval((mu, t))
     assert value.denominator == 1, (value, mu, t)
     return int(value)
+
+
+def ring_fits_reference(degrees):
+    """Every chamber of the bigraded ring fitted over the global lattice, in chamber order."""
+    degrees = sorted(degrees)
+    ring = DegreeMatrix.bigraded(degrees)
+    lattice = global_lattice(degrees)
+    return [fit_chamber_qp(ring, c, lattice) for c in chamber_complex_2xn(degrees)]
 
 
 def P_formula(x, y):

@@ -133,6 +133,24 @@ def test_hilbert_ring(capsys):
     assert "chamber=C2" in out
 
 
+def test_hilbert_far_point_fits_only_its_chamber(capsys):
+    argv = ("hilbert", "--degrees", "2,3,6,7,11", "30,10")
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert out == "7  chamber=C1 residue=(30, 10)\n"
+    rc, out, _ = run(capsys, *argv, "--format", "structured")
+    assert rc == 0
+    assert json.loads(out) == {"chamber": 0, "point": [30, 10], "residue": [30, 10], "value": 7}
+
+
+def test_hilbert_chamber_over_budget_exits_2(capsys):
+    # chamber (6,1)-(7,1) of this ring has own-lattice det 1800 and still needs
+    # count rows past the cell budget
+    rc, out, err = run(capsys, "hilbert", "--degrees", "2,3,6,7,11", "65,10")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_hilbert_module(capsys, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(serialize(ci_shifts((2, 3, 6))))

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_count, ring_hilbert_closed_form
-from vpfbetti import kernels
+from oracles import brute_count, ring_fits_reference, ring_hilbert_closed_form
+from vpfbetti import hilbert, kernels
 from vpfbetti.chambers import DegenerateGradingError
 from vpfbetti.counting import DegreeMatrix, count
 from vpfbetti.hilbert import (
     DataIntegrityWarning,
     KappaNumerator,
+    RingHilbertValue,
+    _ring_chamber_data,
     hf_bigraded_ring,
     hf_grid,
     hf_module,
@@ -237,5 +239,84 @@ def test_hf_grid_and_count_share_one_ring_from_eight_threads(fresh_tables):
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(run, job) for job in jobs]
                 assert [f.result(timeout=120) for f in futures] == want
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_fit_cache_is_keyed_by_sorted_degrees(fresh_tables):
+    a = hf_bigraded_ring((6, 3, 2), (40, 10))
+    b = hf_bigraded_ring((2, 3, 6), (40, 10))
+    assert a == b
+    assert isinstance(a, RingHilbertValue) and a.value == count(RING, (40, 10))
+    assert _ring_chamber_data.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [(2, 3, 6), (2, 3, 6, 7), (2, 3, 4, 5, 6), (4, 9, 13), (6, 10, 15), (4, 7, 9), (5, 8)],
+)
+def test_lazy_fits_equal_the_eager_global_fits(degrees, fresh_tables):
+    chambers, lattice, fits = _ring_chamber_data(degrees)
+    want = ring_fits_reference(degrees)
+    assert len(chambers) == len(want)
+    for i, ref in enumerate(want):
+        assert fits[i].lattice == lattice
+        assert fits[i] == ref
+
+
+def counting_fits(monkeypatch):
+    """Record the chamber of every fit the lazy chamber data makes."""
+    fitted = []
+    real = hilbert.fit_chamber_qp
+
+    def fit(ring, chamber, lattice):
+        fitted.append(chamber.generators)  # list.append is atomic across threads
+        return real(ring, chamber, lattice)
+
+    monkeypatch.setattr(hilbert, "fit_chamber_qp", fit)
+    return fitted
+
+
+def test_one_point_fits_only_its_chamber(monkeypatch, fresh_tables):
+    fitted = counting_fits(monkeypatch)
+    res = hf_bigraded_ring((2, 3, 4, 5, 6), (45, 10))  # strictly between slopes 4 and 5
+    assert res.value == count(DegreeMatrix.bigraded([2, 3, 4, 5, 6]), (45, 10))
+    assert fitted == [((4, 1), (5, 1))]
+    hf_bigraded_ring((2, 3, 4, 5, 6), (46, 10))
+    assert len(fitted) == 1
+
+
+def test_a_fit_that_raises_is_not_kept(monkeypatch, fresh_tables):
+    real = hilbert.fit_chamber_qp
+
+    def over_budget(ring, chamber, lattice):
+        raise kernels.BudgetExceededError("no room")
+
+    monkeypatch.setattr(hilbert, "fit_chamber_qp", over_budget)
+    with pytest.raises(kernels.BudgetExceededError):
+        hf_bigraded_ring((2, 3, 6), (40, 10))
+    monkeypatch.setattr(hilbert, "fit_chamber_qp", real)
+    assert hf_bigraded_ring((2, 3, 6), (40, 10)).value == count(RING, (40, 10))
+
+
+def test_each_chamber_fitted_once_from_eight_threads(monkeypatch, fresh_tables):
+    degrees = (2, 3, 4, 5, 6)
+    points = [(mu, t) for t in (10, 11, 12, 13) for mu in range(2 * t + 1, 6 * t, 3)]
+    jobs = [points[k::8] + points[: k + 1] for k in range(8)]  # every job reads the first chamber
+    want = [[hf_bigraded_ring(degrees, u) for u in job] for job in jobs]
+    fitted = counting_fits(monkeypatch)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):  # a race shows in some rounds only
+            fresh_tables()
+            fitted.clear()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(lambda job: [hf_bigraded_ring(degrees, u) for u in job], job)
+                    for job in jobs
+                ]
+                assert [f.result(timeout=120) for f in futures] == want
+            assert sorted(fitted) == [((lo, 1), (lo + 1, 1)) for lo in (2, 3, 4, 5)]
     finally:
         sys.setswitchinterval(switch)

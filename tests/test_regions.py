@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import eval_betti_reference
 from vpfbetti.counting import DegreeMatrix
 from vpfbetti.hilbert import DataIntegrityWarning, KappaNumerator, hf_module
-from vpfbetti.quasipoly import FitError, Polynomial
+from vpfbetti.quasipoly import FitError, Polynomial, QuasiPolynomial
 from vpfbetti.regions import (
     BelowThresholdError,
     HalfLine,
@@ -288,3 +288,21 @@ def test_eval_row_returns_negative_values_without_warning():
         warnings.simplefilter("error")
         row = eval_row(dec, t, *row_support(dec, t))
     assert min(row) < 0
+
+
+def test_decomposition_shifts_each_term_once(monkeypatch, fresh_tables):
+    calls = []
+    real = QuasiPolynomial.shift
+
+    def shift(self, a, c=1):
+        calls.append((a, c))
+        return real(self, a, c)
+
+    monkeypatch.setattr(QuasiPolynomial, "shift", shift)
+    dec = region_decomposition(SPEC236.tor(1))
+    assert len(calls) == 8
+    monkeypatch.setattr(QuasiPolynomial, "shift", real)
+    for t in range(dec.t0, dec.t0 + 12):
+        lo, hi = row_support(dec, t)
+        want = [hf_module(SPEC236.tor(1), (mu, t)) for mu in range(lo, hi + 1)]
+        assert eval_row(dec, t, lo, hi) == want
