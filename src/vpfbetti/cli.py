@@ -31,7 +31,7 @@ class UsageError(ValueError):
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"could not parse {what} {text!r}: comma-separated integers expected") from exc
 

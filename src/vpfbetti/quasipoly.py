@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, floor, gcd, lcm
 from types import MappingProxyType
 
 from .chambers import Chamber
@@ -322,18 +322,13 @@ def _invert_fractions(rows):
     return [row[n:] for row in red]
 
 
-def _window_points(chamber: Chamber, s_max: int):
-    """Integer points of the closed chamber with height H1 + H2 <= s_max."""
+def _window_rows(chamber: Chamber, s_max: int):
+    """Rows (y, lo, hi) of the closed chamber's integer points with H1 + H2 <= s_max."""
     h1, h2 = chamber.inequalities
     h = (h1[0] + h2[0], h1[1] + h2[1])
-    g1, g2 = chamber.generators
-
-    def height(g):
-        return h[0] * g[0] + h[1] * g[1]
-
-    span = max(Fraction(g[1], height(g)) for g in (g1, g2) if height(g) > 0)
-    y_max = int(Fraction(s_max) * span)
-    for y in range(0, y_max + 1):
+    # the window is the triangle on 0 and the generators scaled to height s_max
+    ys = [Fraction(s_max * g[1], h[0] * g[0] + h[1] * g[1]) for g in chamber.generators]
+    for y in range(floor(min(0, *ys)), floor(max(0, *ys)) + 1):
         lo, hi = None, None
         feasible = True
         for hx, hy, rhs in ((h1[0], h1[1], 0), (h2[0], h2[1], 0), (-h[0], -h[1], -s_max)):
@@ -347,63 +342,61 @@ def _window_points(chamber: Chamber, s_max: int):
             elif r > 0:
                 feasible = False
                 break
-        if not feasible or lo is None or hi is None:
-            continue
+        if feasible and lo is not None and hi is not None and lo <= hi:
+            yield y, lo, hi
+
+
+def _window_points(chamber: Chamber, s_max: int):
+    """Integer points of the closed chamber with height H1 + H2 <= s_max."""
+    for y, lo, hi in _window_rows(chamber, s_max):
         for x in range(lo, hi + 1):
             yield (x, y)
 
 
-def _anchor_shift(z, v1, v2):
-    """Cheapest translate z + j1*v1 + j2*v2 (j >= 0) into the closed quadrant."""
-    d = (max(0, -z[0]), max(0, -z[1]))
-    if d == (0, 0):
-        return z
-    best = None
+def _lowest_points(chamber: Chamber, lattice: Lattice, s_max: int) -> dict:
+    """The lowest point of the closed chamber in each residue class of the lattice.
 
-    def consider(j1, j2):
-        nonlocal best
-        a = (z[0] + j1 * v1[0] + j2 * v2[0], z[1] + j1 * v1[1] + j2 * v2[1])
-        if a[0] < 0 or a[1] < 0:
-            return
-        if best is None or a[0] + a[1] < best[0] + best[1]:
-            best = a
-
-    def fill(primary, secondary, flip):
-        cand = {0}
-        for i in range(2):
-            if primary[i] > 0 and d[i] > 0:
-                cand.add(_ceildiv(d[i], primary[i]))
-        for jp in cand:
-            js = 0
-            ok = True
-            for i in range(2):
-                rem = d[i] - jp * primary[i]
-                if rem > 0:
-                    if secondary[i] > 0:
-                        js = max(js, _ceildiv(rem, secondary[i]))
-                    else:
-                        ok = False
-                        break
-            if ok:
-                consider(js if flip else jp, jp if flip else js)
-
-    fill(v1, v2, flip=False)
-    fill(v2, v1, flip=True)
-    if best is None:
-        # v1 + v2 is strictly positive componentwise, so this always works
-        s = (v1[0] + v2[0], v1[1] + v2[1])
-        j = max(_ceildiv(d[0], s[0]), _ceildiv(d[1], s[1]))
-        best = (z[0] + j * s[0], z[1] + j * s[1])
-    return best
+    Lowest means least height H1 + H2, ties broken by the point itself; every
+    class must occur at height <= s_max.  Along a row of the window the
+    height is monotone and the classes repeat every m points, (m, 0) being
+    the shortest lattice vector on the x axis, so each row offers only its m
+    lowest points, and once every class has a point, only those no higher
+    than the highest of them.
+    """
+    h1, h2 = chamber.inequalities
+    hx, hy = h1[0] + h2[0], h1[1] + h2[1]
+    (p, q), (_, r) = lattice.basis
+    m = p * r // gcd(q, r)
+    best: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    top = s_max
+    for y, lo, hi in _window_rows(chamber, s_max):
+        if hx >= 0:
+            xs = range(lo, min(hi, lo + m - 1) + 1)
+        else:
+            xs = range(hi, max(lo, hi - m + 1) - 1, -1)
+        for x in xs:
+            key = (hx * x + hy * y, x, y)
+            if key[0] > top:
+                break
+            # lattice.reduce((x, y)), spelled out for the triangular basis
+            res = (x % p, (y - x // p * q) % r)
+            old = best.get(res)
+            if old is None or key < old:
+                best[res] = key
+                if old is None and len(best) == lattice.det:
+                    top = max(k[0] for k in best.values())
+    if len(best) < lattice.det:
+        raise FitError("internal: a residue class has no point in the anchor window")
+    return {res: (x, y) for res, (_, x, y) in best.items()}
 
 
 def _quadrant_basis(lattice, to_z):
     """Two short independent lattice images with nonnegative cone coordinates.
 
-    Offsets built from such a basis always point into the cone, so anchors
-    can sit right at the residue representatives.  Candidates come from small
-    combinations of a Lagrange-Gauss reduced basis; the canonical triangular
-    basis of the image lattice is the always-available fallback.
+    Offsets built from such a basis always point into the cone, so a pattern
+    anchored anywhere in the closed chamber stays in it.  Candidates come
+    from small combinations of a Lagrange-Gauss reduced basis; the canonical
+    triangular basis of the image lattice is the always-available fallback.
     """
     z1, z2 = to_z(lattice.basis[0]), to_z(lattice.basis[1])
     w1, w2 = _lagrange_gauss(z1, z2)
@@ -484,7 +477,8 @@ def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> Quasi
     The lattice must be the chamber lattice or any full-rank sublattice of
     it.  Per residue class, a polynomial of total degree at most n - d is
     interpolated through a fixed unisolvent pattern of lattice translates
-    anchored deep inside the chamber, then checked on VALIDATE_FACTOR
+    anchored at the lowest point of the class in the closed chamber, where
+    the quasi-polynomial already holds, then checked on VALIDATE_FACTOR
     times as many held-out pattern points; finally the assembled pieces are
     swept against the counts on a window at the apex of the chamber, which
     exercises both boundary rays.  Any mismatch raises FitError: wrong
@@ -533,10 +527,12 @@ def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> Quasi
     inv_den = lcm(*(f.denominator for row in inv for f in row))
     inv_num = [[int(f * inv_den) for f in row] for row in inv]
 
+    # every class meets the half-open parallelogram on w1 and w2, which lies
+    # in the chamber below this height
+    anchors = _lowest_points(chamber, lattice, w1[0] + w1[1] + w2[0] + w2[1])
     pieces = {}
     for res in lattice.residues():
-        # translate the representative into the cone as cheaply as possible
-        anchor = to_u(_anchor_shift(to_z(res), w1, w2))
+        anchor = anchors[res]
         u_pts = [(anchor[0] + v[0], anchor[1] + v[1]) for v in steps]
         vals = [count(A, u) for u in u_pts]
         # p(u) = q(u - anchor), q with numerators nums over inv_den

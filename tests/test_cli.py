@@ -3,7 +3,9 @@ import tracemalloc
 
 import pytest
 
+from oracles import brute_count
 from vpfbetti.cli import main
+from vpfbetti.counting import DegreeMatrix, count
 from vpfbetti.rees import ci_shifts, serialize
 
 
@@ -93,6 +95,9 @@ def test_count_bad_point(capsys):
         (["count", "--matrix", "{file}", "1,1"], b'{"rows": [[1, 0], [0, 1]]}\xff'),
         (["verify", "--spec", "{file}"], serialize(ci_shifts((2, 3))).encode() + b"\xe9"),
         (["count", "--degrees", "2,3", "5,2", "--out", "{dir}"], None),
+        # an empty field is not read as a missing coordinate or degree
+        (["count", "--degrees", "2,3", "1,,1"], None),
+        (["count", "--degrees", "2,,3", "5,2"], None),
     ],
     ids=[
         "count-negative-degree",
@@ -113,6 +118,8 @@ def test_count_bad_point(capsys):
         "matrix-not-utf8",
         "spec-not-utf8",
         "out-directory",
+        "point-empty-field",
+        "degrees-empty-field",
     ],
 )
 def test_bad_input_exits_2(capsys, tmp_path, argv, content):
@@ -144,11 +151,26 @@ def test_hilbert_far_point_fits_only_its_chamber(capsys):
 
 
 def test_hilbert_chamber_over_budget_exits_2(capsys):
-    # chamber (6,1)-(7,1) of this ring has own-lattice det 1800 and still needs
-    # count rows past the cell budget
-    rc, out, err = run(capsys, "hilbert", "--degrees", "2,3,6,7,11", "65,10")
+    # chamber (5,1)-(7,1) of this ring has own-lattice det 79200, and even its
+    # lowest anchors need count rows past the cell budget
+    rc, out, err = run(capsys, "hilbert", "--degrees", "2,3,5,7,11,13", "60,10")
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_hilbert_chamber_fits_from_its_lowest_points(capsys):
+    # chamber (6,1)-(7,1) has own-lattice det 1800; every residue class occurs
+    # by t = 93, so the fit stays far inside the cell budget
+    argv = ("hilbert", "--degrees", "2,3,6,7,11", "65,10")
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert out == "23  chamber=C3 residue=(5, 70)\n"
+    rc, out, _ = run(capsys, *argv, "--format", "structured")
+    assert rc == 0
+    assert json.loads(out) == {"chamber": 2, "point": [65, 10], "residue": [5, 70], "value": 23}
+    columns = [(d, 1) for d in (2, 3, 6, 7, 11)]
+    assert count(DegreeMatrix.bigraded([2, 3, 6, 7, 11]), (65, 10)) == 23
+    assert brute_count(columns, (65, 10)) == 23
 
 
 def test_hilbert_module(capsys, tmp_path):

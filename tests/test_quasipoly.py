@@ -7,16 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import P_formula, Q_formula, brute_count, poly_eval_reference
+from vpfbetti import quasipoly
 from vpfbetti.chambers import chamber_complex_2xn, chamber_from_generators, global_lattice
 from vpfbetti.counting import DegreeMatrix, count
-from vpfbetti.lattices import lattice_from_columns
+from vpfbetti.lattices import lattice_from_columns, lattice_intersect
 from vpfbetti.quasipoly import (
     FitError,
     LatticeMismatchError,
     Polynomial,
     QuasiPolynomial,
+    _lowest_points,
+    _quadrant_basis,
+    _window_points,
     equal_on_region,
     fit_chamber_qp,
+    pattern_extent_estimate,
 )
 
 RING = DegreeMatrix.bigraded([2, 3, 6])
@@ -171,6 +176,125 @@ def test_fit_chamber_lattice_variant():
     for t in range(0, 30):
         for mu in range(2 * t, 3 * t + 1):
             assert q.eval((mu, t)) == count(RING, (mu, t))
+
+
+# columns (2,1), (1,2), (1,1): two chambers, each fitted over its own lattice
+# (Z^2) cut down to the span of (2,1) and (1,2), which has det 3
+GENERAL = DegreeMatrix.from_columns([(2, 1), (1, 2), (1, 1)])
+DET3 = lattice_from_columns([(2, 1), (1, 2)])
+GENERAL_CHAMBERS = [
+    chamber_from_generators((2, 1), (1, 1)),
+    chamber_from_generators((1, 1), (1, 2)),
+]
+
+
+def test_fit_general_chamber_over_det_3_lattice():
+    for chamber in GENERAL_CHAMBERS:
+        lattice = lattice_intersect(chamber.lattice, DET3)
+        assert lattice.det == 3
+        q = fit_chamber_qp(GENERAL, chamber, lattice)
+        points = [
+            (x, y) for x in range(41) for y in range(41) if chamber.contains((x, y))
+        ]
+        assert len(points) > 400
+        for u in points:
+            assert q.eval(u) == count(GENERAL, u), u
+
+
+def _fit_window_height(chamber, lattice):
+    """The height below which fit_chamber_qp looks for its anchors."""
+    h1, h2 = chamber.inequalities
+
+    def to_z(u):
+        return (h1[0] * u[0] + h1[1] * u[1], h2[0] * u[0] + h2[1] * u[1])
+
+    w1, w2 = _quadrant_basis(lattice, to_z)
+    return w1[0] + w1[1] + w2[0] + w2[1]
+
+
+# chambers whose rows rise, fall or stay level in height H1 + H2, or that
+# reach below the mu axis, over a lattice with period m = det = 11 along a row
+# and one with m = 2 < det = 6: a class's first point in a row can be undercut
+# by a later row, and a long row holds a class more than once
+SHAPES = {
+    "rising": chamber_from_generators((1, 0), (1, 3)),
+    "falling": chamber_from_generators((-1, 1), (-1, 3)),
+    "level": chamber_complex_2xn([1, 10])[0],
+    "below-axis": chamber_from_generators((2, -1), (1, 2)),
+}
+LATTICES = {
+    "m11": lattice_from_columns([(3, 1), (1, 4)]),
+    "m2": lattice_from_columns([(2, 0), (0, 3)]),
+}
+
+
+@pytest.mark.parametrize(
+    "chamber, lattice",
+    [pytest.param(c, c.lattice, id=f"2,3,6,7-C{i + 1}")
+     for i, c in enumerate(chamber_complex_2xn([2, 3, 6, 7]))]
+    + [pytest.param(c, lattice_intersect(c.lattice, DET3), id=f"general-C{i + 1}")
+       for i, c in enumerate(GENERAL_CHAMBERS)]
+    + [pytest.param(c, lat, id=f"{shape}-{name}")
+       for shape, c in SHAPES.items() for name, lat in LATTICES.items()],
+)
+def test_anchors_are_the_lowest_points_of_their_classes(chamber, lattice):
+    s_max = _fit_window_height(chamber, lattice)
+    h = [a + b for a, b in zip(*chamber.inequalities)]
+    lowest = {}
+    for u in _window_points(chamber, s_max):
+        key = (h[0] * u[0] + h[1] * u[1], u)
+        res = lattice.reduce(u)
+        if res not in lowest or key < lowest[res]:
+            lowest[res] = key
+    assert len(lowest) == lattice.det
+    anchors = _lowest_points(chamber, lattice, s_max)
+    assert set(anchors) == set(lattice.residues())
+    for res, anchor in anchors.items():
+        assert chamber.contains(anchor) and lattice.reduce(anchor) == res
+        assert anchor == lowest[res][1]
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_window_points_are_the_low_points_of_the_closed_chamber(shape):
+    chamber = SHAPES[shape]
+    h = [a + b for a, b in zip(*chamber.inequalities)]
+    box = range(-40, 41)
+    expected = sorted(
+        (y, x) for y in box for x in box
+        if chamber.contains((x, y)) and h[0] * x + h[1] * y <= 20
+    )
+    assert sorted((y, x) for x, y in _window_points(chamber, 20)) == expected
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [(2, 3, 6), (2, 3, 6, 7), (2, 3, 4, 5, 6), (4, 9, 13), (6, 10, 15), (4, 7, 9), (5, 8)],
+    ids=lambda d: ",".join(map(str, d)),
+)
+def test_extent_estimate_bounds_the_rows_a_fit_counts(monkeypatch, degrees):
+    # criterion 4 skips draws by this estimate, so it must not undercount the
+    # rows the interpolation patterns reach; the apex sweep that follows them
+    # reads a few dozen rows at the tip, which the estimate does not model
+    A = DegreeMatrix.bigraded(degrees)
+    seen = {"sweep": False, "t": 0}
+
+    def recording_count(A, u):
+        if not seen["sweep"]:
+            seen["t"] = max(seen["t"], u[1])
+        return count(A, u)
+
+    def sweep_window(chamber, s_max):
+        seen["sweep"] = True
+        return _window_points(chamber, s_max)
+
+    monkeypatch.setattr(quasipoly, "count", recording_count)
+    monkeypatch.setattr(quasipoly, "_window_points", sweep_window)
+    for chamber in chamber_complex_2xn(degrees):
+        seen.update(sweep=False, t=0)
+        fit_chamber_qp(A, chamber, chamber.lattice)
+        assert seen["sweep"]
+        t_bound, _ = pattern_extent_estimate(chamber, chamber.lattice, len(degrees) - 2)
+        assert 0 < seen["t"] <= t_bound, (chamber.generators, seen["t"], t_bound)
 
 
 def test_fit_wrong_lattice_rejected():
