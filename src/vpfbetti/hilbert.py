@@ -142,14 +142,14 @@ class RingHilbertValue:
 
 
 class _ChamberFits:
-    """fits[i]: chamber i fitted over its own lattice, presented over the global one.
+    """fits[i]: chamber i fitted over its own lattice, modulo which it is periodic.
 
     Fitted on first read under the ring's lock, so once whatever the threads,
     and read without it after that.  A fit that raises is not kept.
     """
 
-    def __init__(self, ring: DegreeMatrix, chambers, lattice):
-        self._ring, self._chambers, self._lattice = ring, chambers, lattice
+    def __init__(self, ring: DegreeMatrix, chambers):
+        self._ring, self._chambers = ring, chambers
         self._fits = [None] * len(chambers)
         self._lock = threading.Lock()
 
@@ -160,7 +160,7 @@ class _ChamberFits:
                 fit = self._fits[i]
                 if fit is None:
                     c = self._chambers[i]
-                    fit = fit_chamber_qp(self._ring, c, c.lattice).restrict_to(self._lattice)
+                    fit = fit_chamber_qp(self._ring, c, c.lattice)
                     self._fits[i] = fit
         return fit
 
@@ -170,8 +170,7 @@ def _ring_chamber_data(degrees: tuple[int, ...]):
     """Chambers, global lattice and lazy fits of the ring with these sorted degrees."""
     ring = DegreeMatrix.bigraded(degrees)
     chambers = chamber_complex_2xn(degrees)
-    lattice = global_lattice(degrees)
-    return chambers, lattice, _ChamberFits(ring, chambers, lattice)
+    return chambers, global_lattice(degrees), _ChamberFits(ring, chambers)
 
 
 _RINGS_LOCK = threading.Lock()  # lru_cache alone may build a ring twice on concurrent misses

@@ -439,11 +439,23 @@ def _design_k_points(deg: int, extra: int):
     return fit, val
 
 
+def _sweep_height(chamber: Chamber) -> int:
+    """Height H1 + H2 of the window at the apex that a chamber fit is swept over."""
+    h1, h2 = chamber.inequalities
+    g1, g2 = chamber.generators
+    hg = min(h1[0] * g2[0] + h1[1] * g2[1], h2[0] * g1[0] + h2[1] * g1[1])
+    s_val = 4 * hg
+    cross = abs(g1[0] * g2[1] - g1[1] * g2[0])
+    while s_val * s_val * cross < 512 * (2 * hg) * (2 * hg):
+        s_val *= 2
+    return s_val
+
+
 def pattern_extent_estimate(chamber, lattice, deg: int):
     """Rough upper bounds (max height t, count-table cells) for a chamber fit.
 
-    Cheap to evaluate (no residue enumeration), so callers can skip instances
-    whose exact per-residue interpolation would not fit a sane budget.
+    Covers the interpolation patterns and the apex sweep, and is cheap (no
+    residue enumeration), so callers can skip fits over a sane budget.
     """
     h1, h2 = chamber.inequalities
 
@@ -465,7 +477,8 @@ def pattern_extent_estimate(chamber, lattice, deg: int):
     )
     extent = kmax * (v1[0] + v1[1] + v2[0] + v2[1])
     de = h1[0] * h2[1] - h1[1] * h2[0]
-    tmax = (anchor_bound + extent) // abs(de) + 1
+    top = max(y for y, _, _ in _window_rows(chamber, _sweep_height(chamber)))
+    tmax = max((anchor_bound + extent) // abs(de) + 1, top)
     g_hi = max(chamber.generators[0][0], chamber.generators[1][0])
     cells = (tmax + 1) * (g_hi * tmax + 1)
     return tmax, cells
@@ -551,17 +564,8 @@ def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> Quasi
 
     result = QuasiPolynomial(lattice, pieces)
     # apex-window sweep: covers the tip and stretches of both boundary rays
-    g1, g2 = chamber.generators
-    hg = min(
-        h1[0] * g2[0] + h1[1] * g2[1],
-        h2[0] * g1[0] + h2[1] * g1[1],
-    )
-    s_val = 4 * hg
-    cross = abs(g1[0] * g2[1] - g1[1] * g2[0])
-    while s_val * s_val * cross < 512 * (2 * hg) * (2 * hg):
-        s_val *= 2
     checked = 0
-    for u in _window_points(chamber, s_val):
+    for u in _window_points(chamber, _sweep_height(chamber)):
         if result.eval(u) != count(A, u):
             raise FitError(
                 f"boundary sweep failed at {u}: wrong chamber or lattice input"

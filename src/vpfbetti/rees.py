@@ -73,10 +73,6 @@ class ToriSpec:
     def ring(self) -> DegreeMatrix:
         return DegreeMatrix.bigraded(self.degrees)
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.tors)
-
     def tor(self, index: int) -> KappaNumerator | None:
         for i, kappa in self.tors:
             if i == index:

@@ -182,7 +182,7 @@ def region_decomposition(kappa: KappaNumerator, degrees=None) -> RegionDecomposi
 
     t_probe = t0 + 1
     regions = []
-    terms = {}  # (chamber, shift, coeff) -> the shifted chamber fit, built once
+    terms = {}  # (chamber, shift, coeff) -> the shifted fit over the global lattice, built once
     for i in range(len(lines) - 1):
         mu_probe = lines[i].value(t_probe)
         piece = QuasiPolynomial.zero(lattice)
@@ -195,7 +195,7 @@ def region_decomposition(kappa: KappaNumerator, degrees=None) -> RegionDecomposi
             # strip above the probe line as well as on the line itself
             key = (located[-1], shift, coeff)
             if key not in terms:
-                terms[key] = fits[located[-1]].shift(shift, coeff)
+                terms[key] = fits[located[-1]].shift(shift, coeff).restrict_to(lattice)
             piece = piece.add(terms[key])
         regions.append(Region(lower=i, upper=i + 1, piece=piece))
     return RegionDecomposition(

@@ -7,10 +7,11 @@ representation the library stores, and eval_betti_reference evaluates a
 region decomposition one point at a time by searching its strips, apart
 from the library's row evaluator.  ring_fits_reference fits every chamber
 of a ring up front over the global lattice, the eager path the library's
-lazy own-lattice fits must agree with.  The closed-form fixtures reproduce the
-traditionally quoted piecewise tables for the worked example with generator
-degrees (2, 3, 6); the first-syzygy table is kept verbatim, including its
-two known defects, so tests can pin down exactly where the oracle disagrees.
+lazy own-lattice fits must agree with once presented over it.  The
+closed-form fixtures reproduce the traditionally quoted piecewise tables for
+the worked example with generator degrees (2, 3, 6); the first-syzygy table
+is kept verbatim, including its two known defects, so tests can pin down
+exactly where the oracle disagrees.
 """
 
 from fractions import Fraction

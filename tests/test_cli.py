@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_count
 from vpfbetti.cli import main
@@ -361,3 +365,125 @@ def test_regions_degenerate_svg(capsys, tmp_path):
     )
     assert rc == 0
     assert target.read_text().startswith("<svg")
+
+
+def _joined(strategy):
+    return st.lists(strategy, min_size=1, max_size=4).map(",".join)
+
+
+MALFORMED = st.sampled_from(["", "1,,2", "1.5", "0x10", "+3", "1_0"])
+# comma lists: positive, small and often negative, or with a malformed token
+INT_LISTS = st.one_of(
+    _joined(st.integers(1, 9).map(str)),
+    _joined(st.integers(-2, 12).map(str)),
+    _joined(st.one_of(st.integers(-2, 12).map(str), MALFORMED)),
+)
+BIDEGREES = st.tuples(st.integers(-2, 40), st.integers(-2, 12)).map(lambda u: f"{u[0]},{u[1]}")
+POINTS = st.sampled_from([BIDEGREES] * 3 + [INT_LISTS]).flatmap(lambda points: points)
+COEFFS = st.one_of(st.integers(-2, 2), st.booleans(), st.floats(-2, 2), st.text(max_size=2))
+SHIFTS = st.fixed_dictionaries(
+    {"a": st.lists(st.integers(-2, 12), min_size=1, max_size=3), "c": COEFFS}
+)
+UNIT = {"index": 0, "shifts": [{"a": [0, 0], "c": 1}]}
+# documents that pass the schema but carry arbitrary shift data
+PLAUSIBLE_DOCS = st.fixed_dictionaries(
+    {
+        "generators": st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
+            lambda ds: [[d, 1] for d in sorted(ds)]
+        ),
+        "tor": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "index": st.integers(1, 3),
+                    "shifts": st.lists(
+                        st.fixed_dictionaries(
+                            {
+                                "a": st.tuples(st.integers(0, 20), st.integers(0, 4)).map(list),
+                                "c": st.integers(-2, 2),
+                            }
+                        ),
+                        max_size=4,
+                    ),
+                }
+            ),
+            max_size=3,
+            unique_by=lambda e: e["index"],
+        ).map(lambda rest: [UNIT] + rest),
+    }
+)
+# documents with bad generators, negative or duplicate indices and bad coefficients
+WILD_DOCS = st.fixed_dictionaries(
+    {
+        "generators": st.lists(
+            st.one_of(
+                st.integers(-2, 9).map(lambda d: [d, 1]),
+                st.lists(st.integers(-2, 9), max_size=3),
+                st.sampled_from([[True, 1], [1.5, 1], "3", None]),
+            ),
+            max_size=4,
+        ),
+        "tor": st.tuples(
+            st.booleans(),
+            st.lists(
+                st.fixed_dictionaries(
+                    {"index": st.integers(-1, 3), "shifts": st.lists(SHIFTS, max_size=4)}
+                ),
+                max_size=3,
+            ),
+        ).map(lambda u_rest: [UNIT] * u_rest[0] + u_rest[1]),
+    }
+)
+FORMATS = {
+    "hilbert": ["table", "structured"],
+    "chambers": ["table", "structured", "csv"],
+    "regions": ["table", "structured", "csv", "svg"],
+    "verify": ["table", "structured"],
+}
+
+
+@st.composite
+def cli_calls(draw, spec_path):
+    command = draw(
+        st.sampled_from(
+            ["count", "hilbert", "chambers", "regions", "rees-ci", "verify", "reproduce"]
+        )
+    )
+    argv = [command]
+    if command == "reproduce":
+        argv.append(draw(st.sampled_from(["4.7", "4.8", ""])))
+    else:
+        # a spec file only where the command takes one, and sometimes no input at all
+        source = draw(st.sampled_from(["spec", "degrees", "degrees", None]))
+        if source == "spec" and command in ("hilbert", "regions", "verify"):
+            spec_path.write_text(json.dumps(draw(st.one_of(PLAUSIBLE_DOCS, WILD_DOCS))))
+            argv.append(f"--spec={spec_path}")
+        elif source:  # "=" reads a leading minus as part of the value
+            argv.append(f"--degrees={draw(INT_LISTS)}")
+    index = draw(st.sampled_from([1, 2, 0, 3, -1, None]))
+    if command in ("hilbert", "regions") and index is not None:
+        argv.append(f"--index={index}")
+    if command in ("regions", "verify", "reproduce") and draw(st.booleans()):
+        argv.append(f"--tmax={draw(st.integers(-2, 12))}")
+    if command in FORMATS and draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(FORMATS[command]))]
+    if command in ("count", "hilbert"):
+        argv += ["--", draw(POINTS)]  # after "--" a negative point is not an option
+    return argv
+
+
+@pytest.fixture(scope="module")
+def spec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_call_exits_0_1_or_2(spec_path, data):
+    # the exit-code contract: any input ends in 0, 1 or 2, never a traceback
+    argv = data.draw(cli_calls(spec_path))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments
+            rc = exc.code
+    assert rc in (0, 1, 2), argv

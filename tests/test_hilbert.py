@@ -21,6 +21,7 @@ from vpfbetti.hilbert import (
     hf_module,
     series_identity_check,
 )
+from vpfbetti.quasipoly import QuasiPolynomial
 
 RING = DegreeMatrix.bigraded([2, 3, 6])
 TOR1 = KappaNumerator.from_terms(
@@ -256,12 +257,23 @@ def test_fit_cache_is_keyed_by_sorted_degrees(fresh_tables):
     [(2, 3, 6), (2, 3, 6, 7), (2, 3, 4, 5, 6), (4, 9, 13), (6, 10, 15), (4, 7, 9), (5, 8)],
 )
 def test_lazy_fits_equal_the_eager_global_fits(degrees, fresh_tables):
+    # each fit is cached over its chamber's own lattice, and is the eager
+    # global fit once presented over the global lattice
     chambers, lattice, fits = _ring_chamber_data(degrees)
     want = ring_fits_reference(degrees)
     assert len(chambers) == len(want)
     for i, ref in enumerate(want):
-        assert fits[i].lattice == lattice
-        assert fits[i] == ref
+        assert fits[i].lattice == chambers[i].lattice
+        assert fits[i].restrict_to(lattice) == ref
+
+
+def test_a_ring_query_makes_no_global_copy(monkeypatch, fresh_tables):
+    def no_copy(self, sub):
+        raise AssertionError("a ring query presented a fit over another lattice")
+
+    monkeypatch.setattr(QuasiPolynomial, "restrict_to", no_copy)
+    res = hf_bigraded_ring((2, 3, 6, 7, 11), (30, 10))
+    assert res == RingHilbertValue(7, 0, (30, 10))
 
 
 def counting_fits(monkeypatch):
