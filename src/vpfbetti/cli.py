@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import textfmt
@@ -362,6 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_reproduce)
 
+    # a point such as -1,0 is a positional argument, not an unknown option
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-?\d+(,-?\d+)*$")
     return parser
 
 

@@ -195,7 +195,5 @@ def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
     if not located:
         return RingHilbertValue(0, None, None)
     idx = located[0]
-    value = fits[idx].eval(u)
-    if value.denominator != 1:
-        raise RuntimeError(f"non-integer Hilbert value {value} at {u}")
-    return RingHilbertValue(int(value), idx, lattice.reduce(u))
+    value = fits[idx].eval_row(u[1], u[0], u[0])[0]
+    return RingHilbertValue(value, idx, lattice.reduce(u))

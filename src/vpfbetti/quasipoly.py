@@ -184,6 +184,18 @@ class Polynomial(_Frozen):
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
+def _as_int(value: Fraction, point) -> int:
+    if value.denominator != 1:
+        raise FitError(f"non-integer piece value {value} at {point}")
+    return int(value)
+
+
+def _row_period(lattice: Lattice) -> int:
+    """The least m > 0 with (m, 0) in a planar lattice, basis ((p, q), (0, r))."""
+    (p, q), (_, r) = lattice.basis
+    return p * r // gcd(q, r)
+
+
 class QuasiPolynomial(_Frozen):
     """One polynomial per residue class of a full-rank lattice in Z^d.
 
@@ -228,6 +240,21 @@ class QuasiPolynomial(_Frozen):
     def eval(self, u) -> Fraction:
         _, piece = self.piece_at(u)
         return piece.eval(u)
+
+    def eval_row(self, t: int, lo: int, hi: int) -> list[int]:
+        """Exact integer values at (mu, t) for lo <= mu <= hi; [] when lo > hi.
+
+        Planar lattices only; each class's piece is looked up once per row
+        period (_row_period).  A non-integer value raises FitError.
+        """
+        t, lo, hi = int(t), int(lo), int(hi)
+        m = _row_period(self.lattice)
+        out = [0] * max(hi - lo + 1, 0)
+        for first in range(lo, min(lo + m, hi + 1)):
+            _, poly = self.piece_at((first, t))
+            for mu in range(first, hi + 1, m):
+                out[mu - lo] = _as_int(poly.eval((mu, t)), (mu, t))
+        return out
 
     def shift(self, a, c=1) -> "QuasiPolynomial":
         """r with r(x) = c * self(x - a), realized by re-keying the pieces."""
@@ -346,13 +373,6 @@ def _window_rows(chamber: Chamber, s_max: int):
             yield y, lo, hi
 
 
-def _window_points(chamber: Chamber, s_max: int):
-    """Integer points of the closed chamber with height H1 + H2 <= s_max."""
-    for y, lo, hi in _window_rows(chamber, s_max):
-        for x in range(lo, hi + 1):
-            yield (x, y)
-
-
 def _lowest_points(chamber: Chamber, lattice: Lattice, s_max: int) -> dict:
     """The lowest point of the closed chamber in each residue class of the lattice.
 
@@ -366,7 +386,7 @@ def _lowest_points(chamber: Chamber, lattice: Lattice, s_max: int) -> dict:
     h1, h2 = chamber.inequalities
     hx, hy = h1[0] + h2[0], h1[1] + h2[1]
     (p, q), (_, r) = lattice.basis
-    m = p * r // gcd(q, r)
+    m = _row_period(lattice)
     best: dict[tuple[int, ...], tuple[int, int, int]] = {}
     top = s_max
     for y, lo, hi in _window_rows(chamber, s_max):
@@ -563,14 +583,16 @@ def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> Quasi
         pieces[res] = Polynomial._from_ints(2, inv_den, _taylor_shift(q, anchor))
 
     result = QuasiPolynomial(lattice, pieces)
-    # apex-window sweep: covers the tip and stretches of both boundary rays
-    checked = 0
-    for u in _window_points(chamber, _sweep_height(chamber)):
-        if result.eval(u) != count(A, u):
-            raise FitError(
-                f"boundary sweep failed at {u}: wrong chamber or lattice input"
-            )
-        checked += 1
-        if checked >= 4096:
+    # apex-window sweep, first 4096 points: the tip and stretches of both rays
+    left = 4096
+    for y, lo, hi in _window_rows(chamber, _sweep_height(chamber)):
+        hi = min(hi, lo + left - 1)
+        for x, value in zip(range(lo, hi + 1), result.eval_row(y, lo, hi)):
+            if value != count(A, (x, y)):
+                raise FitError(
+                    f"boundary sweep failed at {(x, y)}: wrong chamber or lattice input"
+                )
+        left -= hi - lo + 1
+        if not left:
             break
     return result

@@ -13,12 +13,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
 from .chambers import locate
 from .hilbert import DataIntegrityWarning, KappaNumerator, _ring_data
 from .lattices import Lattice, solve_exact
-from .quasipoly import FitError, Polynomial, QuasiPolynomial
+from .quasipoly import FitError, Polynomial, QuasiPolynomial, _as_int
 
 # heights past the interpolation points on which the eventual total is validated
 TOTAL_BETTI_CHECKS = 4
@@ -220,9 +220,7 @@ def eval_row(dec: RegionDecomposition, t: int, lo: int, hi: int) -> list[int]:
     """Exact values at (mu, t) for lo <= mu <= hi; zero off the line support.
 
     Only valid in the stable range t >= t0.  Never warns: a negative value is
-    returned as it is.  Along a row the residue class of (mu, t) repeats with
-    period m, the least m > 0 with (m, 0) in the lattice, so each strip looks
-    up the piece of each class once and evaluates it at every m-th mu.
+    returned as it is.  Each strip reads its piece's QuasiPolynomial.eval_row.
     """
     t, lo, hi = int(t), int(lo), int(hi)
     if t < dec.t0:
@@ -236,20 +234,13 @@ def eval_row(dec: RegionDecomposition, t: int, lo: int, hi: int) -> list[int]:
             if lo <= mu <= hi:
                 out[mu - lo] = _as_int(poly.eval((t,)), (mu, t))
         return out
-    if not dec.regions:
-        return out
-    (p, q), (_, r) = dec.lattice.basis
-    m = p * r // gcd(q, r)
     vals = [line.value(t) for line in dec.lines]
     last = len(dec.regions) - 1
     for i, region in enumerate(dec.regions):
         # half-open strip [vals[i], vals[i + 1]), the last one closed above
         start = max(vals[i], lo)
-        stop = min(vals[i + 1] + (i == last), hi + 1)
-        for first in range(start, min(start + m, stop)):
-            _, poly = region.piece.piece_at((first, t))
-            for mu in range(first, stop, m):
-                out[mu - lo] = _as_int(poly.eval((mu, t)), (mu, t))
+        stop = max(start, min(vals[i + 1] + (i == last), hi + 1))
+        out[start - lo:stop - lo] = region.piece.eval_row(t, start, stop - 1)
     return out
 
 
@@ -269,12 +260,6 @@ def eval_betti(dec: RegionDecomposition, mu: int, t: int) -> int:
             stacklevel=2,
         )
     return v
-
-
-def _as_int(value: Fraction, point) -> int:
-    if value.denominator != 1:
-        raise RuntimeError(f"non-integer piece value {value} at {point}")
-    return int(value)
 
 
 def total_betti_polynomial(dec: RegionDecomposition) -> Polynomial:

@@ -34,6 +34,15 @@ def test_count_outside(capsys):
     assert rc == 0 and out.strip() == "0"
 
 
+@pytest.mark.parametrize(
+    "argv", [["count", "--degrees", "2,3", "-1,0"], ["hilbert", "--degrees", "2,3", "-2,5"]]
+)
+def test_negative_point_is_a_positional(capsys, argv):
+    # without "--": a point with a leading minus is not read as an option
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (0, "0\n", "")
+
+
 def test_count_matrix_file(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"rows": [[1, 0, 1], [0, 1, 1]]}))

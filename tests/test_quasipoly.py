@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,9 @@ from vpfbetti.quasipoly import (
     QuasiPolynomial,
     _lowest_points,
     _quadrant_basis,
-    _window_points,
+    _row_period,
+    _sweep_height,
+    _window_rows,
     equal_on_region,
     fit_chamber_qp,
     pattern_extent_estimate,
@@ -121,6 +124,47 @@ def test_eval_worked_example_values():
     assert q1.eval((23, 9)) == 2
     assert q1.eval((20, 9)) == brute_count(RING.columns, (20, 9)) == 1
     assert q1.eval((19, 9)) == brute_count(RING.columns, (19, 9)) == 1
+
+
+def _row_case(case):
+    """A quasi-polynomial for eval_row: a chamber fit, or integer pieces over
+    the lattice with basis (2, 4), (0, 6), whose row period 6 is neither p nor det."""
+    if case == "generators":
+        lattice = chamber_from_generators((4, 2), (2, 4)).lattice
+        return QuasiPolynomial(lattice, {
+            res: Polynomial(2, {(2, 0): i % 3, (1, 1): -1, (0, 1): i, (0, 0): 5 - i})
+            for i, res in enumerate(lattice.residues())
+        })
+    degrees, idx = case
+    chamber = chamber_complex_2xn(degrees)[idx]
+    return fit_chamber_qp(DegreeMatrix.bigraded(degrees), chamber, chamber.lattice)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [((2, 3, 6), i) for i in range(2)] + [((2, 3, 6, 7), i) for i in range(3)]
+    + [((4, 9, 13), i) for i in range(2)] + ["generators"],
+    ids=lambda c: c if isinstance(c, str) else f"{','.join(map(str, c[0]))}-C{c[1] + 1}",
+)
+def test_eval_row_matches_pointwise_eval(case):
+    q = _row_case(case)
+    m = _row_period(q.lattice)
+    assert q.lattice.contains((m, 0))
+    assert not any(q.lattice.contains((k, 0)) for k in range(1, m))
+    for t in (-3, 0, 5, 11):
+        # from negative mu across more than three periods
+        lo, hi = -2 * m - 1, m + 4
+        row = q.eval_row(t, lo, hi)
+        assert row == [q.eval((mu, t)) for mu in range(lo, hi + 1)]
+        assert all(type(v) is int for v in row)
+        assert q.eval_row(t, 7, 7) == [q.eval((7, t))]
+        assert q.eval_row(t, 7, 6) == [] and q.eval_row(t, 7, 2) == []
+
+
+def test_eval_row_rejects_a_non_integer_piece():
+    half = QuasiPolynomial.constant(GLOBAL, Fraction(1, 2))
+    with pytest.raises(FitError, match=re.escape("non-integer piece value 1/2 at (-1, 3)")):
+        half.eval_row(3, -1, 4)
 
 
 def test_fit_c1_reproduces_closed_form():
@@ -241,7 +285,8 @@ def test_anchors_are_the_lowest_points_of_their_classes(chamber, lattice):
     s_max = _fit_window_height(chamber, lattice)
     h = [a + b for a, b in zip(*chamber.inequalities)]
     lowest = {}
-    for u in _window_points(chamber, s_max):
+    window = [(x, y) for y, lo, hi in _window_rows(chamber, s_max) for x in range(lo, hi + 1)]
+    for u in window:
         key = (h[0] * u[0] + h[1] * u[1], u)
         res = lattice.reduce(u)
         if res not in lowest or key < lowest[res]:
@@ -263,7 +308,8 @@ def test_window_points_are_the_low_points_of_the_closed_chamber(shape):
         (y, x) for y in box for x in box
         if chamber.contains((x, y)) and h[0] * x + h[1] * y <= 20
     )
-    assert sorted((y, x) for x, y in _window_points(chamber, 20)) == expected
+    got = [(y, x) for y, lo, hi in _window_rows(chamber, 20) for x in range(lo, hi + 1)]
+    assert sorted(got) == expected
 
 
 @pytest.mark.parametrize(
@@ -287,6 +333,47 @@ def test_extent_estimate_bounds_the_rows_a_fit_counts(monkeypatch, degrees):
         fit_chamber_qp(A, chamber, chamber.lattice)
         t_bound, _ = pattern_extent_estimate(chamber, chamber.lattice, len(degrees) - 2)
         assert 0 < seen["t"] <= t_bound, (chamber.generators, seen["t"], t_bound)
+
+
+@pytest.mark.parametrize("degrees", [(2, 3, 6), (1, 1000)], ids=["2,3,6", "1,1000"])
+def test_apex_sweep_rejects_a_count_off_the_pattern(monkeypatch, degrees):
+    # the sweep compares the fit with count on the first 4096 points of the
+    # apex window, row by row; a count no interpolation pattern reads is
+    # caught there and nowhere else.  The (1, 1000) window has 9995 points.
+    A = DegreeMatrix.bigraded(degrees)
+    chamber = chamber_complex_2xn(degrees)[-1]
+    window = [
+        (x, y)
+        for y, lo, hi in _window_rows(chamber, _sweep_height(chamber))
+        for x in range(lo, hi + 1)
+    ]
+    swept = window[:4096]
+    calls = []
+
+    def recording_count(A, u):
+        calls.append(tuple(u))
+        return count(A, u)
+
+    monkeypatch.setattr(quasipoly, "count", recording_count)
+    fit_chamber_qp(A, chamber, chamber.lattice)
+    assert calls[-len(swept):] == swept
+    pattern = set(calls[:-len(swept)])
+
+    def fit_with_one_count_off(target):
+        def perturbed_count(A, u):
+            return count(A, u) + (1 if tuple(u) == target else 0)
+
+        monkeypatch.setattr(quasipoly, "count", perturbed_count)
+        return fit_chamber_qp(A, chamber, chamber.lattice)
+
+    target = [u for u in swept if u not in pattern][-1]
+    with pytest.raises(FitError, match=re.escape(f"boundary sweep failed at {target}")):
+        fit_with_one_count_off(target)
+    # a point past the first 4096 is never compared
+    beyond = [u for u in window[4096:] if u not in pattern]
+    assert (len(window) > 4096) == bool(beyond)
+    if beyond:
+        fit_with_one_count_off(beyond[0])
 
 
 def test_fit_wrong_lattice_rejected():

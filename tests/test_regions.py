@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import warnings
 from fractions import Fraction
@@ -288,6 +289,17 @@ def test_eval_row_returns_negative_values_without_warning():
         warnings.simplefilter("error")
         row = eval_row(dec, t, *row_support(dec, t))
     assert min(row) < 0
+
+
+def test_eval_row_rejects_a_non_integer_piece():
+    dec = decomposition(1)
+    half = QuasiPolynomial.constant(dec.lattice, Fraction(1, 2))
+    broken = dataclasses.replace(
+        dec, regions=tuple(dataclasses.replace(r, piece=half) for r in dec.regions)
+    )
+    t = dec.t0
+    with pytest.raises(FitError, match="non-integer piece value 1/2"):
+        eval_row(broken, t, *row_support(dec, t))
 
 
 def test_decomposition_shifts_each_term_once(monkeypatch, fresh_tables):
