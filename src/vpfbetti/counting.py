@@ -4,10 +4,10 @@ count(A, u) is the number of ways to write u as a nonnegative integer
 combination of the columns of A.  Nonnegative columns with no zero column
 make the grading positive, so every count is finite.  Bigraded matrices
 (second row all ones) are read from the ring's shared cone-sheared rows
-(`kernels.band_rows`), the same rows that value grids read; everything else
-runs a boxed dynamic program in pure Python.  Both caches are safe to share
-between threads, and every table is checked against
-`kernels.MAX_TABLE_CELLS` before it grows.
+(`kernels.band_rows`), packed into Python ints, the same rows that value
+grids read; everything else runs a boxed dynamic program.  Both are pure
+Python, both caches are safe to share between threads, and every table is
+checked against `kernels.MAX_TABLE_CELLS` before it grows.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from itertools import islice, repeat
+from operator import add, mul, sub
 
 from . import kernels
 from .chambers import chamber_complex_2xn, global_lattice, locate
@@ -81,33 +81,37 @@ def hf_module(kappa: KappaNumerator, u) -> int:
     return total
 
 
-def hf_grid(kappa: KappaNumerator, lo, hi) -> np.ndarray:
-    """hf_module(kappa, (mu, t)) at every lo <= (mu, t) <= hi, as g[t - lo_t, mu - lo_mu].
+def hf_grid(kappa: KappaNumerator, lo, hi) -> list[list[int]]:
+    """hf_module(kappa, (mu, t)) at every lo <= (mu, t) <= hi, as g[t - lo_t][mu - lo_mu].
 
-    One window of the ring's shared count rows (the rows `count` reads),
-    reaching hi minus the lowest shift, read as one shifted slice per
-    numerator term.  Entries are Python ints.  Bigraded rings only.
-    A grid or table over `kernels.MAX_TABLE_CELLS` raises BudgetExceededError.
+    The grid is a list[list[int]], one list per row t.  One window of the
+    ring's shared count rows (the rows `count` reads), reaching hi minus the
+    lowest shift, is added into each grid row as one shifted slice per
+    numerator term.  Bigraded rings only.  A grid or table over
+    `kernels.MAX_TABLE_CELLS` raises BudgetExceededError.
     """
     if not kappa.ring.is_bigraded():
         raise ValueError("value grids require a bigraded ring")
     (mu0, t0), (mu1, t1) = lo, hi
-    shape = (max(t1 - t0 + 1, 0), max(mu1 - mu0 + 1, 0))
-    kernels.check_cells(shape[0] * shape[1], "value grid")
-    g = np.zeros(shape, dtype=object)
-    if not kappa.terms or not g.size:
+    height, width = max(t1 - t0 + 1, 0), max(mu1 - mu0 + 1, 0)
+    kernels.check_cells(height * width, "value grid")
+    g = [[0] * width for _ in range(height)]
+    if not kappa.terms or not height * width:
         return g
     reach_mu = mu1 - min(a[0] for a in kappa.shifts)
     reach_t = t1 - min(a[1] for a in kappa.shifts)
-    table = np.array(
-        kernels.bigraded_table(kappa.ring.degrees, max(reach_t, 0), max(reach_mu, 0)),
-        dtype=object,
-    )
+    table = kernels.bigraded_table(kappa.ring.degrees, max(reach_t, 0), max(reach_mu, 0))
     for (a_mu, a_t), c in kappa.terms:
-        mu, t = max(mu0, a_mu), max(t0, a_t)  # lowest point with u - a >= 0
-        if mu <= mu1 and t <= t1:
-            part = table[t - a_t: t1 - a_t + 1, mu - a_mu: mu1 - a_mu + 1]
-            g[t - t0:, mu - mu0:] += c * part
+        mu, t_low = max(mu0, a_mu), max(t0, a_t)  # lowest point with u - a >= 0
+        if mu > mu1:
+            continue
+        op = add if c > 0 else sub
+        for t in range(t_low, t1 + 1):
+            part = islice(table[t - a_t], mu - a_mu, None)
+            if abs(c) != 1:
+                part = map(mul, repeat(abs(c)), part)
+            row = g[t - t0]
+            row[mu - mu0:] = map(op, islice(row, mu - mu0, None), part)
     return g
 
 
@@ -121,15 +125,17 @@ def series_identity_check(kappa: KappaNumerator, bound) -> bool:
     bound = tuple(int(b) for b in bound)
     lo = tuple(min((a[i] for a in kappa.shifts), default=0) for i in (0, 1))
     g = hf_grid(kappa, lo, bound)
-    w = g.shape[1]
+    w = len(g[0]) if g else 0
     for d in kappa.ring.degrees:
         if d < w:
-            g[1:, d:] -= g[:-1, : w - d].copy()
-    want = np.zeros_like(g)
+            for i in range(len(g) - 1, 0, -1):  # from the top, so row i - 1 is still unchanged
+                row = g[i]
+                row[d:] = map(sub, islice(row, d, None), g[i - 1])
+    want = [[0] * w for _ in g]
     for (a_mu, a_t), c in kappa.terms:
         if a_mu <= bound[0] and a_t <= bound[1]:
-            want[a_t - lo[1], a_mu - lo[0]] = c
-    return bool((g == want).all())
+            want[a_t - lo[1]][a_mu - lo[0]] = c
+    return g == want
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ def check_decomposition(dec: RegionDecomposition, tmax: int):
     support_witness = None
     negative_witness = None
     for t, lo, hi in bands:
-        wants = want_grid[t - dec.t0, lo - mu_lo: hi - mu_lo + 1]
+        wants = want_grid[t - dec.t0][lo - mu_lo: hi - mu_lo + 1]
         for mu, got, want in zip(range(lo, hi + 1), eval_row(dec, t, lo, hi), wants):
             if got != want and equiv_witness is None:
                 equiv_witness = (mu, t, got, want)

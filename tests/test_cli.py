@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -496,3 +499,17 @@ def test_every_call_exits_0_1_or_2(spec_path, data):
         except SystemExit as exc:  # argparse rejected the arguments
             rc = exc.code
     assert rc in (0, 1, 2), argv
+
+
+def test_import_loads_no_numpy():
+    # every command pays the package's import; the counts need only Python ints
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import vpfbetti, vpfbetti.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,5 @@
 from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +11,11 @@ from vpfbetti.counting import DegreeMatrix, count
 
 def assert_window_matches(degrees, t_max, mu_max):
     table = kernels.bigraded_table(degrees, t_max, mu_max)
-    assert table.shape == (t_max + 1, mu_max + 1)
+    assert [len(row) for row in table] == [mu_max + 1] * (t_max + 1)
     cols = [(d, 1) for d in degrees]
     for t in range(t_max + 1):
         for mu in range(mu_max + 1):
-            assert int(table[t][mu]) == brute_count(cols, (mu, t)), (mu, t)
+            assert table[t][mu] == brute_count(cols, (mu, t)), (mu, t)
 
 
 def test_rows_match_brute_force():
@@ -47,22 +46,8 @@ def test_single_degree_has_zero_width_band():
     band = kernels.BandRows([4])
     band.extend(9)
     assert band.width == 0
-    assert [row.tolist() for row in band.rows] == [[1]] * 10
+    assert [list(row.unpack()) for row in band.rows] == [[1]] * 10
     assert_window_matches([4], 5, 22)
-
-
-def test_dispatch_uses_bigint_when_unsafe(monkeypatch, fresh_tables):
-    # the bound for two columns is t + 1: rows from t = 4 on hold Python ints
-    monkeypatch.setattr(kernels, "_INT64_SAFE", 5)
-    band = kernels.BandRows([1, 1])
-    band.extend(2)
-    band.extend(6)
-    assert [row.dtype for row in band.rows] == [np.int64] * 4 + [object] * 3
-    assert all(type(v) is int for row in band.rows[4:] for v in row)
-    assert band.rows[6].tolist() == [7]
-    table = kernels.bigraded_table([1, 1], 6, 6)
-    assert table.dtype == object and table[6][6] == 7
-    assert kernels.bigraded_table([1, 1], 3, 6).dtype == np.int64
 
 
 def test_value_bound():
@@ -102,7 +87,7 @@ def test_rows_stop_at_largest_offset_asked():
     band.extend(12, 7)  # a larger offset rebuilds at twice the cap
     assert band.cap == 10 and [len(row) for row in band.rows] == [1] + [11] * 12
     for t, row in enumerate(band.rows):
-        assert row.tolist() == [brute_count(cols, (t + k, t)) for k in range(len(row))]
+        assert list(row.unpack()) == [brute_count(cols, (t + k, t)) for k in range(len(row))]
 
 
 def test_wide_window_stays_inside_the_budget(monkeypatch, fresh_tables):
@@ -137,25 +122,43 @@ def test_twelve_equal_columns_across_the_64_bit_switch():
     for t in range(261):
         assert count(ring, (5 * t, t)) == comb(t + 11, 11)
     band = kernels.BandRows([5] * 12)
-    band.extend(260)
-    dtypes = [row.dtype for row in band.rows]
-    switch = dtypes.index(object)
-    assert 100 < switch < 260 and set(dtypes[switch:]) == {np.dtype(object)}
-    assert comb(switch + 11, 11) >= kernels._INT64_SAFE > comb(switch + 10, 11)
+    band.extend(300)  # one extension through every width, 1 byte per offset to 9 from t = 272
+    assert [list(row.unpack()) for row in band.rows] == [[comb(t + 11, 11)] for t in range(301)]
+    assert [band.rows[t].itemsize for t in (0, 271, 272)] == [1, 8, 9]
 
 
-def test_int64_rows_match_rows_forced_onto_python_ints(monkeypatch):
-    # the whole band of (1..7) to t = 60, once in int64 and once as dtype=object
-    degrees = [1, 2, 3, 4, 5, 6, 7]
-    fast = kernels.BandRows(degrees)
-    fast.extend(60, 6 * 60)
-    monkeypatch.setattr(kernels, "_INT64_SAFE", 0)  # every row past row 0 holds Python ints
-    slow = kernels.BandRows(degrees)
-    slow.extend(60, 6 * 60)
-    assert {row.dtype for row in fast.rows} == {np.dtype(np.int64)}
-    assert {row.dtype for row in slow.rows[1:]} == {np.dtype(object)}
-    assert [row.tolist() for row in fast.rows] == [row.tolist() for row in slow.rows]
-    assert [len(row) for row in fast.rows] == [6 * t + 1 for t in range(61)]
+def test_stage_rows_widen_between_extensions(fresh_tables):
+    # comb(t + 3, 3) needs 1 byte per offset up to t = 9 and 2 bytes from t = 10 on
+    degrees = [1, 2, 4, 5]
+    cols = [(d, 1) for d in degrees]
+    band = kernels.BandRows(degrees)
+    band.extend(6, 8)  # cut rows, 1 byte per offset
+    band.extend(14, 8)  # the kept stage rows of row 6 are widened at row 10
+    assert [band.rows[t].itemsize for t in (6, 9, 10, 14)] == [1, 1, 2, 2]
+    band.extend(14, 56)  # rebuilt from row 2, the last whole one, and widened again
+    assert [len(row) for row in band.rows] == [4 * t + 1 for t in range(15)]
+    for t in range(15):
+        for mu in range(t - 1, 5 * t + 2):
+            assert band.value((mu, t)) == brute_count(cols, (mu, t)), (mu, t)
+
+
+def test_window_of_rows_wider_than_eight_bytes(fresh_tables):
+    # comb(t + 34, 34) needs 9 bytes per offset from t = 34 on; the counts
+    # near the band's low edge are partition numbers, small enough to enumerate
+    degrees = [10 * j for j in range(35)]
+    table = kernels.bigraded_table(degrees, 36, 80)
+    assert [kernels.band_rows(degrees).rows[t].itemsize for t in (33, 34)] == [8, 9]
+    cols = [(d, 1) for d in reversed(degrees)]
+    for t in range(33, 37):
+        for mu in range(81):
+            assert table[t][mu] == brute_count(cols, (mu, t)), (mu, t)
+    # twenty columns each of degrees 0 and 1: every count is a product of two binomials
+    table = kernels.bigraded_table([0] * 20 + [1] * 20, 40, 40)
+    assert table == [
+        [comb(mu + 19, 19) * comb(t - mu + 19, 19) if mu <= t else 0 for mu in range(41)]
+        for t in range(41)
+    ]
+    assert table[40][20] > 2**64
 
 
 def test_window_reads_the_shared_rows(fresh_tables):
