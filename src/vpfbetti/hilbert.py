@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from . import kernels
 from .chambers import chamber_complex_2xn, global_lattice, locate
@@ -95,9 +95,9 @@ def hf_grid(kappa: KappaNumerator, lo, hi) -> list[list[int]]:
     (mu0, t0), (mu1, t1) = lo, hi
     height, width = max(t1 - t0 + 1, 0), max(mu1 - mu0 + 1, 0)
     kernels.check_cells(height * width, "value grid")
-    g = [[0] * width for _ in range(height)]
     if not kappa.terms or not height * width:
-        return g
+        return [[0] * width for _ in range(height)]
+    g = [None] * height  # a row is built by the first term that reaches it
     reach_mu = mu1 - min(a[0] for a in kappa.shifts)
     reach_t = t1 - min(a[1] for a in kappa.shifts)
     table = kernels.bigraded_table(kappa.ring.degrees, max(reach_t, 0), max(reach_mu, 0))
@@ -107,12 +107,15 @@ def hf_grid(kappa: KappaNumerator, lo, hi) -> list[list[int]]:
             continue
         op = add if c > 0 else sub
         for t in range(t_low, t1 + 1):
-            part = islice(table[t - a_t], mu - a_mu, None)
+            part = islice(table[t - a_t], mu - a_mu, mu1 - a_mu + 1)
             if abs(c) != 1:
                 part = map(mul, repeat(abs(c)), part)
             row = g[t - t0]
-            row[mu - mu0:] = map(op, islice(row, mu - mu0, None), part)
-    return g
+            if row is None:
+                g[t - t0] = [0] * (mu - mu0) + list(part if c > 0 else map(neg, part))
+            else:
+                row[mu - mu0:] = map(op, islice(row, mu - mu0, None), part)
+    return [row or [0] * width for row in g]
 
 
 def series_identity_check(kappa: KappaNumerator, bound) -> bool:
