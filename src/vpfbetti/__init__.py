@@ -35,7 +35,6 @@ from .lattices import (
 )
 from .quasipoly import (
     FitError,
-    LatticeMismatchError,
     Polynomial,
     QuasiPolynomial,
     equal_on_region,
@@ -76,7 +75,6 @@ __all__ = [
     "IntMatrix",
     "KappaNumerator",
     "Lattice",
-    "LatticeMismatchError",
     "Polynomial",
     "QuasiPolynomial",
     "RankError",

@@ -204,10 +204,10 @@ def _cmd_regions(args) -> int:
         return 0
     if args.format == "csv":
         rows = ["region,lower,upper,residue,poly"]
-        for r in dec.regions:
+        for r, pieces in textfmt.region_pieces(dec):
             lo, hi = _strip_bounds(dec, r)
-            for res in sorted(r.piece.pieces):
-                poly = textfmt.poly_str(r.piece.pieces[res], ("mu", "t"))
+            for res, piece in pieces:
+                poly = textfmt.poly_str(piece, ("mu", "t"))
                 rows.append(f"{r.lower},{lo},{hi},\"{list(res)}\",\"{poly}\"")
         _emit("\n".join(rows) + "\n", args.out)
         return 0
@@ -226,11 +226,11 @@ def _cmd_regions(args) -> int:
             )
     else:
         lines.append("regions (half-open [lower, upper), last closed):")
-        for r in dec.regions:
+        for r, pieces in textfmt.region_pieces(dec):
             lo, hi = _strip_bounds(dec, r)
             lines.append(f"  [{lo} .. {hi})")
-            for res in sorted(r.piece.pieces):
-                poly = textfmt.poly_str(r.piece.pieces[res], ("mu", "t"))
+            for res, piece in pieces:
+                poly = textfmt.poly_str(piece, ("mu", "t"))
                 lines.append(f"    residue {tuple(res)}: {poly}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -158,11 +158,12 @@ class BandRows:
                     mask = (1 << bits * length) - 1
                 row, new = 0, []
                 for s, prev in zip(self.shifts, stages):
-                    if s:
-                        prev <<= bits * s
-                    row = row + prev if row else prev
-                    if old + s > length:  # the shifted row passes the cut
-                        row &= mask
+                    if s < length:  # a row shifted to the cut or past it adds nothing
+                        if s:
+                            prev <<= bits * s
+                        row = row + prev if row else prev
+                        if old + s > length:  # the shifted row passes the cut
+                            row &= mask
                     new.append(row)
                 stages = new
                 last = (t, size, length, stages)

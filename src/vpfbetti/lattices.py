@@ -168,9 +168,6 @@ class Lattice:
             out.append(self.reduce(combo))
         return tuple(out)
 
-    def is_sublattice_of(self, other: "Lattice") -> bool:
-        return all(other.contains(b) for b in self.basis)
-
 
 def lattice_from_columns(vectors) -> Lattice:
     """Integer span of the given d-vectors; they must span Q^d."""

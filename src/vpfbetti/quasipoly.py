@@ -28,10 +28,6 @@ class FitError(RuntimeError):
     """No polynomial of the expected degree matches the counts (bad chamber or lattice)."""
 
 
-class LatticeMismatchError(ValueError):
-    """Operands are quasi-polynomials over different lattices."""
-
-
 class _Frozen:
     """Slots set once at construction; any later assignment raises."""
 
@@ -110,10 +106,6 @@ class Polynomial(_Frozen):
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
         return cls(nvars)
-
-    @classmethod
-    def constant(cls, nvars: int, value) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: value})
 
     @property
     def terms(self) -> MappingProxyType:
@@ -217,21 +209,8 @@ class QuasiPolynomial(_Frozen):
             pieces=MappingProxyType({k: table.get(k, zero) for k in keys}),
         )
 
-    def _same_lattice(self, pieces: dict) -> "QuasiPolynomial":
-        """A quasi-polynomial over self.lattice; pieces has every residue key."""
-        return QuasiPolynomial._build(lattice=self.lattice, pieces=MappingProxyType(pieces))
-
     def __reduce__(self):
         return QuasiPolynomial, (self.lattice, dict(self.pieces))
-
-    @classmethod
-    def zero(cls, lattice: Lattice) -> "QuasiPolynomial":
-        return cls(lattice, {})
-
-    @classmethod
-    def constant(cls, lattice: Lattice, value) -> "QuasiPolynomial":
-        c = Polynomial.constant(lattice.dim, value)
-        return cls(lattice, {k: c for k in lattice.residues()})
 
     def piece_at(self, u):
         key = self.lattice.reduce(u)
@@ -244,50 +223,47 @@ class QuasiPolynomial(_Frozen):
     def eval_row(self, t: int, lo: int, hi: int) -> list[int]:
         """Exact integer values at (mu, t) for lo <= mu <= hi; [] when lo > hi.
 
-        Planar lattices only; each class's piece is looked up once per row
-        period (_row_period).  A non-integer value raises FitError.
+        Planar lattices only.  Once per row period (_row_period), a class's
+        piece is looked up and t put into its integer numerators, leaving
+        integer coefficients in mu over its den for an integer Horner loop
+        at each of the class's points.  A non-integer value raises FitError.
         """
         t, lo, hi = int(t), int(lo), int(hi)
         m = _row_period(self.lattice)
         out = [0] * max(hi - lo + 1, 0)
         for first in range(lo, min(lo + m, hi + 1)):
             _, poly = self.piece_at((first, t))
+            top = max((e[0] for e in poly._nums), default=0)
+            coeffs = [0] * (top + 1)  # highest power of mu first
+            for (i, j), n in poly._nums.items():
+                coeffs[top - i] += n * t**j
+            den = poly.den
             for mu in range(first, hi + 1, m):
-                out[mu - lo] = _as_int(poly.eval((mu, t)), (mu, t))
+                acc = 0
+                for c in coeffs:
+                    acc = acc * mu + c
+                value, rest = divmod(acc, den)
+                if rest:
+                    raise FitError(f"non-integer piece value {Fraction(acc, den)} at {(mu, t)}")
+                out[mu - lo] = value
         return out
 
     def shift(self, a, c=1) -> "QuasiPolynomial":
         """r with r(x) = c * self(x - a), realized by re-keying the pieces."""
         a = tuple(int(x) for x in a)
         reduce = self.lattice.reduce
-        return self._same_lattice(
-            {
-                reduce(tuple(k + s for k, s in zip(key, a))): piece.shifted(a).scale(c)
-                for key, piece in self.pieces.items()
-            }
-        )
-
-    def scale(self, c) -> "QuasiPolynomial":
-        return self._same_lattice({k: p.scale(c) for k, p in self.pieces.items()})
+        pieces = {
+            reduce(tuple(k + s for k, s in zip(key, a))): piece.shifted(a).scale(c)
+            for key, piece in self.pieces.items()
+        }
+        return QuasiPolynomial._build(lattice=self.lattice, pieces=MappingProxyType(pieces))
 
     def add(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
+        """The pointwise sum of two quasi-polynomials over the same lattice."""
         if self.lattice != other.lattice:
-            raise LatticeMismatchError(
-                "operands use different lattices; refine to a common sublattice first"
-            )
-        theirs = other.pieces
-        return self._same_lattice({k: p + theirs[k] for k, p in self.pieces.items()})
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def restrict_to(self, sub: Lattice) -> "QuasiPolynomial":
-        """The same function presented over a full-rank sublattice."""
-        if not sub.is_sublattice_of(self.lattice):
-            raise LatticeMismatchError("target is not a sublattice")
-        return QuasiPolynomial(
-            sub, {k: self.pieces[self.lattice.reduce(k)] for k in sub.residues()}
-        )
+            raise ValueError("operands use different lattices")
+        pieces = {k: p + other.pieces[k] for k, p in self.pieces.items()}
+        return QuasiPolynomial._build(lattice=self.lattice, pieces=MappingProxyType(pieces))
 
     def __eq__(self, other) -> bool:
         return (

@@ -4,8 +4,9 @@ For a module over a bigraded ring, presented by signed shifts, the plane
 splits for t >= t0 into strips between sorted half-lines of slopes drawn
 from the generator degrees; on each strip the value is one quasi-polynomial.
 The construction here: stability threshold from pairwise line intersections,
-stable sorting of the lines, and per-strip signed sums of shifted chamber
-quasi-polynomials, with every piece oracle-checkable against hf_module.
+stable sorting of the lines, and per strip a signed list of shifted chamber
+quasi-polynomials, each read from the ring's own-lattice fits, with every
+strip oracle-checkable against hf_module.
 """
 
 from __future__ import annotations
@@ -42,11 +43,15 @@ class HalfLine:
 
 @dataclass(frozen=True, eq=False)
 class Region:
-    """Strip between consecutive sorted lines, carrying its quasi-polynomial."""
+    """Strip between consecutive sorted lines, valued by signed chamber-fit terms.
+
+    A term (i, a, c) contributes c * fits[i](u - a), where fits are the
+    decomposition's chamber fits, each over its chamber's own lattice.
+    """
 
     lower: int
     upper: int
-    piece: QuasiPolynomial
+    terms: tuple[tuple[int, tuple[int, int], int], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +64,7 @@ class RegionDecomposition:
     kappa: KappaNumerator
     degrees: tuple[int, ...]
     ray_pieces: dict = field(default_factory=dict)
+    fits: dict[int, QuasiPolynomial] = field(default_factory=dict)  # by chamber index
 
     @property
     def degenerate(self) -> bool:
@@ -153,13 +159,14 @@ def _degenerate_decomposition(kappa: KappaNumerator, d: int) -> RegionDecomposit
 
 
 def region_decomposition(kappa: KappaNumerator, degrees=None) -> RegionDecomposition:
-    """Threshold, sorted lines, and one quasi-polynomial per inter-line strip.
+    """Threshold, sorted lines, and the signed chamber-fit terms of each strip.
 
     Strips follow the half-open convention [L_i(t), L_{i+1}(t)), with the
-    last strip closed above.  Each strip's piece is the signed sum over the
+    last strip closed above.  Each strip's value is the signed sum over the
     numerator terms of the shifted chamber quasi-polynomial attributed by
     probing the strip's lower edge at t0 + 1; oracle equivalence of the
-    result is checked by the verification suite, not assumed.
+    result is checked by the verification suite, not assumed.  Every chamber
+    a term reads is fitted here, over its own lattice.
     """
     ring = kappa.ring
     if not ring.is_bigraded():
@@ -182,22 +189,16 @@ def region_decomposition(kappa: KappaNumerator, degrees=None) -> RegionDecomposi
 
     t_probe = t0 + 1
     regions = []
-    terms = {}  # (chamber, shift, coeff) -> the shifted fit over the global lattice, built once
     for i in range(len(lines) - 1):
         mu_probe = lines[i].value(t_probe)
-        piece = QuasiPolynomial.zero(lattice)
+        terms = []
         for shift, coeff in kappa.terms:
-            probe = (mu_probe - shift[0], t_probe - shift[1])
-            located = locate(chambers, probe)
-            if not located:
-                continue
-            # on a shared wall the higher chamber is the one valid on the
-            # strip above the probe line as well as on the line itself
-            key = (located[-1], shift, coeff)
-            if key not in terms:
-                terms[key] = fits[located[-1]].shift(shift, coeff).restrict_to(lattice)
-            piece = piece.add(terms[key])
-        regions.append(Region(lower=i, upper=i + 1, piece=piece))
+            located = locate(chambers, (mu_probe - shift[0], t_probe - shift[1]))
+            if located:
+                # on a shared wall the higher chamber is the one valid on the
+                # strip above the probe line as well as on the line itself
+                terms.append((located[-1], shift, coeff))
+        regions.append(Region(lower=i, upper=i + 1, terms=tuple(terms)))
     return RegionDecomposition(
         t0=t0,
         lines=lines,
@@ -206,6 +207,7 @@ def region_decomposition(kappa: KappaNumerator, degrees=None) -> RegionDecomposi
         regions=tuple(regions),
         kappa=kappa,
         degrees=E,
+        fits={idx: fits[idx] for region in regions for idx, _, _ in region.terms},
     )
 
 
@@ -220,7 +222,8 @@ def eval_row(dec: RegionDecomposition, t: int, lo: int, hi: int) -> list[int]:
     """Exact values at (mu, t) for lo <= mu <= hi; zero off the line support.
 
     Only valid in the stable range t >= t0.  Never warns: a negative value is
-    returned as it is.  Each strip reads its piece's QuasiPolynomial.eval_row.
+    returned as it is.  Each strip adds c times the row of fits[i] at
+    (mu - a_mu, t - a_t) over its terms (i, a, c).
     """
     t, lo, hi = int(t), int(lo), int(hi)
     if t < dec.t0:
@@ -239,8 +242,14 @@ def eval_row(dec: RegionDecomposition, t: int, lo: int, hi: int) -> list[int]:
     for i, region in enumerate(dec.regions):
         # half-open strip [vals[i], vals[i + 1]), the last one closed above
         start = max(vals[i], lo)
-        stop = max(start, min(vals[i + 1] + (i == last), hi + 1))
-        out[start - lo:stop - lo] = region.piece.eval_row(t, start, stop - 1)
+        stop = min(vals[i + 1] + (i == last), hi + 1)
+        if start >= stop:
+            continue
+        for idx, (a_mu, a_t), c in region.terms:
+            row = dec.fits[idx].eval_row(t - a_t, start - a_mu, stop - 1 - a_mu)
+            out[start - lo:stop - lo] = [
+                v + c * w for v, w in zip(out[start - lo:stop - lo], row)
+            ]
     return out
 
 

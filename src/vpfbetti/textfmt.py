@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 
 from .lattices import Lattice
-from .quasipoly import Polynomial, QuasiPolynomial
+from .quasipoly import Polynomial
 from .regions import RegionDecomposition
 
 
@@ -60,14 +60,25 @@ def lattice_dict(L: Lattice) -> dict:
     return {"basis": [list(b) for b in L.basis], "det": L.det}
 
 
-def qp_dict(q: QuasiPolynomial) -> dict:
-    return {
-        "lattice": lattice_dict(q.lattice),
-        "pieces": [
-            {"residue": list(res), "poly": poly_dict(q.pieces[res])}
-            for res in sorted(q.pieces)
-        ],
-    }
+def region_pieces(dec: RegionDecomposition):
+    """Each region of dec with its sorted (residue, Polynomial) pieces over dec.lattice.
+
+    A region's value is the signed sum of its terms' shifted chamber fits.
+    The global lattice refines every chamber lattice, so each of its
+    residues sums one piece of every term.  Each distinct term is shifted
+    once, with QuasiPolynomial.shift; regions are yielded one at a time.
+    """
+    shifted = {}
+    residues = sorted(dec.lattice.residues()) if dec.regions else ()
+    for region in dec.regions:
+        for idx, a, c in region.terms:
+            if (idx, a, c) not in shifted:
+                shifted[idx, a, c] = dec.fits[idx].shift(a, c)
+        parts = [shifted[term] for term in region.terms]
+        yield region, [
+            (res, sum((q.pieces[q.lattice.reduce(res)] for q in parts), Polynomial.zero(2)))
+            for res in residues
+        ]
 
 
 def line_dict(line) -> dict:
@@ -94,8 +105,10 @@ def decomposition_dict(dec: RegionDecomposition) -> dict:
         ]
     else:
         out["regions"] = [
-            {"lower": r.lower, "upper": r.upper, "pieces": qp_dict(r.piece)["pieces"]}
-            for r in dec.regions
+            {"lower": r.lower, "upper": r.upper, "pieces": [
+                {"residue": list(res), "poly": poly_dict(p)} for res, p in pieces
+            ]}
+            for r, pieces in region_pieces(dec)
         ]
     return out
 

@@ -4,10 +4,11 @@ brute_count enumerates solutions directly and shares no code with the
 library's dynamic programs, poly_eval_reference evaluates a polynomial
 term by term in Fractions, independently of the integer-numerator
 representation the library stores, and eval_betti_reference evaluates a
-region decomposition one point at a time by searching its strips, apart
-from the library's row evaluator.  ring_fits_reference fits every chamber
-of a ring up front over the global lattice, the eager path the library's
-lazy own-lattice fits must agree with once presented over it.  The
+region decomposition one point at a time by searching its strips and
+summing its terms through the Fraction path QuasiPolynomial.eval, apart
+from the library's integer row evaluator.  ring_fits_reference fits every
+chamber of a ring up front over the global lattice, the eager path the
+library's lazy own-lattice fits must agree with on every global residue.  The
 closed-form fixtures reproduce the traditionally quoted piecewise tables for
 the worked example with generator degrees (2, 3, 6); the first-syzygy table
 is kept verbatim, including its two known defects, so tests can pin down
@@ -58,7 +59,8 @@ def eval_betti_reference(dec, mu, t):
 
     Half-open strips [L_i(t), L_{i+1}(t)), the last closed above; a
     single-degree decomposition carries one polynomial in t per ray
-    mu = d*t + b.  Each point reduces its own residue class.
+    mu = d*t + b.  A strip's term (i, a, c) adds c * fits[i].eval(u - a),
+    each reducing its own residue class.
     """
     if dec.degenerate:
         poly = dec.ray_pieces.get(mu - dec.degrees[0] * t)
@@ -71,7 +73,8 @@ def eval_betti_reference(dec, mu, t):
             (i for i in range(len(vals) - 1) if vals[i] <= mu < vals[i + 1]),
             len(vals) - 2,  # mu == vals[-1]: the last strip is closed above
         )
-        value = dec.regions[idx].piece.eval((mu, t))
+        terms = dec.regions[idx].terms
+        value = sum((c * dec.fits[i].eval((mu - a[0], t - a[1])) for i, a, c in terms), Fraction(0))
     assert value.denominator == 1, (value, mu, t)
     return int(value)
 

@@ -83,6 +83,12 @@ def test_count_widely_spread_degrees_near_the_band_edge(capsys, degrees, point):
     assert rc == 0 and out.strip() == "1"
 
 
+def test_count_degree_spread_past_any_allocation(capsys):
+    # shifting a row by 10**20 offsets cannot be allocated; the cut row needs none
+    rc, out, err = run(capsys, "count", "--degrees", "1,100000000000000000000", "3,2")
+    assert (rc, out, err) == (0, "0\n", "")
+
+
 def test_count_bad_point(capsys):
     rc, _, err = run(capsys, "count", "--degrees", "2,3", "a,b")
     assert rc == 2
@@ -397,6 +403,28 @@ SHIFTS = st.fixed_dictionaries(
     {"a": st.lists(st.integers(-2, 12), min_size=1, max_size=3), "c": COEFFS}
 )
 UNIT = {"index": 0, "shifts": [{"a": [0, 0], "c": 1}]}
+ENTRIES = st.one_of(st.integers(0, 12), st.integers(-2, 10**20))
+# --matrix documents: equal rows of JSON integers, bigraded ones with a wide
+# degree spread among them, then ragged or empty rows, non-integer entries
+# and other shapes
+MATRIX_DOCS = st.one_of(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=1, max_size=3)
+    ).map(lambda rows: {"rows": rows}),
+    st.lists(ENTRIES, min_size=1, max_size=3).map(lambda ds: {"rows": [ds, [1] * len(ds)]}),
+    st.fixed_dictionaries(
+        {
+            "rows": st.lists(
+                st.lists(
+                    st.one_of(ENTRIES, st.floats(-2, 2), st.booleans(), st.text(max_size=2)),
+                    max_size=3,
+                ),
+                max_size=3,
+            )
+        }
+    ),
+    st.sampled_from([[], {}, {"rows": "12"}, {"rows": [1, 2]}, {"rows": None}, "rows", 3]),
+)
 # documents that pass the schema but carry arbitrary shift data
 PLAUSIBLE_DOCS = st.fixed_dictionaries(
     {
@@ -465,8 +493,11 @@ def cli_calls(draw, spec_path):
         argv.append(draw(st.sampled_from(["4.7", "4.8", ""])))
     else:
         # a spec file only where the command takes one, and sometimes no input at all
-        source = draw(st.sampled_from(["spec", "degrees", "degrees", None]))
-        if source == "spec" and command in ("hilbert", "regions", "verify"):
+        source = draw(st.sampled_from(["spec", "matrix", "degrees", "degrees", None]))
+        if source in ("spec", "matrix") and command == "count":
+            spec_path.write_text(json.dumps(draw(MATRIX_DOCS)))
+            argv.append(f"--matrix={spec_path}")
+        elif source == "spec" and command in ("hilbert", "regions", "verify"):
             spec_path.write_text(json.dumps(draw(st.one_of(PLAUSIBLE_DOCS, WILD_DOCS))))
             argv.append(f"--spec={spec_path}")
         elif source:  # "=" reads a leading minus as part of the value

@@ -259,23 +259,31 @@ def test_fit_cache_is_keyed_by_sorted_degrees(fresh_tables):
     [(2, 3, 6), (2, 3, 6, 7), (2, 3, 4, 5, 6), (4, 9, 13), (6, 10, 15), (4, 7, 9), (5, 8)],
 )
 def test_lazy_fits_equal_the_eager_global_fits(degrees, fresh_tables):
-    # each fit is cached over its chamber's own lattice, and is the eager
-    # global fit once presented over the global lattice
+    # each fit is cached over its chamber's own lattice, and every global
+    # residue reads the eager global fit's piece from the class it falls in
     chambers, lattice, fits = _ring_chamber_data(degrees)
     want = ring_fits_reference(degrees)
     assert len(chambers) == len(want)
     for i, ref in enumerate(want):
         assert fits[i].lattice == chambers[i].lattice
-        assert fits[i].restrict_to(lattice) == ref
+        for k in lattice.residues():
+            assert fits[i].pieces[fits[i].lattice.reduce(k)] == ref.pieces[k]
 
 
 def test_a_ring_query_makes_no_global_copy(monkeypatch, fresh_tables):
-    def no_copy(self, sub):
-        raise AssertionError("a ring query presented a fit over another lattice")
+    # the one quasi-polynomial a ring query builds is its chamber's fit
+    built = []
+    real = QuasiPolynomial._build.__func__
 
-    monkeypatch.setattr(QuasiPolynomial, "restrict_to", no_copy)
+    def build(cls, **fields):
+        built.append(fields["lattice"])
+        return real(cls, **fields)
+
+    monkeypatch.setattr(QuasiPolynomial, "_build", classmethod(build))
     res = hf_bigraded_ring((2, 3, 6, 7, 11), (30, 10))
     assert res == RingHilbertValue(7, 0, (30, 10))
+    chambers, lattice, _ = _ring_chamber_data((2, 3, 6, 7, 11))
+    assert built == [chambers[0].lattice] and lattice.det == 21600
 
 
 def counting_fits(monkeypatch):

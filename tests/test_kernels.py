@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -88,6 +89,18 @@ def test_rows_stop_at_largest_offset_asked():
     assert band.cap == 10 and [len(row) for row in band.rows] == [1] + [11] * 12
     for t, row in enumerate(band.rows):
         assert list(row.unpack()) == [brute_count(cols, (t + k, t)) for k in range(len(row))]
+
+
+def test_a_shift_past_the_cut_allocates_nothing(fresh_tables):
+    # row t of (1, 10**8) is cut at offset 1, and the second column's shift
+    # of 10**8 - 1 lands past it, so nothing is shifted that far
+    tracemalloc.start()
+    try:
+        value = count(DegreeMatrix.bigraded([1, 10**8]), (3, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 0 and peak < 2**20
 
 
 def test_wide_window_stays_inside_the_budget(monkeypatch, fresh_tables):

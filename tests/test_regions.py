@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import warnings
 from fractions import Fraction
@@ -8,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import eval_betti_reference
+from vpfbetti import hilbert, textfmt
 from vpfbetti.counting import DegreeMatrix
 from vpfbetti.hilbert import DataIntegrityWarning, KappaNumerator, hf_module
 from vpfbetti.quasipoly import FitError, Polynomial, QuasiPolynomial
@@ -153,15 +153,23 @@ def test_line_ordering_random_instances():
 
 
 def test_region_piece_key_depends_on_residue_only():
+    # the rendered piece of u's global residue is the strip's terms summed at
+    # u, and the same key selects it at u + 2 * (a basis vector)
     dec = decomposition(1)
     rng = random.Random(4)
     lat = dec.lattice
-    for region in dec.regions:
+    for region, pieces in textfmt.region_pieces(dec):
+        pieces = dict(pieces)
+        assert len(pieces) == lat.det
         for _ in range(20):
             u = (rng.randint(-20, 80), rng.randint(-10, 20))
             lam = rng.choice(lat.basis)
             v = tuple(a + 2 * b for a, b in zip(u, lam))
-            assert region.piece.piece_at(u)[0] == region.piece.piece_at(v)[0]
+            assert lat.reduce(u) == lat.reduce(v)
+            terms = sum(
+                c * dec.fits[i].eval((u[0] - a[0], u[1] - a[1])) for i, a, c in region.terms
+            )
+            assert pieces[lat.reduce(u)].eval(u) == terms
 
 
 def test_total_betti_tor0():
@@ -243,10 +251,10 @@ def test_first_region_mod_selector():
     # (a * t - mu) mod D for the region's lower-line slope a; grouping the
     # stored pieces by that selector must collapse them to equal polynomials
     dec = decomposition(0)
-    region = dec.regions[0]  # [2t, 3t)
+    region, pieces = next(textfmt.region_pieces(dec))  # [2t, 3t)
     a = dec.lines[region.lower].slope
     groups = {}
-    for res, piece in region.piece.pieces.items():
+    for res, piece in pieces:
         key = (a * res[1] - res[0]) % dec.modulus
         groups.setdefault(key, set()).add(frozenset(piece.terms.items()))
     assert all(len(v) == 1 for v in groups.values())
@@ -291,18 +299,22 @@ def test_eval_row_returns_negative_values_without_warning():
     assert min(row) < 0
 
 
-def test_eval_row_rejects_a_non_integer_piece():
+def test_eval_row_rejects_a_non_integer_piece(monkeypatch, fresh_tables):
+    # one residue class of the first chamber's cached fit is worth 1/2
+    fits = hilbert._ring_data((2, 3, 6))[2]
+    real = fits[0]
+    res = real.lattice.residues()[0]
+    half = Polynomial(2, {(0, 0): Fraction(1, 2)})
+    broken = QuasiPolynomial(real.lattice, {**real.pieces, res: half})
+    monkeypatch.setattr(fits, "_fits", [broken, *fits._fits[1:]])
     dec = decomposition(1)
-    half = QuasiPolynomial.constant(dec.lattice, Fraction(1, 2))
-    broken = dataclasses.replace(
-        dec, regions=tuple(dataclasses.replace(r, piece=half) for r in dec.regions)
-    )
-    t = dec.t0
     with pytest.raises(FitError, match="non-integer piece value 1/2"):
-        eval_row(broken, t, *row_support(dec, t))
+        for t in range(dec.t0, dec.t0 + 12):
+            eval_row(dec, t, *row_support(dec, t))
 
 
-def test_decomposition_shifts_each_term_once(monkeypatch, fresh_tables):
+def test_decomposition_and_rows_shift_no_term(monkeypatch, fresh_tables):
+    # (2,3,6,7) has global det 240; strips read the fits over their own lattices
     calls = []
     real = QuasiPolynomial.shift
 
@@ -311,10 +323,12 @@ def test_decomposition_shifts_each_term_once(monkeypatch, fresh_tables):
         return real(self, a, c)
 
     monkeypatch.setattr(QuasiPolynomial, "shift", shift)
-    dec = region_decomposition(SPEC236.tor(1))
-    assert len(calls) == 8
-    monkeypatch.setattr(QuasiPolynomial, "shift", real)
+    ring = DegreeMatrix.bigraded([2, 3, 6, 7])
+    kappa = KappaNumerator.from_terms(ring, [((5, 1), 1), ((9, 1), 1), ((14, 2), -1)])
+    dec = region_decomposition(kappa)
+    assert dec.modulus == 240
     for t in range(dec.t0, dec.t0 + 12):
         lo, hi = row_support(dec, t)
-        want = [hf_module(SPEC236.tor(1), (mu, t)) for mu in range(lo, hi + 1)]
+        want = [hf_module(kappa, (mu, t)) for mu in range(lo, hi + 1)]
         assert eval_row(dec, t, lo, hi) == want
+    assert calls == []
