@@ -55,7 +55,6 @@ def chamber_complex_2xn(degrees) -> tuple[Chamber, ...]:
             "case is supported only through direct counting"
         )
     chambers = []
-    lattice_cache: dict[tuple[int, int], Lattice] = {}
     for lo, hi in zip(distinct, distinct[1:]):
         index_set = tuple(
             (i, j)
@@ -65,13 +64,10 @@ def chamber_complex_2xn(degrees) -> tuple[Chamber, ...]:
             and min(degrees[i], degrees[j]) <= lo
             and max(degrees[i], degrees[j]) >= hi
         )
+        # repeated degrees repeat a pair lattice; intersect each distinct one once
         lat = None
-        for i, j in index_set:
-            key = (min(degrees[i], degrees[j]), max(degrees[i], degrees[j]))
-            piece = lattice_cache.get(key)
-            if piece is None:
-                piece = pair_lattice(*key)
-                lattice_cache[key] = piece
+        for pair in sorted({(degrees[i], degrees[j]) for i, j in index_set}):
+            piece = pair_lattice(*pair)
             lat = piece if lat is None else lattice_intersect(lat, piece)
         chambers.append(
             Chamber(

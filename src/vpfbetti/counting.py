@@ -17,6 +17,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import index
 
 from . import kernels
 from .lattices import IntMatrix
@@ -31,7 +32,7 @@ class DegreeMatrix:
 
     @classmethod
     def from_columns(cls, columns, dim=None) -> "DegreeMatrix":
-        cols = tuple(tuple(int(x) for x in c) for c in columns)
+        cols = tuple(tuple(index(x) for x in c) for c in columns)
         if cols:
             dim = len(cols[0])
             if any(len(c) != dim for c in cols):
@@ -43,12 +44,12 @@ class DegreeMatrix:
                 raise ValueError("degree entries must be nonnegative")
             if all(x == 0 for x in c):
                 raise ValueError("zero column makes the grading non-positive")
-        return cls(int(dim), cols)
+        return cls(index(dim), cols)
 
     @classmethod
     def bigraded(cls, degrees) -> "DegreeMatrix":
         """Columns (d_i, 1) for a Z^2-graded polynomial ring."""
-        return cls.from_columns([(int(d), 1) for d in degrees])
+        return cls.from_columns([(index(d), 1) for d in degrees])
 
     @property
     def size(self) -> int:
@@ -137,7 +138,7 @@ def _oracle(A: DegreeMatrix):
 
 def count(A: DegreeMatrix, u) -> int:
     """Number of lambda in N^n with A . lambda = u; zero outside the cone."""
-    u = tuple(int(x) for x in u)
+    u = tuple(index(x) for x in u)
     if len(u) != A.dim:
         raise ValueError("point dimension mismatch")
     if not A.columns:
@@ -147,7 +148,7 @@ def count(A: DegreeMatrix, u) -> int:
 
 def series_coeffs(A: DegreeMatrix, bound) -> dict[tuple[int, ...], int]:
     """All coefficients of prod 1/(1 - t^{a_j}) for 0 <= u <= bound."""
-    bound = tuple(int(b) for b in bound)
+    bound = tuple(index(b) for b in bound)
     if len(bound) != A.dim:
         raise ValueError("bound dimension mismatch")
     if any(b < 0 for b in bound):

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
-from operator import add, mul, neg, sub
+from operator import add, index, mul, neg, sub
 
 from . import kernels
 from .chambers import chamber_complex_2xn, global_lattice, locate
@@ -37,10 +37,10 @@ class KappaNumerator:
     def from_terms(cls, ring: DegreeMatrix, terms) -> "KappaNumerator":
         merged: dict[tuple[int, ...], int] = {}
         for shift, coeff in dict(terms).items() if isinstance(terms, dict) else terms:
-            shift = tuple(int(x) for x in shift)
+            shift = tuple(index(x) for x in shift)
             if len(shift) != ring.dim:
                 raise ValueError("shift dimension mismatch")
-            merged[shift] = merged.get(shift, 0) + int(coeff)
+            merged[shift] = merged.get(shift, 0) + index(coeff)
         clean = tuple(
             (shift, c) for shift, c in sorted(merged.items()) if c != 0
         )
@@ -51,7 +51,7 @@ class KappaNumerator:
         return tuple(s for s, _ in self.terms)
 
     def coefficient(self, shift) -> int:
-        shift = tuple(int(x) for x in shift)
+        shift = tuple(index(x) for x in shift)
         for s, c in self.terms:
             if s == shift:
                 return c
@@ -68,7 +68,7 @@ class KappaNumerator:
 
 def hf_module(kappa: KappaNumerator, u) -> int:
     """Hilbert function value sum_a c_a * count(ring, u - a), exact."""
-    u = tuple(int(x) for x in u)
+    u = tuple(index(x) for x in u)
     total = 0
     for shift, coeff in kappa.terms:
         total += coeff * count(kappa.ring, tuple(a - b for a, b in zip(u, shift)))
@@ -125,18 +125,26 @@ def series_identity_check(kappa: KappaNumerator, bound) -> bool:
     from the lowest shift, below which every value is zero, up to bound, so
     the product is exact on it.  Bigraded rings only.
     """
-    bound = tuple(int(b) for b in bound)
+    bound = tuple(index(b) for b in bound)
     lo = tuple(min((a[i] for a in kappa.shifts), default=0) for i in (0, 1))
-    g = hf_grid(kappa, lo, bound)
-    w = len(g[0]) if g else 0
+    return _series_identity(kappa, hf_grid(kappa, lo, bound), lo)
+
+
+def _series_identity(kappa: KappaNumerator, g, lo) -> bool:
+    """The series identity on the value grid g of kappa, with g[0][0] at lo.
+
+    Exact when lo is at or below the lowest shift in both coordinates.  The
+    product is taken in place, so g is consumed.
+    """
+    h, w = len(g), len(g[0]) if g else 0
     for d in kappa.ring.degrees:
         if d < w:
-            for i in range(len(g) - 1, 0, -1):  # from the top, so row i - 1 is still unchanged
+            for i in range(h - 1, 0, -1):  # from the top, so row i - 1 is still unchanged
                 row = g[i]
                 row[d:] = map(sub, islice(row, d, None), g[i - 1])
     want = [[0] * w for _ in g]
     for (a_mu, a_t), c in kappa.terms:
-        if a_mu <= bound[0] and a_t <= bound[1]:
+        if a_mu - lo[0] < w and a_t - lo[1] < h:
             want[a_t - lo[1]][a_mu - lo[0]] = c
     return g == want
 
@@ -188,7 +196,7 @@ _RINGS_LOCK = threading.Lock()  # lru_cache alone may build a ring twice on conc
 def _ring_data(degrees):
     """`_ring_chamber_data` of the ring with these degrees in any order, built once."""
     with _RINGS_LOCK:
-        return _ring_chamber_data(tuple(sorted(int(d) for d in degrees)))
+        return _ring_chamber_data(tuple(sorted(index(d) for d in degrees)))
 
 
 def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
@@ -198,7 +206,7 @@ def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
     closure contains u and the residue class that selected the polynomial
     piece; outside the positive cone the value is 0 with no attribution.
     """
-    u = (int(u[0]), int(u[1]))
+    u = (index(u[0]), index(u[1]))
     chambers, lattice, fits = _ring_data(degrees)
     located = locate(chambers, u)
     if not located:

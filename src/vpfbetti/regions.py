@@ -158,7 +158,7 @@ def _degenerate_decomposition(kappa: KappaNumerator, d: int) -> RegionDecomposit
     )
 
 
-def region_decomposition(kappa: KappaNumerator, degrees=None) -> RegionDecomposition:
+def region_decomposition(kappa: KappaNumerator) -> RegionDecomposition:
     """Threshold, sorted lines, and the signed chamber-fit terms of each strip.
 
     Strips follow the half-open convention [L_i(t), L_{i+1}(t)), with the
@@ -172,8 +172,6 @@ def region_decomposition(kappa: KappaNumerator, degrees=None) -> RegionDecomposi
     if not ring.is_bigraded():
         raise ValueError("region decompositions require a bigraded ring")
     E = tuple(sorted(set(ring.degrees)))
-    if degrees is not None and tuple(sorted(set(int(x) for x in degrees))) != E:
-        raise ValueError("degree set does not match the ring of the numerator")
     if kappa.is_zero():
         return RegionDecomposition(
             t0=1, lines=(), modulus=1, lattice=None, regions=(),

@@ -10,7 +10,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 
-from .hilbert import hf_grid, series_identity_check
+from .hilbert import _series_identity, hf_grid
 from .regions import RegionDecomposition, eval_row, region_decomposition, row_support
 from .rees import ToriSpec, serialize
 
@@ -77,10 +77,13 @@ def _unsorted(values) -> bool:
     return any(b < a for a, b in zip(values, values[1:]))
 
 
-def check_decomposition(dec: RegionDecomposition, tmax: int):
-    """Oracle equivalence, support exactness, and line ordering up to tmax."""
+def check_decomposition(dec: RegionDecomposition, tmax: int, grid, origin):
+    """Oracle equivalence, support exactness, and line ordering up to tmax.
+
+    The oracle is the value grid with grid[t - origin[1]][mu - origin[0]] at
+    (mu, t); it must hold every band row, or this raises ValueError.
+    """
     checks = []
-    kappa = dec.kappa
     if tmax < dec.t0:
         checks.append(
             CheckResult(
@@ -93,13 +96,15 @@ def check_decomposition(dec: RegionDecomposition, tmax: int):
 
     supports = [(t, *row_support(dec, t)) for t in range(dec.t0, tmax + 1)]
     bands = [(t, lo - GRID_PAD, hi + GRID_PAD) for t, lo, hi in supports]
-    mu_lo = min(lo for _, lo, _ in bands)
-    want_grid = hf_grid(kappa, (mu_lo, dec.t0), (max(hi for _, _, hi in bands), tmax))
+    mu0, g_t0 = origin
+    lo, hi = min(b[1] for b in bands), max(b[2] for b in bands)
+    if dec.t0 < g_t0 or tmax >= g_t0 + len(grid) or lo < mu0 or hi >= mu0 + len(grid[0]):
+        raise ValueError(f"band rows mu={lo}..{hi}, t={dec.t0}..{tmax} leave the value grid")
     equiv_witness = None
     support_witness = None
     negative_witness = None
     for t, lo, hi in bands:
-        wants = want_grid[t - dec.t0][lo - mu_lo: hi - mu_lo + 1]
+        wants = grid[t - g_t0][lo - mu0: hi - mu0 + 1]
         for mu, got, want in zip(range(lo, hi + 1), eval_row(dec, t, lo, hi), wants):
             if got != want and equiv_witness is None:
                 equiv_witness = (mu, t, got, want)
@@ -174,22 +179,23 @@ def verify_spec(spec: ToriSpec, tmax: int) -> RunReport:
                 )
             )
             continue
-        mu_bound = max_deg * tmax + max((s[0] for s, _ in kappa.terms), default=0) + 5
-        ok = series_identity_check(kappa, (mu_bound, tmax))
-        report.checks.append(
-            CheckResult(
-                f"{prefix}: series identity",
-                ok,
-                detail=f"coefficients up to ({mu_bound}, {tmax})",
-            )
-        )
+        # one grid per index: the oracle checks read it, then the identity
+        # certifies it, last because its product runs in place
+        shifts = kappa.shifts
+        mu_bound = max_deg * tmax + max((a[0] for a in shifts), default=0) + GRID_PAD
+        origin = (min((a[0] for a in shifts), default=0) - GRID_PAD,
+                  min((a[1] for a in shifts), default=0))
+        grid = hf_grid(kappa, origin, (mu_bound, tmax))
         if kappa.is_zero():
-            report.checks.append(
-                CheckResult(f"{prefix}: decomposition", True, detail="empty numerator")
-            )
-            continue
-        dec = region_decomposition(kappa)
-        for check in check_decomposition(dec, tmax):
+            checks = [CheckResult("decomposition", True, detail="empty numerator")]
+        else:
+            checks = check_decomposition(region_decomposition(kappa), tmax, grid, origin)
+        identity = CheckResult(
+            "series identity",
+            _series_identity(kappa, grid, origin),
+            detail=f"coefficients up to ({mu_bound}, {tmax})",
+        )
+        for check in [identity, *checks]:
             check.name = f"{prefix}: {check.name}"
             report.checks.append(check)
     report.duration_s = time.perf_counter() - start

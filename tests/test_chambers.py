@@ -33,6 +33,14 @@ def test_chambers_duplicates_collapse():
     assert set(chambers[0].index_set) == {(0, 3), (1, 3), (2, 3)}
 
 
+def test_repeated_degrees_keep_the_chamber_lattices():
+    # a repeated degree repeats pair lattices but adds none
+    repeated = chamber_complex_2xn([1, 1, 1, 2, 2, 3, 3, 3, 7])
+    distinct = chamber_complex_2xn([1, 2, 3, 7])
+    assert [c.lattice for c in repeated] == [c.lattice for c in distinct]
+    assert [c.lattice.det for c in distinct] == [6, 30, 60]
+
+
 def test_chambers_need_sorted_input():
     with pytest.raises(ValueError):
         chamber_complex_2xn([3, 2, 6])

@@ -2,6 +2,7 @@ import random
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,24 @@ TOR1 = KappaNumerator.from_terms(
 def test_unit_numerator_is_count():
     unit = KappaNumerator.from_terms(RING, [((0, 0), 1)])
     assert hf_module(unit, (23, 9)) == count(RING, (23, 9)) == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count(RING, (5.9, 2)),
+        lambda: hf_module(TOR1, (Fraction(57, 2), 10)),
+        lambda: hf_bigraded_ring((2, 3, 6), (12.9, 2.5)),
+        lambda: hf_bigraded_ring((2.5, 3), (12, 2)),
+        lambda: DegreeMatrix.bigraded([2.5, 3]),
+        lambda: DegreeMatrix.from_columns([(2, Fraction(1))]),
+        lambda: KappaNumerator.from_terms(RING, [((5, 1.0), 1)]),
+        lambda: KappaNumerator.from_terms(RING, [((5, 1), 1.5)]),
+    ],
+)
+def test_non_integer_inputs_raise_instead_of_truncating(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_tor1_value():

@@ -221,11 +221,6 @@ def test_region_decomposition_requires_bigraded():
         region_decomposition(kappa)
 
 
-def test_region_decomposition_degree_set_checked():
-    with pytest.raises(ValueError):
-        region_decomposition(SPEC236.tor(1), degrees=(2, 3))
-
-
 def test_eval_betti_negative_data_warns():
     ring = DegreeMatrix.bigraded([2, 3, 6])
     bad = KappaNumerator.from_terms(ring, [((0, 0), 1), ((2, 1), -2)])

@@ -3,6 +3,10 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
+from vpfbetti import hilbert, verify
+from vpfbetti.hilbert import hf_grid
 from vpfbetti.rees import ci_shifts, ingest, serialize
 from vpfbetti.regions import region_decomposition
 from vpfbetti.verify import check_decomposition, verify_spec
@@ -28,7 +32,9 @@ def report_without_duration(spec, tmax):
 def test_check_decomposition_leaves_warning_filters_alone(monkeypatch):
     # the filters are process-wide: a check that changes them races with
     # every other thread, so it must not touch them at all
-    dec = region_decomposition(sign_flipped_236().tor(1))
+    kappa = sign_flipped_236().tor(1)
+    dec = region_decomposition(kappa)
+    grid = hf_grid(kappa, (0, 1), (80, 10))
 
     def refuse(*args, **kwargs):
         raise AssertionError("process-wide warning filters touched")
@@ -37,9 +43,34 @@ def test_check_decomposition_leaves_warning_filters_alone(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(warnings, "catch_warnings", refuse)
         patch.setattr(warnings, "simplefilter", refuse)
-        checks = {c.name: c for c in check_decomposition(dec, 10)}
+        checks = {c.name: c for c in check_decomposition(dec, 10, grid, (0, 1))}
     assert not checks["nonnegative values"].passed
     assert checks["nonnegative values"].witness == (13, 5, -1)
+
+
+def test_check_decomposition_refuses_a_grid_short_of_a_band_row():
+    kappa = sign_flipped_236().tor(1)
+    dec = region_decomposition(kappa)
+    for lo, hi in [((0, 1), (60, 10)), ((10, 1), (80, 10)), ((0, 1), (80, 9))]:
+        with pytest.raises(ValueError, match="leave the value grid"):
+            check_decomposition(dec, 10, hf_grid(kappa, lo, hi), lo)
+
+
+def test_verify_spec_builds_one_grid_per_index(monkeypatch):
+    # the series identity and the oracle checks share one grid per index
+    calls = []
+
+    def counted(kappa, lo, hi):
+        calls.append((lo, hi))
+        return hf_grid(kappa, lo, hi)
+
+    for module in (hilbert, verify):
+        monkeypatch.setattr(module, "hf_grid", counted)
+    spec = ci_shifts((2, 3, 6))
+    report = verify_spec(spec, 20)
+    assert report.passed
+    assert calls == [((-5, 0), (125, 20)), ((0, 1), (136, 20)), ((6, 1), (136, 20))]
+    assert len(calls) == len(spec.tors)
 
 
 def test_verify_spec_from_eight_threads(fresh_tables):
