@@ -202,6 +202,13 @@ def _cmd_regions(args) -> int:
     if args.format == "svg":
         _emit(regions_svg(dec, args.tmax), args.out)
         return 0
+    if args.format == "csv" and dec.degenerate:
+        rows = ["intercept,line,poly"]
+        for b, poly in sorted(dec.ray_pieces.items()):
+            line = textfmt.line_str(dec.degrees[0], b)
+            rows.append(f"{b},{line},\"{textfmt.poly_str(poly, ('t',))}\"")
+        _emit("\n".join(rows) + "\n", args.out)
+        return 0
     if args.format == "csv":
         rows = ["region,lower,upper,residue,poly"]
         for r, pieces in textfmt.region_pieces(dec):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .counting import DegreeMatrix
 from .hilbert import KappaNumerator
+from .textfmt import dumps_canonical
 
 
 class SpecFormatError(ValueError):
@@ -132,7 +133,7 @@ def to_document(spec: ToriSpec) -> dict:
 
 def serialize(spec: ToriSpec) -> str:
     """Canonical JSON text: sorted keys, reduced entries, newline-terminated."""
-    return json.dumps(to_document(spec), sort_keys=True, indent=2) + "\n"
+    return dumps_canonical(to_document(spec))
 
 
 def _expect_keys(obj, keys, where):

@@ -8,7 +8,10 @@ region decomposition one point at a time by searching its strips and
 summing its terms through the Fraction path QuasiPolynomial.eval, apart
 from the library's integer row evaluator.  ring_fits_reference fits every
 chamber of a ring up front over the global lattice, the eager path the
-library's lazy own-lattice fits must agree with on every global residue.  The
+library's lazy own-lattice fits must agree with on every global residue.
+region_pieces_reference sums a region's shifted terms with Polynomial.__add__,
+apart from the integer-numerator sums textfmt renders, and poly_dict_reference
+and poly_str_reference render a polynomial from its Fraction coefficients.  The
 closed-form fixtures reproduce the traditionally quoted piecewise tables for
 the worked example with generator degrees (2, 3, 6); the first-syzygy table
 is kept verbatim, including its two known defects, so tests can pin down
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 from vpfbetti.chambers import chamber_complex_2xn, global_lattice
 from vpfbetti.counting import DegreeMatrix
-from vpfbetti.quasipoly import fit_chamber_qp
+from vpfbetti.quasipoly import Polynomial, fit_chamber_qp
 
 
 def brute_count(columns, u):
@@ -85,6 +88,49 @@ def ring_fits_reference(degrees):
     ring = DegreeMatrix.bigraded(degrees)
     lattice = global_lattice(degrees)
     return [fit_chamber_qp(ring, c, lattice) for c in chamber_complex_2xn(degrees)]
+
+
+def region_pieces_reference(dec):
+    """(region, [(residue, Polynomial)]) for every region, each piece a Polynomial sum."""
+    residues = sorted(dec.lattice.residues()) if dec.regions else ()
+    out = []
+    for region in dec.regions:
+        parts = [dec.fits[i].shift(a, c) for i, a, c in region.terms]
+        out.append((region, [
+            (res, sum((q.pieces[q.lattice.reduce(res)] for q in parts), Polynomial.zero(2)))
+            for res in residues
+        ]))
+    return out
+
+
+def _fraction_str(f):
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def poly_dict_reference(p):
+    terms = p.terms
+    return {"terms": [{"exp": list(e), "coeff": _fraction_str(terms[e])} for e in sorted(terms)]}
+
+
+def poly_str_reference(p, names):
+    """'1/4*mu - 1/2*t + 1' from the Fraction coefficients, highest degree first."""
+    terms = p.terms
+    if not terms:
+        return "0"
+    bits = []
+    for exp in sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
+        coeff = terms[exp]
+        mono = "*".join(names[i] + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e)
+        if not mono:
+            bits.append(_fraction_str(coeff))
+        elif coeff in (1, -1):
+            bits.append(mono if coeff == 1 else f"-{mono}")
+        else:
+            bits.append(f"{_fraction_str(coeff)}*{mono}")
+    out = bits[0]
+    for b in bits[1:]:
+        out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
+    return out
 
 
 def P_formula(x, y):

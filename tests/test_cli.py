@@ -375,6 +375,16 @@ def test_regions_degenerate_single_degree(capsys):
     assert "mu = 1t + 1" in out
 
 
+def test_regions_degenerate_csv_lists_the_rays(capsys, tmp_path):
+    spec = tmp_path / "ray.json"
+    spec.write_text(json.dumps({"generators": [[2, 1]], "tor": [
+        {"index": 1, "shifts": [{"a": [0, 0], "c": 1}, {"a": [4, 1], "c": -1}]},
+    ]}))
+    rc, out, _ = run(capsys, "regions", "--spec", str(spec), "--index", "1", "--format", "csv")
+    assert rc == 0
+    assert out == 'intercept,line,poly\n0,mu = 2t,"1"\n2,mu = 2t + 2,"-1"\n'
+
+
 def test_regions_degenerate_svg(capsys, tmp_path):
     target = tmp_path / "ray.svg"
     rc, _, _ = run(
