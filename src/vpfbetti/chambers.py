@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .lattices import Lattice, lattice_from_columns, lattice_intersect
 
@@ -45,7 +46,7 @@ def chamber_complex_2xn(degrees) -> tuple[Chamber, ...]:
     chamber walls); the index sets still refer to the original column
     positions, duplicates included.
     """
-    degrees = [int(d) for d in degrees]
+    degrees = [index(d) for d in degrees]
     if any(b < a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("degrees must be nondecreasing")
     distinct = sorted(set(degrees))
@@ -87,8 +88,8 @@ def chamber_from_generators(g1, g2) -> Chamber:
     generator ray and positive on the other; the attached lattice is the span
     of the generators.
     """
-    g1 = (int(g1[0]), int(g1[1]))
-    g2 = (int(g2[0]), int(g2[1]))
+    g1 = (index(g1[0]), index(g1[1]))
+    g2 = (index(g2[0]), index(g2[1]))
 
     def form(on, toward):
         from math import gcd
@@ -118,7 +119,7 @@ def locate(chambers, u) -> tuple[int, ...]:
 
 def global_lattice(degrees) -> Lattice:
     """Intersection of the pair lattices over all pairs of distinct degrees."""
-    distinct = sorted(set(int(d) for d in degrees))
+    distinct = sorted(set(index(d) for d in degrees))
     if len(distinct) < 2:
         raise DegenerateGradingError("need at least two distinct generator degrees")
     lat = None

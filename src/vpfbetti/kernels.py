@@ -15,6 +15,7 @@ so rows that are only grown past cost no conversion.
 Every table is checked against MAX_TABLE_CELLS before anything is allocated.
 """
 
+import operator
 import sys
 import threading
 from math import comb
@@ -185,7 +186,7 @@ _BANDS_LOCK = threading.Lock()
 
 def band_rows(degrees) -> BandRows:
     """The one shared `BandRows` of the ring with these degrees, in any order."""
-    key = tuple(sorted(int(d) for d in degrees))
+    key = tuple(sorted(operator.index(d) for d in degrees))
     with _BANDS_LOCK:
         band = _BANDS.get(key)
         if band is None:

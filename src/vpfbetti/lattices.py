@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 
 class RankError(ValueError):
@@ -25,7 +26,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(index(x) for x in row) for row in rows)
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("rows of unequal length")
         return cls(data)
@@ -147,7 +148,7 @@ class Lattice:
 
     def reduce(self, v) -> tuple[int, ...]:
         """Canonical representative of v modulo the lattice."""
-        w = [int(x) for x in v]
+        w = [index(x) for x in v]
         if len(w) != self.dim:
             raise ValueError("dimension mismatch")
         for i in range(self.dim):
@@ -171,7 +172,7 @@ class Lattice:
 
 def lattice_from_columns(vectors) -> Lattice:
     """Integer span of the given d-vectors; they must span Q^d."""
-    vecs = [tuple(int(x) for x in v) for v in vectors]
+    vecs = [tuple(index(x) for x in v) for v in vectors]
     if not vecs:
         raise RankError("no generators")
     d = len(vecs[0])

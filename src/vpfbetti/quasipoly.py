@@ -79,11 +79,11 @@ class Polynomial(_Frozen):
 
     def __new__(cls, nvars: int, terms=()):
         coeffs = {
-            tuple(int(e) for e in exp): Fraction(c) for exp, c in dict(terms).items()
+            tuple(operator.index(e) for e in exp): Fraction(c) for exp, c in dict(terms).items()
         }
         den = lcm(*(c.denominator for c in coeffs.values()))
         return cls._from_ints(
-            int(nvars),
+            operator.index(nvars),
             den,
             {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()},
         )
@@ -99,6 +99,17 @@ class Polynomial(_Frozen):
             den //= g
             nums = {e: n // g for e, n in nums.items()}
         return cls._build(nvars=nvars, den=den, _nums=nums)
+
+    @classmethod
+    def _sum(cls, nvars: int, parts) -> "Polynomial":
+        """Sum of a sequence of polynomials: integer numerators over the lcm of their dens."""
+        den = lcm(*(p.den for p in parts))
+        nums = {}
+        for p in parts:
+            f = den // p.den
+            for e, n in p._nums.items():
+                nums[e] = nums.get(e, 0) + n * f
+        return cls._from_ints(nvars, den, nums)
 
     def __reduce__(self):
         return Polynomial, (self.nvars, dict(self.terms))
@@ -141,12 +152,7 @@ class Polynomial(_Frozen):
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        nums = {e: n * fa for e, n in self._nums.items()}
-        for e, n in other._nums.items():
-            nums[e] = nums.get(e, 0) + n * fb
-        return Polynomial._from_ints(self.nvars, den, nums)
+        return Polynomial._sum(self.nvars, (self, other))
 
     def shifted(self, a) -> "Polynomial":
         """p(x - a) for an integer vector a; the denominator is unchanged."""
@@ -228,7 +234,7 @@ class QuasiPolynomial(_Frozen):
         integer coefficients in mu over its den for an integer Horner loop
         at each of the class's points.  A non-integer value raises FitError.
         """
-        t, lo, hi = int(t), int(lo), int(hi)
+        t, lo, hi = operator.index(t), operator.index(lo), operator.index(hi)
         m = _row_period(self.lattice)
         out = [0] * max(hi - lo + 1, 0)
         for first in range(lo, min(lo + m, hi + 1)):
@@ -250,7 +256,7 @@ class QuasiPolynomial(_Frozen):
 
     def shift(self, a, c=1) -> "QuasiPolynomial":
         """r with r(x) = c * self(x - a), realized by re-keying the pieces."""
-        a = tuple(int(x) for x in a)
+        a = tuple(operator.index(x) for x in a)
         reduce = self.lattice.reduce
         pieces = {
             reduce(tuple(k + s for k, s in zip(key, a))): piece.shifted(a).scale(c)

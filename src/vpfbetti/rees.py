@@ -20,6 +20,7 @@ Document schema (all fields required, unknown fields rejected):
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .counting import DegreeMatrix
@@ -47,7 +48,7 @@ class ToriSpec:
 
     @classmethod
     def build(cls, degrees, tor_terms: dict[int, list]) -> "ToriSpec":
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(operator.index(d) for d in degrees)
         if any(d <= 0 for d in degrees):
             raise SpecFormatError("generators: degrees must be positive")
         if any(b < a for a, b in zip(degrees, degrees[1:])):
@@ -89,7 +90,7 @@ def ci_shifts(degrees) -> ToriSpec:
     (d_i + d_j, 1), a first syzygy in bidegrees (d1+d2+d3, 2) and
     (d1+d2+d3, 1), the latter carrying the whole of homological index 2.
     """
-    degrees = tuple(sorted(int(d) for d in degrees))
+    degrees = tuple(sorted(operator.index(d) for d in degrees))
     if any(d <= 0 for d in degrees):
         raise ValueError("generator degrees must be positive")
     if len(degrees) == 2:

@@ -15,13 +15,14 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from operator import index
 
 from .chambers import locate
 from .hilbert import DataIntegrityWarning, KappaNumerator, _ring_data
-from .lattices import Lattice, solve_exact
+from .lattices import Lattice
 from .quasipoly import FitError, Polynomial, QuasiPolynomial, _as_int
 
-# heights past the interpolation points on which the eventual total is validated
+# rows past t0 + n on which the decomposition's row sums must equal the eventual total
 TOTAL_BETTI_CHECKS = 4
 
 
@@ -95,7 +96,7 @@ def _ceil_fraction(f: Fraction) -> int:
 
 def all_half_lines(shifts, degrees) -> list[HalfLine]:
     return [
-        HalfLine(a, _intercept(s, a), (int(s[0]), int(s[1])))
+        HalfLine(a, _intercept(s, a), (index(s[0]), index(s[1])))
         for s in shifts
         for a in degrees
     ]
@@ -104,7 +105,7 @@ def all_half_lines(shifts, degrees) -> list[HalfLine]:
 def stability_threshold(shifts, degrees) -> int:
     """Smallest safe integer height: the ordering of the half-lines through
     the shift points is fixed beyond the largest pairwise intersection."""
-    degrees = sorted(set(int(d) for d in degrees))
+    degrees = sorted(set(index(d) for d in degrees))
     lines = all_half_lines(shifts, degrees)
     best = Fraction(0)
     for i in range(len(lines)):
@@ -117,21 +118,22 @@ def stability_threshold(shifts, degrees) -> int:
 
 def sort_lines(shifts, degrees, t0: int) -> tuple[HalfLine, ...]:
     """All N*r half-lines sorted by value at t0 + 1; ties by (slope, intercept)."""
-    degrees = sorted(set(int(d) for d in degrees))
+    degrees = sorted(set(index(d) for d in degrees))
     lines = all_half_lines(shifts, degrees)
     lines.sort(key=lambda L: (L.value(t0 + 1), L.slope, L.intercept))
     return tuple(lines)
 
 
-def _binomial_in_t(shift_t: int, n: int) -> Polynomial:
-    """C(t - shift_t + n - 1, n - 1) as a polynomial in t (one variable)."""
-    # integer coefficients of prod_{k=1}^{n-1} (t + k - shift_t), lowest first
-    coeffs = [1]
-    for k in range(1, n):
-        c = k - shift_t
-        coeffs = [c * lo + hi for lo, hi in zip(coeffs + [0], [0] + coeffs)]
-    den = factorial(n - 1)
-    return Polynomial(1, {(i,): Fraction(v, den) for i, v in enumerate(coeffs)})
+def _binomial_sum(terms, n: int) -> Polynomial:
+    """Sum of c * C(t - a_t + n - 1, n - 1) over the terms (a, c), as a polynomial in t."""
+    nums = [0] * n  # lowest power of t first
+    for (_, a_t), c in terms:
+        # integer coefficients of c * prod_{k=1}^{n-1} (t + k - a_t)
+        coeffs = [c]
+        for k in range(1, n):
+            coeffs = [(k - a_t) * lo + hi for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+        nums = [x + y for x, y in zip(nums, coeffs)]
+    return Polynomial._from_ints(1, factorial(n - 1), {(i,): v for i, v in enumerate(nums)})
 
 
 def _degenerate_decomposition(kappa: KappaNumerator, d: int) -> RegionDecomposition:
@@ -141,11 +143,9 @@ def _degenerate_decomposition(kappa: KappaNumerator, d: int) -> RegionDecomposit
     shifts = kappa.shifts
     t0 = max([1] + [s[1] for s in shifts])
     lines = sort_lines(shifts, (d,), t0)
-    rays: dict[int, Polynomial] = {}
-    for shift, coeff in kappa.terms:
-        b = _intercept(shift, d)
-        poly = _binomial_in_t(shift[1], n).scale(coeff)
-        rays[b] = rays.get(b, Polynomial.zero(1)) + poly
+    rays: dict[int, list] = {}
+    for term in kappa.terms:
+        rays.setdefault(_intercept(term[0], d), []).append(term)
     return RegionDecomposition(
         t0=t0,
         lines=lines,
@@ -154,7 +154,7 @@ def _degenerate_decomposition(kappa: KappaNumerator, d: int) -> RegionDecomposit
         regions=(),
         kappa=kappa,
         degrees=(d,),
-        ray_pieces=rays,
+        ray_pieces={b: _binomial_sum(terms, n) for b, terms in rays.items()},
     )
 
 
@@ -223,7 +223,7 @@ def eval_row(dec: RegionDecomposition, t: int, lo: int, hi: int) -> list[int]:
     returned as it is.  Each strip adds c times the row of fits[i] at
     (mu - a_mu, t - a_t) over its terms (i, a, c).
     """
-    t, lo, hi = int(t), int(lo), int(hi)
+    t, lo, hi = index(t), index(lo), index(hi)
     if t < dec.t0:
         raise BelowThresholdError(
             f"t = {t} is below the stability threshold {dec.t0}; use hf_module"
@@ -258,7 +258,7 @@ def eval_betti(dec: RegionDecomposition, mu: int, t: int) -> int:
     hf_module on the numerator directly.  A negative value warns with
     DataIntegrityWarning.
     """
-    mu, t = int(mu), int(t)
+    mu, t = index(mu), index(t)
     v = eval_row(dec, t, mu, mu)[0]
     if v < 0:
         warnings.warn(
@@ -270,27 +270,22 @@ def eval_betti(dec: RegionDecomposition, mu: int, t: int) -> int:
 
 
 def total_betti_polynomial(dec: RegionDecomposition) -> Polynomial:
-    """The eventual polynomial t -> sum of row t of the decomposition, fitted exactly.
+    """The eventual polynomial t -> total of row t: the numerator's binomial sum.
 
-    Interpolates on t = t0 .. t0 + n (n = number of ring generators) and
-    validates on the next TOTAL_BETTI_CHECKS heights; a mismatch would mean
-    the decomposition is broken and raises FitError.
+    Row t - a_t of the ring holds all C(t - a_t + n - 1, n - 1) monomials of
+    its T-degree, and t0 >= every shift's a_t (two lines through one shift
+    meet at its height; on a single-degree ring t0 = max(1, max a_t)), so
+    the sum holds for every t >= t0.  It must equal the decomposition's row
+    sums on t0 .. t0 + n + TOTAL_BETTI_CHECKS; a mismatch means the
+    decomposition is wrong and raises FitError.
     """
     n = dec.kappa.ring.size
-
-    def row_sum(t: int) -> int:
-        return sum(eval_row(dec, t, *row_support(dec, t)))
-
-    ts = list(range(dec.t0, dec.t0 + n + 1))
-    rows = [[Fraction(t) ** k for k in range(n + 1)] for t in ts]
-    sol = solve_exact(rows, [row_sum(t) for t in ts])
-    if sol is None:
-        raise FitError("impossible: square Vandermonde system was inconsistent")
-    poly = Polynomial(1, {(k,): c for k, c in enumerate(sol)})
-    for t in range(dec.t0 + n + 1, dec.t0 + n + 1 + TOTAL_BETTI_CHECKS):
-        if poly.eval((t,)) != row_sum(t):
+    poly = _binomial_sum(dec.kappa.terms, n)
+    for t in range(dec.t0, dec.t0 + n + TOTAL_BETTI_CHECKS + 1):
+        total = sum(eval_row(dec, t, *row_support(dec, t)))
+        if poly.eval((t,)) != total:
             raise FitError(
-                f"eventual polynomial validation failed at t = {t}: "
-                "the decomposition disagrees with itself"
+                f"row t = {t} of the decomposition sums to {total}, "
+                f"not to the eventual total {poly.eval((t,))}"
             )
     return poly

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd, lcm
+from math import gcd
 
 from .lattices import Lattice
 from .quasipoly import Polynomial
@@ -83,18 +83,7 @@ def region_pieces(dec: RegionDecomposition):
                 pieces, reduce = q.pieces, q.lattice.reduce
                 columns[term] = [pieces[reduce(res)] for res in residues]
         cols = [columns[term] for term in region.terms]
-        yield region, [(res, _sum_pieces(parts)) for res, *parts in zip(residues, *cols)]
-
-
-def _sum_pieces(parts) -> Polynomial:
-    """The sum of planar polynomials, as integer numerators over the lcm of their dens."""
-    den = lcm(*(p.den for p in parts))
-    nums = {}
-    for p in parts:
-        f = den // p.den
-        for e, n in p._nums.items():
-            nums[e] = nums.get(e, 0) + n * f
-    return Polynomial._from_ints(2, den, nums)
+        yield region, [(res, Polynomial._sum(2, parts)) for res, *parts in zip(residues, *cols)]
 
 
 def line_dict(line) -> dict:

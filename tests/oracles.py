@@ -9,9 +9,12 @@ summing its terms through the Fraction path QuasiPolynomial.eval, apart
 from the library's integer row evaluator.  ring_fits_reference fits every
 chamber of a ring up front over the global lattice, the eager path the
 library's lazy own-lattice fits must agree with on every global residue.
-region_pieces_reference sums a region's shifted terms with Polynomial.__add__,
-apart from the integer-numerator sums textfmt renders, and poly_dict_reference
-and poly_str_reference render a polynomial from its Fraction coefficients.  The
+region_pieces_reference sums a region's shifted terms coefficient by
+coefficient in Fractions, apart from the integer-numerator sums textfmt
+renders, and poly_dict_reference and poly_str_reference render a polynomial
+from its Fraction coefficients.  total_betti_reference interpolates a
+decomposition's row sums through a Vandermonde solve, apart from the
+numerator's binomial sum the library returns.  The
 closed-form fixtures reproduce the traditionally quoted piecewise tables for
 the worked example with generator degrees (2, 3, 6); the first-syzygy table
 is kept verbatim, including its two known defects, so tests can pin down
@@ -22,7 +25,9 @@ from fractions import Fraction
 
 from vpfbetti.chambers import chamber_complex_2xn, global_lattice
 from vpfbetti.counting import DegreeMatrix
-from vpfbetti.quasipoly import Polynomial, fit_chamber_qp
+from vpfbetti.lattices import solve_exact
+from vpfbetti.quasipoly import FitError, Polynomial, fit_chamber_qp
+from vpfbetti.regions import TOTAL_BETTI_CHECKS, eval_row, row_support
 
 
 def brute_count(columns, u):
@@ -90,17 +95,45 @@ def ring_fits_reference(degrees):
     return [fit_chamber_qp(ring, c, lattice) for c in chamber_complex_2xn(degrees)]
 
 
+def _fraction_sum(polys):
+    coeffs = {}
+    for p in polys:
+        for e, c in p.terms.items():
+            coeffs[e] = coeffs.get(e, 0) + c
+    return Polynomial(2, coeffs)
+
+
 def region_pieces_reference(dec):
-    """(region, [(residue, Polynomial)]) for every region, each piece a Polynomial sum."""
+    """(region, [(residue, Polynomial)]) for every region, each piece summed in Fractions."""
     residues = sorted(dec.lattice.residues()) if dec.regions else ()
     out = []
     for region in dec.regions:
         parts = [dec.fits[i].shift(a, c) for i, a, c in region.terms]
         out.append((region, [
-            (res, sum((q.pieces[q.lattice.reduce(res)] for q in parts), Polynomial.zero(2)))
+            (res, _fraction_sum(q.pieces[q.lattice.reduce(res)] for q in parts))
             for res in residues
         ]))
     return out
+
+
+def total_betti_reference(dec):
+    """The polynomial of degree <= n through the row sums of dec at t0 .. t0 + n.
+
+    n is the number of ring generators.  The fit is validated on the next
+    TOTAL_BETTI_CHECKS rows and raises FitError on a mismatch.
+    """
+    n = dec.kappa.ring.size
+
+    def row_sum(t):
+        return sum(eval_row(dec, t, *row_support(dec, t)))
+
+    ts = list(range(dec.t0, dec.t0 + n + 1))
+    sol = solve_exact([[Fraction(t) ** k for k in range(n + 1)] for t in ts], [row_sum(t) for t in ts])
+    poly = Polynomial(1, {(k,): c for k, c in enumerate(sol)})
+    for t in range(dec.t0 + n + 1, dec.t0 + n + 1 + TOTAL_BETTI_CHECKS):
+        if poly.eval((t,)) != row_sum(t):
+            raise FitError(f"row sums are not one polynomial of degree <= {n} at t = {t}")
+    return poly
 
 
 def _fraction_str(f):

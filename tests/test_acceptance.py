@@ -188,7 +188,7 @@ def test_criterion_5_eventual_polynomiality():
     n = RING.size
     for i in (0, 1, 2):
         dec = region_decomposition(SPEC.tor(i))
-        poly = total_betti_polynomial(dec)  # fits on t0 .. t0 + n internally
+        poly = total_betti_polynomial(dec)  # checked on rows t0 .. t0 + n + 4 internally
         for t in range(dec.t0 + n + 1, 41):
             lo = dec.lines[0].value(t)
             hi = dec.lines[-1].value(t)
@@ -197,8 +197,8 @@ def test_criterion_5_eventual_polynomiality():
         if i == 0:
             for t in range(dec.t0 + n + 1, 41):
                 assert poly.eval((t,)) == (t + 2) * (t + 1) // 2
-    report(5, "eventual totals fit on t0..t0+3 and validate exactly to t = 40; "
-              "index 0 equals C(t+2, 2)")
+    report(5, "eventual totals (the numerator's binomial sums) equal the row "
+              "sums exactly to t = 40; index 0 equals C(t+2, 2)")
 
 
 def test_criterion_6_line_ordering_randomized():

@@ -305,23 +305,35 @@ def test_verify_corrupted_fails_with_witness(capsys, tmp_path):
     assert "[FAIL]" in out and "witness=" in out
 
 
-def test_verify_catches_a_piece_used_outside_its_cone(capsys, tmp_path):
-    # R + R(-1, 0) over degrees (1, 2): the strip [2t, 2t + 1] gets the piece
-    # 2, but hf_module(3, 1) is 1.  The strip's probe at t0 + 1 sits on the
-    # closed upper edge of the (0, 0) term's cone, so that term's chamber
-    # quasi-polynomial is used above the cone.
+# R + R(-1, 0) over degrees (1, 2): the strip [2t, 2t + 1] gets the piece
+# 2, but hf_module(3, 1) is 1.  The strip's probe at t0 + 1 sits on the
+# closed upper edge of the (0, 0) term's cone, so that term's chamber
+# quasi-polynomial is used above the cone.  R + R(0, -2) over (2, 3, 6)
+# goes wrong the same way and gives -1 at (31, 6).
+@pytest.mark.parametrize(
+    "degrees, shifts, tmax, failed",
+    [
+        ([1, 2], [[0, 0], [1, 0]], "6", {"tor1: oracle equivalence": [3, 1, 2, 1]}),
+        ([2, 3, 6], [[0, 0], [0, 2]], "40", {
+            "tor1: oracle equivalence": [31, 6, -1, 0],
+            "tor1: support exactness": [31, 6, -1, 0],
+        }),
+    ],
+    ids=["1-2", "2-3-6"],
+)
+def test_verify_catches_a_piece_used_outside_its_cone(capsys, tmp_path, degrees, shifts, tmax, failed):
     doc = {
-        "generators": [[1, 1], [2, 1]],
-        "tor": [{"index": 1, "shifts": [{"a": [0, 0], "c": 1}, {"a": [1, 0], "c": 1}]}],
+        "generators": [[d, 1] for d in degrees],
+        "tor": [{"index": 1, "shifts": [{"a": a, "c": 1} for a in shifts]}],
     }
     path = tmp_path / "free.json"
     path.write_text(json.dumps(doc))
     rc, out, _ = run(
-        capsys, "verify", "--spec", str(path), "--tmax", "6", "--format", "structured"
+        capsys, "verify", "--spec", str(path), "--tmax", tmax, "--format", "structured"
     )
     assert rc == 1
-    failed = {c["name"]: c["witness"] for c in json.loads(out)["checks"] if not c["passed"]}
-    assert failed == {"tor1: oracle equivalence": [3, 1, 2, 1]}
+    checks = json.loads(out)["checks"]
+    assert {c["name"]: c["witness"] for c in checks if not c["passed"]} == failed
 
 
 def test_verify_tmax_zero_warns(capsys):

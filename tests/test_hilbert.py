@@ -9,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_count, ring_fits_reference, ring_hilbert_closed_form
-from vpfbetti import hilbert, kernels
-from vpfbetti.chambers import DegenerateGradingError
+from vpfbetti import hilbert, kernels, regions
+from vpfbetti.chambers import (
+    DegenerateGradingError,
+    chamber_complex_2xn,
+    chamber_from_generators,
+    global_lattice,
+)
 from vpfbetti.counting import DegreeMatrix, count
 from vpfbetti.hilbert import (
     DataIntegrityWarning,
@@ -22,7 +27,9 @@ from vpfbetti.hilbert import (
     hf_module,
     series_identity_check,
 )
-from vpfbetti.quasipoly import QuasiPolynomial
+from vpfbetti.lattices import IntMatrix, lattice_from_columns
+from vpfbetti.quasipoly import Polynomial, QuasiPolynomial
+from vpfbetti.rees import ToriSpec, ci_shifts
 
 RING = DegreeMatrix.bigraded([2, 3, 6])
 TOR1 = KappaNumerator.from_terms(
@@ -49,6 +56,42 @@ def test_unit_numerator_is_count():
     ],
 )
 def test_non_integer_inputs_raise_instead_of_truncating(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def _tor1_decomposition():
+    return regions.region_decomposition(TOR1)
+
+
+def _tor1_fit():
+    return next(iter(_tor1_decomposition().fits.values()))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: regions.eval_betti(_tor1_decomposition(), 28.7, 10),
+        lambda: regions.eval_row(_tor1_decomposition(), 10.5, 20, 22),
+        lambda: regions.all_half_lines([(5, 1.5)], [2, 3]),
+        lambda: regions.stability_threshold([(5, 1)], [2, 3.5, 6]),
+        lambda: regions.sort_lines([(5, 1)], [2, 3.5], 3),
+        lambda: _tor1_fit().eval_row(10.5, 20.2, 22),
+        lambda: _tor1_fit().shift((5.5, 1)),
+        lambda: global_lattice([2, 3, 6]).reduce((5.9, 2)),
+        lambda: lattice_from_columns([(2, 1), (3.5, 1)]),
+        lambda: IntMatrix.from_rows([[1, 2.5]]),
+        lambda: Polynomial(1.0, {(1,): 1}),
+        lambda: Polynomial(1, {(Fraction(1),): 1}),
+        lambda: chamber_complex_2xn([2, 3.5, 6]),
+        lambda: chamber_from_generators((2, 1), (3.5, 1)),
+        lambda: global_lattice([2, 3.5, 6]),
+        lambda: ci_shifts((2.5, 3, 6)),
+        lambda: ToriSpec.build((2.5, 3), {0: [((0, 0), 1)]}),
+        lambda: kernels.band_rows([2, 3.5]),
+    ],
+)
+def test_non_integer_arguments_raise_beyond_the_counting_entry_points(call):
     with pytest.raises(TypeError):
         call()
 

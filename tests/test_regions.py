@@ -1,17 +1,19 @@
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import eval_betti_reference
+from oracles import eval_betti_reference, total_betti_reference
 from vpfbetti import hilbert, textfmt
 from vpfbetti.counting import DegreeMatrix
 from vpfbetti.hilbert import DataIntegrityWarning, KappaNumerator, hf_module
 from vpfbetti.quasipoly import FitError, Polynomial, QuasiPolynomial
 from vpfbetti.regions import (
+    TOTAL_BETTI_CHECKS,
     BelowThresholdError,
     HalfLine,
     eval_betti,
@@ -23,7 +25,7 @@ from vpfbetti.regions import (
     stability_threshold,
     total_betti_polynomial,
 )
-from vpfbetti.rees import ci_shifts
+from vpfbetti.rees import ci_shifts, ingest
 
 SPEC236 = ci_shifts((2, 3, 6))
 SHIFTS_TOR1 = ((5, 1), (8, 1), (9, 1), (11, 2))
@@ -198,6 +200,76 @@ def test_total_betti_degree_bound():
     for index in (0, 1, 2):
         poly = total_betti_polynomial(decomposition(index))
         assert poly.total_degree() <= SPEC236.ring.size - 1
+
+
+SINGLE_DEGREE = ingest({
+    "generators": [[2, 1]] * 3,
+    "tor": [{"index": 1, "shifts": [
+        {"a": [0, 0], "c": 1}, {"a": [4, 1], "c": -1}, {"a": [6, 2], "c": 2}, {"a": [2, 0], "c": 1},
+    ]}],
+})
+CI_5_8 = ingest((Path(__file__).parents[1] / "perfbench" / "data" / "ci_5_8.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *(ci_shifts(d) for d in [(2, 3, 6), (4, 9, 13), (6, 10, 15), (4, 7, 9), (5, 8), (1, 1), (2, 2, 5)]),
+        CI_5_8,
+        SINGLE_DEGREE,
+    ],
+    ids=lambda spec: "-".join(map(str, spec.degrees)),
+)
+def test_total_betti_equals_the_vandermonde_reference(spec):
+    for index, kappa in spec.tors:
+        dec = region_decomposition(kappa)
+        assert total_betti_polynomial(dec) == total_betti_reference(dec), index
+
+
+# R + R(-1, 0) over (1, 2) and R + R(0, -2) over (2, 3, 6): both decompositions
+# use a chamber piece outside its cone, and verify rejects them.  A fit through
+# their row sums gave 2t + 3 and t^2 + t - 2; the numerator gives 2t + 2 and t^2 + t + 1
+@pytest.mark.parametrize(
+    "degrees, terms",
+    [((1, 2), [((0, 0), 1), ((1, 0), 1)]), ((2, 3, 6), [((0, 0), 1), ((0, 2), 1)])],
+    ids=["1-2", "2-3-6"],
+)
+def test_total_betti_raises_when_the_decomposition_disagrees(degrees, terms):
+    dec = region_decomposition(KappaNumerator.from_terms(DegreeMatrix.bigraded(degrees), terms))
+    with pytest.raises(FitError, match="sums to"):
+        total_betti_polynomial(dec)
+
+
+@pytest.mark.filterwarnings("ignore::vpfbetti.hilbert.DataIntegrityWarning")
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    degrees=st.lists(st.integers(1, 7), min_size=2, max_size=3).map(sorted),
+    terms=st.lists(
+        st.tuples(st.tuples(st.integers(0, 14), st.integers(0, 3)), st.sampled_from([-2, -1, 1, 2])),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_total_betti_is_the_oracle_total_or_raises(degrees, terms):
+    # the total must hold whenever it is returned, and be returned whenever
+    # the decomposition's rows equal hf_module on the rows it checks
+    kappa = KappaNumerator.from_terms(DegreeMatrix.bigraded(degrees), terms)
+    dec = region_decomposition(kappa)
+    ts = range(dec.t0, dec.t0 + len(degrees) + TOTAL_BETTI_CHECKS + 1)
+    totals, agrees = [], True
+    for t in ts:
+        # term a's ring row t - a_t spans a_mu + degrees[0] * (t - a_t) .. a_mu + degrees[-1] * (t - a_t)
+        lo = min((degrees[0] * (t - a[1]) + a[0] for a, _ in kappa.terms), default=0)
+        hi = max((degrees[-1] * (t - a[1]) + a[0] for a, _ in kappa.terms), default=-1)
+        row = [hf_module(kappa, (mu, t)) for mu in range(lo, hi + 1)]
+        totals.append(sum(row))
+        agrees = agrees and eval_row(dec, t, lo, hi) == row
+    try:
+        poly = total_betti_polynomial(dec)
+    except FitError:
+        assert not agrees
+    else:
+        assert [poly.eval((t,)) for t in ts] == totals
 
 
 def test_degenerate_single_degree():
