@@ -12,7 +12,7 @@ from .chambers import (
     global_lattice,
     locate,
 )
-from .counting import DegreeMatrix, count, in_pos_cone, series_coeffs
+from .counting import DegreeMatrix, count, series_coeffs
 from .hilbert import (
     DataIntegrityWarning,
     KappaNumerator,
@@ -30,14 +30,11 @@ from .lattices import (
     hnf,
     lattice_from_columns,
     lattice_intersect,
-    residues,
-    solve_exact,
 )
 from .quasipoly import (
     FitError,
     Polynomial,
     QuasiPolynomial,
-    equal_on_region,
     fit_chamber_qp,
 )
 from .rees import (
@@ -89,7 +86,6 @@ __all__ = [
     "chamber_from_generators",
     "ci_shifts",
     "count",
-    "equal_on_region",
     "eval_betti",
     "fit_chamber_qp",
     "global_lattice",
@@ -97,17 +93,14 @@ __all__ = [
     "hf_grid",
     "hf_module",
     "hnf",
-    "in_pos_cone",
     "ingest",
     "lattice_from_columns",
     "lattice_intersect",
     "locate",
     "region_decomposition",
-    "residues",
     "serialize",
     "series_coeffs",
     "series_identity_check",
-    "solve_exact",
     "sort_lines",
     "stability_threshold",
     "total_betti_polynomial",

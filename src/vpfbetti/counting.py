@@ -1,4 +1,4 @@
-"""The vector partition function: exact counting, truncated series, cone tests.
+"""The vector partition function: exact counting and truncated series.
 
 count(A, u) is the number of ways to write u as a nonnegative integer
 combination of the columns of A.  Nonnegative columns with no zero column
@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from operator import index
 
@@ -154,71 +153,3 @@ def series_coeffs(A: DegreeMatrix, bound) -> dict[tuple[int, ...], int]:
     if any(b < 0 for b in bound):
         raise ValueError("bound must be componentwise nonnegative")
     return {u: count(A, u) for u in itertools.product(*[range(b + 1) for b in bound])}
-
-
-def in_pos_cone(A: DegreeMatrix, u) -> bool:
-    """Exact test for membership of u in the real cone spanned by the columns."""
-    u = tuple(Fraction(x) for x in u)
-    if len(u) != A.dim:
-        raise ValueError("point dimension mismatch")
-    if all(x == 0 for x in u):
-        return True
-    if not A.columns:
-        return False
-    if A.is_bigraded():
-        mu, t = u
-        if t <= 0:
-            return False
-        return min(A.degrees) * t <= mu <= max(A.degrees) * t
-    return _lp_feasible(A.columns, u)
-
-
-def _lp_feasible(columns, u) -> bool:
-    """Phase-1 simplex over Q with Bland's rule: is {x >= 0 : A x = u} nonempty?"""
-    d = len(u)
-    n = len(columns)
-    rows = []
-    rhs = []
-    for i in range(d):
-        coeffs = [Fraction(c[i]) for c in columns]
-        b = Fraction(u[i])
-        if b < 0:
-            coeffs = [-a for a in coeffs]
-            b = -b
-        rows.append(coeffs)
-        rhs.append(b)
-    # tableau over variables x_0..x_{n-1} and artificials a_0..a_{d-1}
-    width = n + d
-    tab = [rows[i] + [Fraction(int(i == j)) for j in range(d)] + [rhs[i]] for i in range(d)]
-    basis = [n + i for i in range(d)]
-    # objective: minimize sum of artificials (expressed in nonbasic terms)
-    obj = [Fraction(0)] * (width + 1)
-    for i in range(d):
-        for j in range(width + 1):
-            obj[j] += tab[i][j]
-    for i in range(d):
-        obj[n + i] = Fraction(0)
-    while True:
-        enter = next((j for j in range(width) if j not in basis and obj[j] > 0), None)
-        if enter is None:
-            break
-        best = None
-        for i in range(d):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width] / tab[i][enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
-            break  # unbounded improvement cannot happen in phase 1
-        _, row = best
-        piv = tab[row][enter]
-        tab[row] = [v / piv for v in tab[row]]
-        for i in range(d):
-            if i != row and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
-        f = obj[enter]
-        if f != 0:
-            obj = [a - f * b for a, b in zip(obj, tab[row])]
-        basis[row] = enter
-    return obj[width] == 0

@@ -50,18 +50,6 @@ class KappaNumerator:
     def shifts(self) -> tuple[tuple[int, ...], ...]:
         return tuple(s for s, _ in self.terms)
 
-    def coefficient(self, shift) -> int:
-        shift = tuple(index(x) for x in shift)
-        for s, c in self.terms:
-            if s == shift:
-                return c
-        return 0
-
-    def add(self, other: "KappaNumerator") -> "KappaNumerator":
-        if self.ring != other.ring:
-            raise ValueError("numerators over different rings")
-        return KappaNumerator.from_terms(self.ring, list(self.terms) + list(other.terms))
-
     def is_zero(self) -> bool:
         return not self.terms
 

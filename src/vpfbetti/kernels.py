@@ -110,7 +110,7 @@ class BandRows:
     """
 
     def __init__(self, degrees):
-        degrees = [int(d) for d in degrees]
+        degrees = [operator.index(d) for d in degrees]
         self.lo = min(degrees)
         self.width = max(degrees) - self.lo
         self.shifts = [d - self.lo for d in degrees]

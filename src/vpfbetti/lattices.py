@@ -2,7 +2,7 @@
 
 Column-style Hermite normal forms with their unimodular transformations,
 full-rank integer lattices with canonical triangular bases, quotient
-residues, and exact linear solving over Q.  Everything is arbitrary
+residues, and exact row reduction over Q.  Everything is arbitrary
 precision; no floating point is used anywhere in this module.
 """
 
@@ -31,10 +31,6 @@ class IntMatrix:
             raise ValueError("rows of unequal length")
         return cls(data)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -45,41 +41,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = list(zip(*other.entries)) if other.entries else []
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in self.entries
-            )
-        )
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        prev = 1
-        sign = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
     def rank(self) -> int:
         """Exact rank over Q."""
@@ -204,11 +165,6 @@ def lattice_intersect(L1: Lattice, L2: Lattice) -> Lattice:
     return lattice_from_columns(vectors)
 
 
-def residues(L: Lattice) -> tuple[tuple[int, ...], ...]:
-    """Coset representatives of Z^d modulo L (module-level convenience)."""
-    return L.residues()
-
-
 def rref(rows, ncols=None):
     """Reduced row echelon form over Q by Gauss-Jordan elimination.
 
@@ -233,21 +189,3 @@ def rref(rows, ncols=None):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
-
-
-def solve_exact(matrix_rows, rhs):
-    """Solve M x = b exactly over Q.
-
-    Returns a tuple of Fractions, or None when the system is inconsistent.
-    For underdetermined consistent systems the free variables of the reduced
-    system are set to zero.
-    """
-    rows = [list(r) for r in matrix_rows]
-    n = len(rows[0]) if rows else 0
-    red, pivots = rref([row + [b] for row, b in zip(rows, rhs)], n)
-    if any(row[n] != 0 for row in red[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, c in zip(red, pivots):
-        x[c] = row[n]
-    return tuple(x)

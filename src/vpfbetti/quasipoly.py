@@ -9,7 +9,6 @@ not fit; a mismatch is a hard structural error, never a silent repair.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
@@ -280,15 +279,6 @@ class QuasiPolynomial(_Frozen):
 
     def __repr__(self):
         return f"QuasiPolynomial(det={self.lattice.det}, pieces={len(self.pieces)})"
-
-
-def equal_on_region(q1, q2, predicate, bound) -> bool:
-    """Pointwise equality on every integer point of [0, bound] passing the predicate."""
-    ranges = [range(int(b) + 1) for b in bound]
-    for u in itertools.product(*ranges):
-        if predicate(u) and q1.eval(u) != q2.eval(u):
-            return False
-    return True
 
 
 def _ceildiv(a: int, b: int) -> int:

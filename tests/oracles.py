@@ -14,18 +14,23 @@ coefficient in Fractions, apart from the integer-numerator sums textfmt
 renders, and poly_dict_reference and poly_str_reference render a polynomial
 from its Fraction coefficients.  total_betti_reference interpolates a
 decomposition's row sums through a Vandermonde solve, apart from the
-numerator's binomial sum the library returns.  The
+numerator's binomial sum the library returns, with solve_exact, the
+Gauss-Jordan solver that criterion 6 also uses.  matmul_reference and
+det_reference (a Leibniz sum over permutations) check Hermite normal forms
+with no library code.  The
 closed-form fixtures reproduce the traditionally quoted piecewise tables for
 the worked example with generator degrees (2, 3, 6); the first-syzygy table
 is kept verbatim, including its two known defects, so tests can pin down
 exactly where the oracle disagrees.
 """
 
+import itertools
 from fractions import Fraction
+from math import prod
 
 from vpfbetti.chambers import chamber_complex_2xn, global_lattice
 from vpfbetti.counting import DegreeMatrix
-from vpfbetti.lattices import solve_exact
+from vpfbetti.lattices import rref
 from vpfbetti.quasipoly import FitError, Polynomial, fit_chamber_qp
 from vpfbetti.regions import TOTAL_BETTI_CHECKS, eval_row, row_support
 
@@ -48,6 +53,39 @@ def brute_count(columns, u):
         return total
 
     return rec(0, u)
+
+
+def solve_exact(matrix_rows, rhs):
+    """Solve M x = b exactly over Q.
+
+    Returns a tuple of Fractions, or None when the system is inconsistent.
+    For underdetermined consistent systems the free variables of the reduced
+    system are set to zero.
+    """
+    rows = [list(r) for r in matrix_rows]
+    n = len(rows[0]) if rows else 0
+    red, pivots = rref([row + [b] for row, b in zip(rows, rhs)], n)
+    if any(row[n] != 0 for row in red[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(red, pivots):
+        x[c] = row[n]
+    return tuple(x)
+
+
+def matmul_reference(a, b):
+    """Product of two integer matrices given as tuples of rows."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def det_reference(rows):
+    """Leibniz determinant: the signed sum over every permutation of the columns."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
 
 
 def poly_eval_reference(coeffs, point):

@@ -14,11 +14,11 @@ from oracles import (
     beta1_printed,
     beta2_printed,
     ring_hilbert_closed_form,
+    solve_exact,
 )
 from vpfbetti.chambers import chamber_complex_2xn, global_lattice
 from vpfbetti.counting import DegreeMatrix, count
 from vpfbetti.hilbert import DataIntegrityWarning, KappaNumerator, hf_module, series_identity_check
-from vpfbetti.lattices import solve_exact
 from vpfbetti.quasipoly import fit_chamber_qp, pattern_extent_estimate
 from vpfbetti.rees import SpecFormatError, ci_shifts, ingest
 from vpfbetti.regions import (

@@ -7,7 +7,6 @@ from vpfbetti.chambers import (
     global_lattice,
     locate,
 )
-from vpfbetti.counting import DegreeMatrix, in_pos_cone
 
 
 def test_chambers_2367():
@@ -77,10 +76,9 @@ def test_locate_outside():
 def test_chambers_tile_positive_cone():
     degrees = [2, 3, 6]
     chambers = chamber_complex_2xn(degrees)
-    A = DegreeMatrix.bigraded(degrees)
     for mu in range(0, 40):
         for t in range(0, 7):
-            inside = in_pos_cone(A, (mu, t))
+            inside = (mu, t) == (0, 0) or (t > 0 and min(degrees) * t <= mu <= max(degrees) * t)
             located = locate(chambers, (mu, t))
             assert bool(located) == inside
             strict = [i for i in located if chambers[i].strictly_contains((mu, t))]

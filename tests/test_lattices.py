@@ -2,14 +2,13 @@ import random
 
 import pytest
 
+from oracles import det_reference, matmul_reference, solve_exact
 from vpfbetti.lattices import (
     IntMatrix,
     RankError,
     hnf,
     lattice_from_columns,
     lattice_intersect,
-    residues,
-    solve_exact,
 )
 
 
@@ -17,12 +16,12 @@ def test_hnf_worked_example():
     A = IntMatrix.from_rows([[2, 3, 6], [1, 1, 1]])
     H, U = hnf(A)
     assert H.entries == ((1, 0, 0), (0, 1, 0))
-    assert A.mul(U).entries == H.entries
-    assert U.det() in (1, -1)
+    assert matmul_reference(A.entries, U.entries) == H.entries
+    assert det_reference(U.entries) in (1, -1)
 
 
 def test_hnf_identity():
-    I = IntMatrix.identity(2)
+    I = IntMatrix.from_rows([[1, 0], [0, 1]])
     H, U = hnf(I)
     assert H.entries == I.entries
     assert U.entries == I.entries
@@ -32,9 +31,9 @@ def test_hnf_four_columns():
     A = IntMatrix.from_rows([[2, 3, 6, 7], [1, 1, 1, 1]])
     H, U = hnf(A)
     assert H.entries == ((1, 0, 0, 0), (0, 1, 0, 0))
-    assert A.mul(U).entries == H.entries
+    assert matmul_reference(A.entries, U.entries) == H.entries
     # unimodularity of U by exact determinant
-    assert U.det() in (1, -1)
+    assert det_reference(U.entries) in (1, -1)
 
 
 def test_hnf_random_contract():
@@ -50,8 +49,8 @@ def test_hnf_random_contract():
                 hnf(A)
             continue
         H, U = hnf(A)
-        assert A.mul(U).entries == H.entries
-        assert U.det() in (1, -1)
+        assert matmul_reference(A.entries, U.entries) == H.entries
+        assert det_reference(U.entries) in (1, -1)
         for i in range(d):
             assert H.entries[i][i] > 0
             for j in range(i + 1, n):
@@ -139,14 +138,14 @@ def test_intersect_dimension_mismatch():
 
 def test_residues_unimodular():
     L = lattice_from_columns([(1, 0), (0, 1)])
-    assert residues(L) == ((0, 0),)
+    assert L.residues() == ((0, 0),)
 
 
 def test_residues_det12_count():
     L = lattice_intersect(
         lattice_from_columns([(2, 1), (6, 1)]), lattice_from_columns([(3, 1), (6, 1)])
     )
-    reps = residues(L)
+    reps = L.residues()
     assert len(reps) == 12
     assert len(set(reps)) == 12
     for r in reps:
@@ -155,12 +154,12 @@ def test_residues_det12_count():
 
 def test_residues_two_by_two():
     L = lattice_from_columns([(2, 0), (0, 2)])
-    assert set(residues(L)) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    assert set(L.residues()) == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
 def test_residues_partition_box():
     L = lattice_from_columns([(3, 1), (1, 2)])
-    reps = set(residues(L))
+    reps = set(L.residues())
     for x in range(-6, 7):
         for y in range(-6, 7):
             assert L.reduce((x, y)) in reps

@@ -21,7 +21,6 @@ from vpfbetti.quasipoly import (
     _row_period,
     _sweep_height,
     _window_rows,
-    equal_on_region,
     fit_chamber_qp,
     pattern_extent_estimate,
 )
@@ -446,21 +445,3 @@ def test_add_lattice_mismatch():
     other = fit_chamber_qp(RING, CHAMBERS[0], CHAMBERS[0].lattice)
     with pytest.raises(ValueError, match="different lattices"):
         q1.add(other)
-
-
-def test_equal_on_region():
-    q1 = fitted(0)
-    closed = closed_form_c1_qp()
-    in_c1 = lambda u: 2 * u[1] <= u[0] <= 3 * u[1]
-    assert equal_on_region(q1, closed, in_c1, (120, 40))
-    # perturb one piece: detected
-    res = GLOBAL.residues()[0]
-    bad_pieces = dict(closed.pieces)
-    bad_pieces[res] = bad_pieces[res] + Polynomial(2, {(0, 0): 1})
-    bad = QuasiPolynomial(GLOBAL, bad_pieces)
-    assert not equal_on_region(q1, bad, in_c1, (120, 40))
-
-
-def test_equal_on_region_identical():
-    q1 = fitted(0)
-    assert equal_on_region(q1, q1, lambda u: True, (20, 10))
