@@ -7,7 +7,8 @@ make the grading positive, so every count is finite.  Bigraded matrices
 (`kernels.band_rows`), packed into Python ints, the same rows that value
 grids read; everything else runs a boxed dynamic program.  Both are pure
 Python, both caches are safe to share between threads, and every table is
-checked against `kernels.MAX_TABLE_CELLS` before it grows.
+checked against `kernels.MAX_TABLE_CELLS` before it grows.  count_row(A, t,
+lo, hi) reads a planar row at once: one slice of a bigraded ring's band row.
 """
 
 from __future__ import annotations
@@ -143,6 +144,19 @@ def count(A: DegreeMatrix, u) -> int:
     if not A.columns:
         return 1 if all(x == 0 for x in u) else 0
     return _oracle(A).value(u)
+
+
+def count_row(A: DegreeMatrix, t: int, lo: int, hi: int) -> list[int]:
+    """count(A, (mu, t)) for lo <= mu <= hi; [] when lo > hi.
+
+    A bigraded ring's row is one slice of its band row; any other matrix is
+    read point by point through count.
+    """
+    t, lo, hi = index(t), index(lo), index(hi)
+    oracle = _oracle(A) if A.columns else None
+    if isinstance(oracle, kernels.BandRows):
+        return oracle.row(t, lo, hi)
+    return [count(A, (mu, t)) for mu in range(lo, hi + 1)]
 
 
 def series_coeffs(A: DegreeMatrix, bound) -> dict[tuple[int, ...], int]:

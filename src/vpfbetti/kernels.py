@@ -10,8 +10,8 @@ size; B is the least of 1, 2, 4, 8 or more bytes that holds `value_bound`.
 A served row keeps that int until its first read unpacks it, through a
 native memoryview when B is 1, 2, 4 or 8 and with int.from_bytes otherwise,
 so rows that are only grown past cost no conversion.
-`band_rows` keeps one shared `BandRows` per ring; `count` reads it, and
-`bigraded_table` is the dense window of it that value grids read.
+`band_rows` keeps one shared `BandRows` per ring; `count` and `count_row`
+read it, and `bigraded_table` is the dense window of it that value grids read.
 Every table is checked against MAX_TABLE_CELLS before anything is allocated.
 """
 
@@ -132,6 +132,22 @@ class BandRows:
             self.extend(t, k)
             row = rows[t]
         return (row.view or row.unpack())[k]
+
+    def row(self, t, lo, hi):
+        """Counts at (mu, t) for lo <= mu <= hi, zero off the band; [] when lo > hi.
+
+        One `extend` and one slice of the unpacked row, however many points.
+        """
+        base = self.lo * t
+        a, b = max(lo - base, 0), min(hi - base, self.width * t)
+        if t < 0 or a > b:
+            return [0] * max(hi - lo + 1, 0)
+        rows = self.rows
+        if t >= len(rows) or b >= rows[t].length:
+            self.extend(t, b)
+        row = rows[t]
+        band = list((row.view or row.unpack())[a: b + 1])
+        return [0] * (base + a - lo) + band + [0] * (hi - base - b)
 
     def extend(self, t_max, k_max=0):
         """Make rows 0..t_max hold offsets 0..k_max; check the budget first."""

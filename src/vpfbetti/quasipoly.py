@@ -15,8 +15,8 @@ from math import comb, floor, gcd, lcm
 from types import MappingProxyType
 
 from .chambers import Chamber
-from .counting import DegreeMatrix, count
-from .lattices import Lattice, lattice_from_columns, rref
+from .counting import DegreeMatrix, count, count_row
+from .lattices import Lattice, lattice_from_columns
 
 # held-out validation points per fitted coefficient, in every chamber fit and
 # in the estimate of its extent
@@ -193,6 +193,12 @@ def _row_period(lattice: Lattice) -> int:
     return p * r // gcd(q, r)
 
 
+def _planar_residue(lattice: Lattice, x: int, y: int) -> tuple[int, int]:
+    """lattice.reduce((x, y)) for a planar lattice, spelled out for its basis ((p, q), (0, r))."""
+    (p, q), (_, r) = lattice.basis
+    return x % p, (y - x // p * q) % r
+
+
 class QuasiPolynomial(_Frozen):
     """One polynomial per residue class of a full-rank lattice in Z^d.
 
@@ -229,16 +235,18 @@ class QuasiPolynomial(_Frozen):
         """Exact integer values at (mu, t) for lo <= mu <= hi; [] when lo > hi.
 
         Planar lattices only.  Once per row period (_row_period), a class's
-        piece is looked up and t put into its integer numerators, leaving
-        integer coefficients in mu over its den for an integer Horner loop
-        at each of the class's points.  A non-integer value raises FitError.
+        piece is looked up by its residue (_planar_residue) and t put into
+        its integer numerators, leaving integer coefficients in mu over its
+        den for an integer Horner loop at each of the class's points.  A
+        non-integer value raises FitError.
         """
         t, lo, hi = operator.index(t), operator.index(lo), operator.index(hi)
-        m = _row_period(self.lattice)
+        lattice, pieces = self.lattice, self.pieces
+        m = _row_period(lattice)
         out = [0] * max(hi - lo + 1, 0)
         for first in range(lo, min(lo + m, hi + 1)):
-            _, poly = self.piece_at((first, t))
-            top = max((e[0] for e in poly._nums), default=0)
+            poly = pieces[_planar_residue(lattice, first, t)]
+            top = max(poly._nums, default=(0,))[0]  # exponents are (mu, t) pairs
             coeffs = [0] * (top + 1)  # highest power of mu first
             for (i, j), n in poly._nums.items():
                 coeffs[top - i] += n * t**j
@@ -311,14 +319,31 @@ def _lagrange_gauss(v1, v2):
     return tuple(v2), tuple(v1)
 
 
-def _invert_fractions(rows):
-    """Inverse of a small square matrix over Q; None when singular."""
+def _integer_inverse(rows):
+    """(adj, det) with M @ adj == det * I and det = |det M|, for a square integer M.
+
+    None when M is singular.  Fraction-free (Bareiss) Gauss-Jordan
+    elimination on [M | I]: every division is exact, every diagonal entry
+    of the left block is the latest pivot, and the last pivot is +-det M, so
+    the right block ends as that pivot times the inverse.
+    """
     n = len(rows)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    red, pivots = rref(aug, n)
-    if len(pivots) < n:
-        return None
-    return [row[n:] for row in red]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if aug[i][k]), None)
+        if pivot is None:
+            return None
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        top = aug[k]
+        p = top[k]
+        for i, row in enumerate(aug):
+            if i != k:
+                a = row[k]
+                aug[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [[sign * x for x in row[n:]] for row in aug], abs(prev)
 
 
 def _window_rows(chamber: Chamber, s_max: int):
@@ -357,7 +382,6 @@ def _lowest_points(chamber: Chamber, lattice: Lattice, s_max: int) -> dict:
     """
     h1, h2 = chamber.inequalities
     hx, hy = h1[0] + h2[0], h1[1] + h2[1]
-    (p, q), (_, r) = lattice.basis
     m = _row_period(lattice)
     best: dict[tuple[int, ...], tuple[int, int, int]] = {}
     top = s_max
@@ -370,8 +394,7 @@ def _lowest_points(chamber: Chamber, lattice: Lattice, s_max: int) -> dict:
             key = (hx * x + hy * y, x, y)
             if key[0] > top:
                 break
-            # lattice.reduce((x, y)), spelled out for the triangular basis
-            res = (x % p, (y - x // p * q) % r)
+            res = _planar_residue(lattice, x, y)
             old = best.get(res)
             if old is None or key < old:
                 best[res] = key
@@ -523,14 +546,13 @@ def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> Quasi
         to_u((k[0] * w1[0] + k[1] * w2[0], k[0] * w1[1] + k[1] * w2[1]))
         for k in fit_k + val_k
     ]
-    design = [[v[0] ** i * v[1] ** j for (i, j) in monos] for v in steps[:m]]
-    inv = _invert_fractions(design)
-    if inv is None:
+    # monomial rows of the fit steps (the design) and of the held-out steps
+    rows = [[v[0] ** i * v[1] ** j for (i, j) in monos] for v in steps]
+    inverse = _integer_inverse(rows[:m])
+    if inverse is None:
         raise FitError("internal: interpolation design is singular")
-
-    # integer form of the design inverse: coefficient numerators over inv_den
-    inv_den = lcm(*(f.denominator for row in inv for f in row))
-    inv_num = [[int(f * inv_den) for f in row] for row in inv]
+    # the design inverse as integer coefficient numerators over inv_den
+    inv_num, inv_den = inverse
 
     # every class meets the half-open parallelogram on w1 and w2, which lies
     # in the chamber below this height
@@ -540,13 +562,11 @@ def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> Quasi
         anchor = anchors[res]
         u_pts = [(anchor[0] + v[0], anchor[1] + v[1]) for v in steps]
         vals = [count(A, u) for u in u_pts]
-        # p(u) = q(u - anchor), q with numerators nums over inv_den
-        nums = [
-            sum(f * v for f, v in zip(row, vals[:m]) if f) for row in inv_num
-        ]
-        for v, u, val in zip(steps[m:], u_pts[m:], vals[m:]):
-            acc = sum(n * v[0] ** i * v[1] ** j for (i, j), n in zip(monos, nums) if n)
-            if acc != val * inv_den:
+        # p(u) = q(u - anchor), q with numerators nums over inv_den; map
+        # stops at the m values of the fit points
+        nums = [sum(map(operator.mul, row, vals)) for row in inv_num]
+        for row, u, val in zip(rows[m:], u_pts[m:], vals[m:]):
+            if sum(map(operator.mul, nums, row)) != val * inv_den:
                 raise FitError(
                     f"validation failed at {u} for residue {res}: "
                     "wrong chamber or lattice input"
@@ -559,11 +579,12 @@ def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> Quasi
     left = 4096
     for y, lo, hi in _window_rows(chamber, _sweep_height(chamber)):
         hi = min(hi, lo + left - 1)
-        for x, value in zip(range(lo, hi + 1), result.eval_row(y, lo, hi)):
-            if value != count(A, (x, y)):
-                raise FitError(
-                    f"boundary sweep failed at {(x, y)}: wrong chamber or lattice input"
-                )
+        got, want = result.eval_row(y, lo, hi), count_row(A, y, lo, hi)
+        if got != want:
+            x = next(x for x, g, w in zip(range(lo, hi + 1), got, want) if g != w)
+            raise FitError(
+                f"boundary sweep failed at {(x, y)}: wrong chamber or lattice input"
+            )
         left -= hi - lo + 1
         if not left:
             break

@@ -6,8 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from oracles import brute_count
-from vpfbetti import BudgetExceededError, counting
-from vpfbetti.counting import DegreeMatrix, count, series_coeffs
+from vpfbetti import BudgetExceededError, counting, kernels
+from vpfbetti.counting import DegreeMatrix, count, count_row, series_coeffs
 
 RING_236 = DegreeMatrix.bigraded([2, 3, 6])
 RING_2367 = DegreeMatrix.bigraded([2, 3, 6, 7])
@@ -151,3 +151,34 @@ def test_general_box_grows_only_the_missed_coordinate(fresh_tables):
     with pytest.raises(BudgetExceededError):
         count(A, (1000, 1000, 1000))
     assert counting._ORACLES[A].box[0] == (20, 16, 20)
+
+
+def test_count_row_equals_count_at_every_point(monkeypatch, fresh_tables):
+    ring = DegreeMatrix.bigraded([2, 3, 6])
+    band = counting._oracle(ring)
+    band.extend(6, 36)
+    # (t, lo, hi): across the band and past both edges, wholly left or right
+    # of it, t = 0, t < 0, empty, and a row past the table
+    cases = [
+        (5, -4, 40), (5, 11, 29), (5, -9, 3), (5, 31, 45), (0, -3, 3),
+        (-2, -6, 6), (5, 8, 7), (5, 20, 2), (40, 70, 250),
+    ]
+    for t, lo, hi in cases:
+        got = count_row(ring, t, lo, hi)
+        assert len(band.rows) == max(7, t + 1)
+        assert got == [count(ring, (mu, t)) for mu in range(lo, hi + 1)], (t, lo, hi)
+        assert got == [brute_count(ring.columns, (mu, t)) for mu in range(lo, hi + 1)]
+    # a matrix that is not bigraded is read point by point from its boxed DP
+    general = DegreeMatrix.from_columns([(1, 1), (2, 1), (1, 2)])
+    for t in range(-1, 7):
+        got = count_row(general, t, -2, 15)
+        assert got == [brute_count(general.columns, (mu, t)) for mu in range(-2, 16)]
+    assert isinstance(counting._ORACLES[general], counting._GeneralOracle)
+    assert count_row(DegreeMatrix.from_columns([], dim=2), 0, -1, 1) == [0, 1, 0]
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        count_row(DegreeMatrix.from_columns([(1, 1, 1)]), 1, 0, 2)
+    # an over-budget row raises before any row is added
+    monkeypatch.setattr(kernels, "MAX_TABLE_CELLS", 5000)
+    with pytest.raises(BudgetExceededError):
+        count_row(ring, 60, 120, 360)
+    assert len(band.rows) == 41

@@ -16,7 +16,7 @@ from vpfbetti.chambers import (
     chamber_from_generators,
     global_lattice,
 )
-from vpfbetti.counting import DegreeMatrix, count
+from vpfbetti.counting import DegreeMatrix, count, count_row
 from vpfbetti.hilbert import (
     DataIntegrityWarning,
     KappaNumerator,
@@ -90,6 +90,8 @@ def _tor1_fit():
         lambda: ToriSpec.build((2.5, 3), {0: [((0, 0), 1)]}),
         lambda: kernels.band_rows([2, 3.5]),
         lambda: kernels.BandRows([2, 3.5]),
+        lambda: count_row(RING, 10.5, 20, 22),
+        lambda: count_row(RING, 10, 20, 22.5),
     ],
 )
 def test_non_integer_arguments_raise_beyond_the_counting_entry_points(call):

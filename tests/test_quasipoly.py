@@ -7,16 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import P_formula, Q_formula, brute_count, poly_eval_reference
+from oracles import (
+    P_formula,
+    Q_formula,
+    brute_count,
+    det_reference,
+    matmul_reference,
+    poly_eval_reference,
+)
 from vpfbetti import quasipoly
 from vpfbetti.chambers import chamber_complex_2xn, chamber_from_generators, global_lattice
-from vpfbetti.counting import DegreeMatrix, count
-from vpfbetti.lattices import lattice_from_columns, lattice_intersect
+from vpfbetti.counting import DegreeMatrix, count, count_row
+from vpfbetti.lattices import RankError, lattice_from_columns, lattice_intersect
 from vpfbetti.quasipoly import (
     FitError,
     Polynomial,
     QuasiPolynomial,
+    _integer_inverse,
     _lowest_points,
+    _planar_residue,
     _quadrant_basis,
     _row_period,
     _sweep_height,
@@ -168,6 +177,52 @@ def test_eval_row_rejects_a_non_integer_piece():
     half = constant(Fraction(1, 2))
     with pytest.raises(FitError, match=re.escape("non-integer piece value 1/2 at (-1, 3)")):
         half.eval_row(3, -1, 4)
+
+
+def test_planar_residue_is_lattice_reduce():
+    # eval_row and the anchor search key pieces by this arithmetic; a basis
+    # with p > 1 and q != 0 exercises both terms of the second coordinate
+    rng = random.Random(23)
+    seen = 0
+    while seen < 40:
+        try:
+            lattice = lattice_from_columns(
+                [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(2)]
+            )
+        except RankError:
+            continue
+        (p, q), _ = lattice.basis
+        if p < 2 or q == 0:
+            continue
+        seen += 1
+        for _ in range(50):
+            x, y = rng.randint(-80, 80), rng.randint(-80, 80)
+            assert _planar_residue(lattice, x, y) == lattice.reduce((x, y)), (lattice, x, y)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_integer_inverse_is_det_times_the_inverse(n):
+    # sizes 1..10 hold the chamber-fit designs of degrees 0..3 (1, 3, 6, 10
+    # monomials); entries in -1..1 often put a zero on the pivot
+    rng = random.Random(n)
+    outcomes = set()
+    for trial in range(8):
+        span = (1, 4, 60)[trial % 3]
+        M = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+        if trial >= 6:  # singular: a row that depends on the others
+            i, j, c = rng.randrange(n), rng.randrange(n), rng.randint(-3, 3)
+            M[i] = [0] * n if n == 1 else [c * x for x in M[j - (j == i)]]
+        det = abs(det_reference(M))
+        got = _integer_inverse(M)
+        outcomes.add(det == 0)
+        if det == 0:
+            assert got is None, M
+        else:
+            adj, d = got
+            assert d == det, M
+            identity = [[d * (i == j) for j in range(n)] for i in range(n)]
+            assert [list(row) for row in matmul_reference(M, adj)] == identity, M
+    assert outcomes == {True, False}
 
 
 def test_fit_c1_reproduces_closed_form():
@@ -322,7 +377,8 @@ def test_window_points_are_the_low_points_of_the_closed_chamber(shape):
 )
 def test_extent_estimate_bounds_the_rows_a_fit_counts(monkeypatch, degrees):
     # criterion 4 skips draws by this estimate, so it must not undercount the
-    # rows a fit reads: its interpolation patterns and its apex sweep
+    # rows a fit reads: its interpolation patterns (count) and its apex sweep
+    # (count_row)
     A = DegreeMatrix.bigraded(degrees)
     seen = {"t": 0}
 
@@ -330,7 +386,12 @@ def test_extent_estimate_bounds_the_rows_a_fit_counts(monkeypatch, degrees):
         seen["t"] = max(seen["t"], u[1])
         return count(A, u)
 
+    def recording_count_row(A, t, lo, hi):
+        seen["t"] = max(seen["t"], t)
+        return count_row(A, t, lo, hi)
+
     monkeypatch.setattr(quasipoly, "count", recording_count)
+    monkeypatch.setattr(quasipoly, "count_row", recording_count_row)
     for chamber in chamber_complex_2xn(degrees):
         seen["t"] = 0
         fit_chamber_qp(A, chamber, chamber.lattice)
@@ -340,8 +401,8 @@ def test_extent_estimate_bounds_the_rows_a_fit_counts(monkeypatch, degrees):
 
 @pytest.mark.parametrize("degrees", [(2, 3, 6), (1, 1000)], ids=["2,3,6", "1,1000"])
 def test_apex_sweep_rejects_a_count_off_the_pattern(monkeypatch, degrees):
-    # the sweep compares the fit with count on the first 4096 points of the
-    # apex window, row by row; a count no interpolation pattern reads is
+    # the sweep compares the fit with count_row on the first 4096 points of
+    # the apex window, row by row; a count no interpolation pattern reads is
     # caught there and nowhere else.  The (1, 1000) window has 9995 points.
     A = DegreeMatrix.bigraded(degrees)
     chamber = chamber_complex_2xn(degrees)[-1]
@@ -351,22 +412,34 @@ def test_apex_sweep_rejects_a_count_off_the_pattern(monkeypatch, degrees):
         for x in range(lo, hi + 1)
     ]
     swept = window[:4096]
-    calls = []
+    pattern, rows = set(), []
 
     def recording_count(A, u):
-        calls.append(tuple(u))
+        pattern.add(tuple(u))
         return count(A, u)
 
+    def recording_count_row(A, t, lo, hi):
+        rows.extend((x, t) for x in range(lo, hi + 1))
+        return count_row(A, t, lo, hi)
+
     monkeypatch.setattr(quasipoly, "count", recording_count)
+    monkeypatch.setattr(quasipoly, "count_row", recording_count_row)
     fit_chamber_qp(A, chamber, chamber.lattice)
-    assert calls[-len(swept):] == swept
-    pattern = set(calls[:-len(swept)])
+    assert rows == swept
 
     def fit_with_one_count_off(target):
+        # both readers see the same wrong count at target
         def perturbed_count(A, u):
             return count(A, u) + (1 if tuple(u) == target else 0)
 
+        def perturbed_count_row(A, t, lo, hi):
+            row = count_row(A, t, lo, hi)
+            if t == target[1] and lo <= target[0] <= hi:
+                row[target[0] - lo] += 1
+            return row
+
         monkeypatch.setattr(quasipoly, "count", perturbed_count)
+        monkeypatch.setattr(quasipoly, "count_row", perturbed_count_row)
         return fit_chamber_qp(A, chamber, chamber.lattice)
 
     target = [u for u in swept if u not in pattern][-1]
