@@ -8,7 +8,6 @@ pairs whose cone contains it and the intersection lattice of those pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index
 
 from .lattices import Lattice, lattice_from_columns, lattice_intersect
@@ -29,9 +28,6 @@ class Chamber:
 
     def contains(self, u) -> bool:
         return all(h[0] * u[0] + h[1] * u[1] >= 0 for h in self.inequalities)
-
-    def strictly_contains(self, u) -> bool:
-        return all(h[0] * u[0] + h[1] * u[1] > 0 for h in self.inequalities)
 
 
 def pair_lattice(d_i: int, d_j: int) -> Lattice:
@@ -113,7 +109,7 @@ def chamber_from_generators(g1, g2) -> Chamber:
 
 def locate(chambers, u) -> tuple[int, ...]:
     """Indices of every chamber whose closure contains u; empty iff outside."""
-    u = (Fraction(u[0]), Fraction(u[1]))
+    u = (index(u[0]), index(u[1]))
     return tuple(i for i, c in enumerate(chambers) if c.contains(u))
 
 

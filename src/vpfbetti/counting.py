@@ -20,7 +20,6 @@ from math import prod
 from operator import index
 
 from . import kernels
-from .lattices import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,6 @@ class DegreeMatrix:
 
     def is_bigraded(self) -> bool:
         return self.dim == 2 and all(c[1] == 1 for c in self.columns)
-
-    def rank(self) -> int:
-        if not self.columns:
-            return 0
-        return IntMatrix.from_rows(
-            [[c[i] for c in self.columns] for i in range(self.dim)]
-        ).rank()
 
 
 class _GeneralOracle:
@@ -138,7 +130,7 @@ def _oracle(A: DegreeMatrix):
 
 def count(A: DegreeMatrix, u) -> int:
     """Number of lambda in N^n with A . lambda = u; zero outside the cone."""
-    u = tuple(index(x) for x in u)
+    u = tuple(map(index, u))
     if len(u) != A.dim:
         raise ValueError("point dimension mismatch")
     if not A.columns:

@@ -219,10 +219,5 @@ def bigraded_table(degrees, t_max, mu_max):
     # the last offset row t needs: the cap grows no further than the window reaches
     reach = [min(mu_max - lo * t, band.width * t) for t in range(t_top + 1)]
     band.extend(t_top, max(reach))
-    rows = band.rows
-    table = [
-        [0] * (lo * t) + list(rows[t].unpack()[: k + 1]) + [0] * (mu_max - lo * t - k)
-        for t, k in enumerate(reach)
-    ]
-    table += [[0] * (mu_max + 1) for _ in range(t_top + 1, t_max + 1)]
-    return table
+    # rows past t_top start beyond mu_max: row() returns their zeros unbuilt
+    return [band.row(t, 0, mu_max) for t in range(t_max + 1)]

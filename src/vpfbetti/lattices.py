@@ -1,16 +1,16 @@
-"""Exact integer and rational linear algebra.
+"""Planar lattices and the column Hermite normal form.
 
-Column-style Hermite normal forms with their unimodular transformations,
-full-rank integer lattices with canonical triangular bases, quotient
-residues, and exact row reduction over Q.  Everything is arbitrary
-precision; no floating point is used anywhere in this module.
+Column-style Hermite normal forms of integer matrices with their unimodular
+transformations, and full-rank sublattices of Z^2 with canonical triangular
+bases, their residue classes and intersections.  Everything is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from operator import index
 
 
@@ -41,10 +41,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def rank(self) -> int:
-        """Exact rank over Q."""
-        return len(rref(self.entries)[1])
 
 
 def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -96,96 +92,64 @@ def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Full-rank sublattice of Z^d with a canonical lower-triangular basis.
+    """Full-rank sublattice of Z^2 with the canonical basis ((p, q), (0, r)).
 
-    `basis` holds column vectors; column i has its first nonzero entry (a
-    positive pivot) at coordinate i, and entries left of each pivot are
-    reduced, so equal lattices always carry identical bases.
+    `basis` holds the column vectors (p, q) and (0, r), with p, r > 0 and
+    0 <= q < r, so equal lattices always carry identical bases.  The box
+    [0, p) x [0, r) holds exactly one point of every residue class, its
+    canonical representative.
     """
 
-    dim: int
-    basis: tuple[tuple[int, ...], ...]
+    basis: tuple[tuple[int, int], tuple[int, int]]
     det: int
 
-    def reduce(self, v) -> tuple[int, ...]:
+    def _residue(self, x: int, y: int) -> tuple[int, int]:
+        """Canonical representative of (x, y); integers only, not coerced."""
+        (p, q), (_, r) = self.basis
+        return x % p, (y - x // p * q) % r
+
+    def reduce(self, v) -> tuple[int, int]:
         """Canonical representative of v modulo the lattice."""
-        w = [index(x) for x in v]
-        if len(w) != self.dim:
-            raise ValueError("dimension mismatch")
-        for i in range(self.dim):
-            q = w[i] // self.basis[i][i]
-            if q:
-                b = self.basis[i]
-                w = [a - q * c for a, c in zip(w, b)]
-        return tuple(w)
+        x, y = map(index, v)
+        return self._residue(x, y)
 
     def contains(self, v) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return self.reduce(v) == (0, 0)
 
-    def residues(self) -> tuple[tuple[int, ...], ...]:
-        """All det-many coset representatives, in deterministic box order."""
-        ranges = [range(self.basis[i][i]) for i in range(self.dim)]
-        out = []
-        for combo in itertools.product(*ranges):
-            out.append(self.reduce(combo))
-        return tuple(out)
+    @property
+    def row_period(self) -> int:
+        """The least m > 0 with (m, 0) in the lattice."""
+        (p, q), (_, r) = self.basis
+        return p * r // gcd(q, r)
+
+    def residues(self) -> tuple[tuple[int, int], ...]:
+        """All det-many canonical representatives, in box order."""
+        (p, _), (_, r) = self.basis
+        return tuple(itertools.product(range(p), range(r)))
 
 
 def lattice_from_columns(vectors) -> Lattice:
-    """Integer span of the given d-vectors; they must span Q^d."""
+    """Integer span of the given planar vectors; they must span Q^2."""
     vecs = [tuple(index(x) for x in v) for v in vectors]
     if not vecs:
         raise RankError("no generators")
-    d = len(vecs[0])
-    M = IntMatrix.from_rows([[v[i] for v in vecs] for i in range(d)])
-    H, _ = hnf(M)  # RankError when the span is rank-deficient
-    basis = tuple(H.column(j) for j in range(d))
-    det = 1
-    for i in range(d):
-        det *= basis[i][i]
-    return Lattice(dim=d, basis=basis, det=det)
+    if any(len(v) != 2 for v in vecs):
+        raise ValueError("lattice generators must have two coordinates")
+    H, _ = hnf(IntMatrix.from_rows(zip(*vecs)))  # RankError when the span is a line
+    p, q, r = H.entries[0][0], H.entries[1][0], H.entries[1][1]
+    return Lattice(basis=((p, q), (0, r)), det=p * r)
 
 
 def lattice_intersect(L1: Lattice, L2: Lattice) -> Lattice:
-    """Exact intersection of two full-rank lattices in the same Z^d."""
-    if L1.dim != L2.dim:
-        raise ValueError("lattices live in different dimensions")
-    d = L1.dim
-    gen = list(L1.basis) + [tuple(-x for x in b) for b in L2.basis]
-    M = IntMatrix.from_rows([[g[i] for g in gen] for i in range(d)])
-    H, U = hnf(M)
-    vectors = []
-    for j in range(2 * d):
-        if all(H.entries[i][j] == 0 for i in range(d)):
-            coeffs = U.column(j)[:d]
-            v = tuple(
-                sum(c * L1.basis[k][i] for k, c in enumerate(coeffs)) for i in range(d)
-            )
-            vectors.append(v)
+    """Exact intersection of two planar lattices."""
+    (p, q), (_, r) = L1.basis
+    gen = list(L1.basis) + [(-x, -y) for x, y in L2.basis]
+    H, U = hnf(IntMatrix.from_rows(zip(*gen)))
+    # the columns of U under zero columns of H span the relations between
+    # the generators; their L1 halves give the common vectors
+    vectors = [
+        (a * p, a * q + b * r)
+        for j, (a, b, _, _) in enumerate(zip(*U.entries))
+        if H.column(j) == (0, 0)
+    ]
     return lattice_from_columns(vectors)
-
-
-def rref(rows, ncols=None):
-    """Reduced row echelon form over Q by Gauss-Jordan elimination.
-
-    Pivots are sought in the first `ncols` columns (default: all).  Returns
-    the reduced rows as lists of Fractions and the pivot columns in order.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    return m, pivots

@@ -1,7 +1,7 @@
 """Quasi-polynomials with respect to a lattice, and their exact recovery.
 
 A quasi-polynomial stores one rational-coefficient polynomial per residue
-class of a full-rank sublattice of Z^d.  fit_chamber_qp reconstructs the
+class of a full-rank sublattice of Z^2.  fit_chamber_qp reconstructs the
 counting function of a degree matrix on a closed planar chamber by exact
 interpolation per residue class, then validates the result on points it did
 not fit; a mismatch is a hard structural error, never a silent repair.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import comb, floor, gcd, lcm
+from math import comb, gcd, lcm
 from types import MappingProxyType
 
 from .chambers import Chamber
@@ -187,20 +187,8 @@ def _as_int(value: Fraction, point) -> int:
     return int(value)
 
 
-def _row_period(lattice: Lattice) -> int:
-    """The least m > 0 with (m, 0) in a planar lattice, basis ((p, q), (0, r))."""
-    (p, q), (_, r) = lattice.basis
-    return p * r // gcd(q, r)
-
-
-def _planar_residue(lattice: Lattice, x: int, y: int) -> tuple[int, int]:
-    """lattice.reduce((x, y)) for a planar lattice, spelled out for its basis ((p, q), (0, r))."""
-    (p, q), (_, r) = lattice.basis
-    return x % p, (y - x // p * q) % r
-
-
 class QuasiPolynomial(_Frozen):
-    """One polynomial per residue class of a full-rank lattice in Z^d.
+    """One polynomial in (mu, t) per residue class of a planar lattice.
 
     Immutable: `pieces` is a read-only mapping from every canonical residue
     to its Polynomial.
@@ -214,7 +202,7 @@ class QuasiPolynomial(_Frozen):
         extra = set(table) - set(keys)
         if extra:
             raise ValueError(f"piece keys not among canonical residues: {sorted(extra)}")
-        zero = Polynomial.zero(lattice.dim)
+        zero = Polynomial.zero(2)
         return cls._build(
             lattice=lattice,
             pieces=MappingProxyType({k: table.get(k, zero) for k in keys}),
@@ -234,18 +222,17 @@ class QuasiPolynomial(_Frozen):
     def eval_row(self, t: int, lo: int, hi: int) -> list[int]:
         """Exact integer values at (mu, t) for lo <= mu <= hi; [] when lo > hi.
 
-        Planar lattices only.  Once per row period (_row_period), a class's
-        piece is looked up by its residue (_planar_residue) and t put into
-        its integer numerators, leaving integer coefficients in mu over its
-        den for an integer Horner loop at each of the class's points.  A
-        non-integer value raises FitError.
+        Once per row period of the lattice, a class's piece is looked up by
+        its residue and t put into its integer numerators, leaving integer
+        coefficients in mu over its den for an integer Horner loop at each
+        of the class's points.  A non-integer value raises FitError.
         """
         t, lo, hi = operator.index(t), operator.index(lo), operator.index(hi)
-        lattice, pieces = self.lattice, self.pieces
-        m = _row_period(lattice)
+        residue, pieces = self.lattice._residue, self.pieces
+        m = self.lattice.row_period
         out = [0] * max(hi - lo + 1, 0)
         for first in range(lo, min(lo + m, hi + 1)):
-            poly = pieces[_planar_residue(lattice, first, t)]
+            poly = pieces[residue(first, t)]
             top = max(poly._nums, default=(0,))[0]  # exponents are (mu, t) pairs
             coeffs = [0] * (top + 1)  # highest power of mu first
             for (i, j), n in poly._nums.items():
@@ -293,11 +280,6 @@ def _ceildiv(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _round_fraction(f: Fraction) -> int:
-    """Nearest integer, ties toward +infinity; exact."""
-    return (2 * f.numerator + f.denominator) // (2 * f.denominator)
-
-
 def _lagrange_gauss(v1, v2):
     """Shortest basis of the rank-2 lattice spanned by v1 and v2."""
     v1, v2 = list(v1), list(v2)
@@ -311,7 +293,8 @@ def _lagrange_gauss(v1, v2):
     if norm(v1) < norm(v2):
         v1, v2 = v2, v1
     while True:
-        q = _round_fraction(Fraction(dot(v1, v2), norm(v2)))
+        # the nearest integer to dot / norm, ties toward +infinity
+        q = (2 * dot(v1, v2) + norm(v2)) // (2 * norm(v2))
         v1 = [a - q * b for a, b in zip(v1, v2)]
         if norm(v1) >= norm(v2):
             break
@@ -351,8 +334,8 @@ def _window_rows(chamber: Chamber, s_max: int):
     h1, h2 = chamber.inequalities
     h = (h1[0] + h2[0], h1[1] + h2[1])
     # the window is the triangle on 0 and the generators scaled to height s_max
-    ys = [Fraction(s_max * g[1], h[0] * g[0] + h[1] * g[1]) for g in chamber.generators]
-    for y in range(floor(min(0, *ys)), floor(max(0, *ys)) + 1):
+    ys = [s_max * g[1] // (h[0] * g[0] + h[1] * g[1]) for g in chamber.generators]
+    for y in range(min(0, *ys), max(0, *ys) + 1):
         lo, hi = None, None
         feasible = True
         for hx, hy, rhs in ((h1[0], h1[1], 0), (h2[0], h2[1], 0), (-h[0], -h[1], -s_max)):
@@ -382,7 +365,8 @@ def _lowest_points(chamber: Chamber, lattice: Lattice, s_max: int) -> dict:
     """
     h1, h2 = chamber.inequalities
     hx, hy = h1[0] + h2[0], h1[1] + h2[1]
-    m = _row_period(lattice)
+    m = lattice.row_period
+    residue = lattice._residue
     best: dict[tuple[int, ...], tuple[int, int, int]] = {}
     top = s_max
     for y, lo, hi in _window_rows(chamber, s_max):
@@ -394,7 +378,7 @@ def _lowest_points(chamber: Chamber, lattice: Lattice, s_max: int) -> dict:
             key = (hx * x + hy * y, x, y)
             if key[0] > top:
                 break
-            res = _planar_residue(lattice, x, y)
+            res = residue(x, y)
             old = best.get(res)
             if old is None or key < old:
                 best[res] = key

@@ -14,10 +14,12 @@ coefficient in Fractions, apart from the integer-numerator sums textfmt
 renders, and poly_dict_reference and poly_str_reference render a polynomial
 from its Fraction coefficients.  total_betti_reference interpolates a
 decomposition's row sums through a Vandermonde solve, apart from the
-numerator's binomial sum the library returns, with solve_exact, the
-Gauss-Jordan solver that criterion 6 also uses.  matmul_reference and
-det_reference (a Laplace expansion) check Hermite normal forms and the
-chamber fit's integer design inverse with no library code.  The
+numerator's binomial sum the library returns, with solve_exact, a
+Gauss-Jordan elimination in Fractions that criterion 6 also uses and the
+library has no counterpart of.  matmul_reference and det_reference (a
+Laplace expansion) check Hermite normal forms and the chamber fit's integer
+design inverse with no library code, and full_row_rank_reference decides
+through det_reference which matrices a Hermite normal form must reject.  The
 closed-form fixtures reproduce the traditionally quoted piecewise tables for
 the worked example with generator degrees (2, 3, 6); the first-syzygy table
 is kept verbatim, including its two known defects, so tests can pin down
@@ -25,11 +27,11 @@ exactly where the oracle disagrees.
 """
 
 import functools
+import itertools
 from fractions import Fraction
 
 from vpfbetti.chambers import chamber_complex_2xn, global_lattice
 from vpfbetti.counting import DegreeMatrix
-from vpfbetti.lattices import rref
 from vpfbetti.quasipoly import FitError, Polynomial, fit_chamber_qp
 from vpfbetti.regions import TOTAL_BETTI_CHECKS, eval_row, row_support
 
@@ -55,19 +57,32 @@ def brute_count(columns, u):
 
 
 def solve_exact(matrix_rows, rhs):
-    """Solve M x = b exactly over Q.
+    """Solve M x = b exactly over Q by Gauss-Jordan elimination in Fractions.
 
     Returns a tuple of Fractions, or None when the system is inconsistent.
     For underdetermined consistent systems the free variables of the reduced
     system are set to zero.
     """
-    rows = [list(r) for r in matrix_rows]
-    n = len(rows[0]) if rows else 0
-    red, pivots = rref([row + [b] for row, b in zip(rows, rhs)], n)
-    if any(row[n] != 0 for row in red[len(pivots):]):
+    m = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix_rows, rhs)]
+    n = len(m[0]) - 1 if m else 0
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    if any(row[n] != 0 for row in m[len(pivots):]):
         return None
     x = [Fraction(0)] * n
-    for row, c in zip(red, pivots):
+    for row, c in zip(m, pivots):
         x[c] = row[n]
     return tuple(x)
 
@@ -96,6 +111,15 @@ def det_reference(rows):
         )
 
     return minor(0, tuple(range(n)))
+
+
+def full_row_rank_reference(rows):
+    """Whether a d x n integer matrix has rank d: some d x d column minor is nonzero."""
+    d, n = len(rows), len(rows[0])
+    return any(
+        det_reference([[row[c] for c in cols] for row in rows])
+        for cols in itertools.combinations(range(n), d)
+    )
 
 
 def poly_eval_reference(coeffs, point):

@@ -81,7 +81,10 @@ def test_chambers_tile_positive_cone():
             inside = (mu, t) == (0, 0) or (t > 0 and min(degrees) * t <= mu <= max(degrees) * t)
             located = locate(chambers, (mu, t))
             assert bool(located) == inside
-            strict = [i for i in located if chambers[i].strictly_contains((mu, t))]
+            strict = [
+                i for i in located
+                if all(h[0] * mu + h[1] * t > 0 for h in chambers[i].inequalities)
+            ]
             assert len(strict) <= 1  # interiors are disjoint
 
 

@@ -114,11 +114,6 @@ def test_degree_matrix_validation():
         DegreeMatrix.from_columns([(1, 2), (1, 2, 3)])
 
 
-def test_degree_matrix_rank():
-    assert RING_236.rank() == 2
-    assert DegreeMatrix.bigraded([1, 1]).rank() == 1
-
-
 def test_count_shared_ring_from_eight_threads(fresh_tables):
     # every thread asks for ever larger t, so rows are appended while others read
     ring = DegreeMatrix.bigraded([2, 3, 6, 7])

@@ -15,6 +15,7 @@ from vpfbetti.chambers import (
     chamber_complex_2xn,
     chamber_from_generators,
     global_lattice,
+    locate,
 )
 from vpfbetti.counting import DegreeMatrix, count, count_row
 from vpfbetti.hilbert import (
@@ -92,6 +93,7 @@ def _tor1_fit():
         lambda: kernels.BandRows([2, 3.5]),
         lambda: count_row(RING, 10.5, 20, 22),
         lambda: count_row(RING, 10, 20, 22.5),
+        lambda: locate(chamber_complex_2xn([2, 3, 6]), (7.5, 3)),
     ],
 )
 def test_non_integer_arguments_raise_beyond_the_counting_entry_points(call):

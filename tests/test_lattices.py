@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import det_reference, matmul_reference, solve_exact
+from oracles import det_reference, full_row_rank_reference, matmul_reference, solve_exact
 from vpfbetti.lattices import (
     IntMatrix,
     RankError,
@@ -44,7 +44,7 @@ def test_hnf_random_contract():
         A = IntMatrix.from_rows(
             [[rng.randint(-9, 9) for _ in range(n)] for _ in range(d)]
         )
-        if A.rank() < d:
+        if not full_row_rank_reference(A.entries):
             with pytest.raises(RankError):
                 hnf(A)
             continue
@@ -79,9 +79,15 @@ def test_lattice_from_columns_det4():
 
 
 def test_lattice_standard_basis():
-    for d in (1, 2, 3):
+    L = lattice_from_columns([(1, 0), (0, 1)])
+    assert L.basis == ((1, 0), (0, 1)) and L.det == 1
+
+
+def test_lattice_from_columns_rejects_non_planar_generators():
+    for d in (1, 3):
         basis = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-        assert lattice_from_columns(basis).det == 1
+        with pytest.raises(ValueError, match="two coordinates"):
+            lattice_from_columns(basis)
 
 
 def test_lattice_rank_deficient():
@@ -129,11 +135,31 @@ def test_intersect_membership_random():
             assert L.contains(v) == (L1.contains(v) and L2.contains(v))
 
 
-def test_intersect_dimension_mismatch():
-    L1 = lattice_from_columns([(1, 0), (0, 1)])
-    L2 = lattice_from_columns([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    with pytest.raises(ValueError):
-        lattice_intersect(L1, L2)
+def test_reduce_is_the_box_point_of_its_class():
+    # eval_row and the anchor search key pieces by this arithmetic; a basis
+    # with p > 1 and q != 0 exercises both terms of the second coordinate
+    rng = random.Random(23)
+    seen = 0
+    while seen < 40:
+        try:
+            lattice = lattice_from_columns(
+                [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(2)]
+            )
+        except RankError:
+            continue
+        (p, q), (zero, r) = lattice.basis
+        if p < 2 or q == 0:
+            continue
+        seen += 1
+        assert zero == 0 and lattice.det == p * r
+        for _ in range(50):
+            x, y = rng.randint(-80, 80), rng.randint(-80, 80)
+            a, b = lattice.reduce((x, y))
+            assert 0 <= a < p and 0 <= b < r, (lattice, x, y)
+            # (x - a, y - b) = k1 * (p, q) + k2 * (0, r), solved top row first
+            k1, rest1 = divmod(x - a, p)
+            k2, rest2 = divmod(y - b - k1 * q, r)
+            assert rest1 == rest2 == 0, (lattice, x, y)
 
 
 def test_residues_unimodular():

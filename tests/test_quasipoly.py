@@ -18,16 +18,14 @@ from oracles import (
 from vpfbetti import quasipoly
 from vpfbetti.chambers import chamber_complex_2xn, chamber_from_generators, global_lattice
 from vpfbetti.counting import DegreeMatrix, count, count_row
-from vpfbetti.lattices import RankError, lattice_from_columns, lattice_intersect
+from vpfbetti.lattices import lattice_from_columns, lattice_intersect
 from vpfbetti.quasipoly import (
     FitError,
     Polynomial,
     QuasiPolynomial,
     _integer_inverse,
     _lowest_points,
-    _planar_residue,
     _quadrant_basis,
-    _row_period,
     _sweep_height,
     _window_rows,
     fit_chamber_qp,
@@ -160,7 +158,7 @@ def _row_case(case):
 )
 def test_eval_row_matches_pointwise_eval(case):
     q = _row_case(case)
-    m = _row_period(q.lattice)
+    m = q.lattice.row_period
     assert q.lattice.contains((m, 0))
     assert not any(q.lattice.contains((k, 0)) for k in range(1, m))
     for t in (-3, 0, 5, 11):
@@ -177,27 +175,6 @@ def test_eval_row_rejects_a_non_integer_piece():
     half = constant(Fraction(1, 2))
     with pytest.raises(FitError, match=re.escape("non-integer piece value 1/2 at (-1, 3)")):
         half.eval_row(3, -1, 4)
-
-
-def test_planar_residue_is_lattice_reduce():
-    # eval_row and the anchor search key pieces by this arithmetic; a basis
-    # with p > 1 and q != 0 exercises both terms of the second coordinate
-    rng = random.Random(23)
-    seen = 0
-    while seen < 40:
-        try:
-            lattice = lattice_from_columns(
-                [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(2)]
-            )
-        except RankError:
-            continue
-        (p, q), _ = lattice.basis
-        if p < 2 or q == 0:
-            continue
-        seen += 1
-        for _ in range(50):
-            x, y = rng.randint(-80, 80), rng.randint(-80, 80)
-            assert _planar_residue(lattice, x, y) == lattice.reduce((x, y)), (lattice, x, y)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
