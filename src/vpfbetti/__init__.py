@@ -24,7 +24,6 @@ from .hilbert import (
 )
 from .kernels import BudgetExceededError
 from .lattices import (
-    IntMatrix,
     Lattice,
     RankError,
     hnf,
@@ -69,7 +68,6 @@ __all__ = [
     "DegreeMatrix",
     "FitError",
     "HalfLine",
-    "IntMatrix",
     "KappaNumerator",
     "Lattice",
     "Polynomial",

@@ -7,7 +7,8 @@ pairs whose cone contains it and the intersection lattice of those pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import gcd
 from operator import index
 
 from .lattices import Lattice, lattice_from_columns, lattice_intersect
@@ -17,14 +18,37 @@ class DegenerateGradingError(ValueError):
     """Fewer than two distinct generator degrees: no planar chamber geometry."""
 
 
+def _primitive_normal(on, toward) -> tuple[int, int]:
+    """The primitive integer form vanishing on the ray of `on`, positive on `toward`."""
+    h = (-on[1], on[0])
+    s = h[0] * toward[0] + h[1] * toward[1]
+    if s == 0:
+        raise ValueError("generators are linearly dependent")
+    if s < 0:
+        h = (-h[0], -h[1])
+    g = gcd(*h)
+    return (h[0] // g, h[1] // g)
+
+
 @dataclass(frozen=True)
 class Chamber:
-    """Closed 2-dimensional cone cut out by two integer linear forms."""
+    """Closed 2-dimensional cone of two independent integer generators.
+
+    Its `inequalities` are derived: one primitive form per generator ray,
+    vanishing on it and positive on the other generator.
+    """
 
     generators: tuple[tuple[int, int], tuple[int, int]]
-    inequalities: tuple[tuple[int, int], tuple[int, int]]
     index_set: tuple[tuple[int, int], ...]
     lattice: Lattice
+    inequalities: tuple[tuple[int, int], tuple[int, int]] = field(init=False)
+
+    def __post_init__(self):
+        g1, g2 = ((index(x), index(y)) for x, y in self.generators)
+        object.__setattr__(self, "generators", (g1, g2))
+        object.__setattr__(
+            self, "inequalities", (_primitive_normal(g1, g2), _primitive_normal(g2, g1))
+        )
 
     def contains(self, u) -> bool:
         return all(h[0] * u[0] + h[1] * u[1] >= 0 for h in self.inequalities)
@@ -69,7 +93,6 @@ def chamber_complex_2xn(degrees) -> tuple[Chamber, ...]:
         chambers.append(
             Chamber(
                 generators=((lo, 1), (hi, 1)),
-                inequalities=((1, -lo), (-1, hi)),
                 index_set=index_set,
                 lattice=lat,
             )
@@ -80,36 +103,16 @@ def chamber_complex_2xn(degrees) -> tuple[Chamber, ...]:
 def chamber_from_generators(g1, g2) -> Chamber:
     """Manually supplied planar chamber (for general 2 x n degree matrices).
 
-    The two inequalities are the primitive integer forms vanishing on one
-    generator ray and positive on the other; the attached lattice is the span
-    of the generators.
+    The attached lattice is the span of the generators.
     """
-    g1 = (index(g1[0]), index(g1[1]))
-    g2 = (index(g2[0]), index(g2[1]))
-
-    def form(on, toward):
-        from math import gcd
-
-        h = (-on[1], on[0])
-        s = h[0] * toward[0] + h[1] * toward[1]
-        if s == 0:
-            raise ValueError("generators are linearly dependent")
-        if s < 0:
-            h = (-h[0], -h[1])
-        g = gcd(abs(h[0]), abs(h[1]))
-        return (h[0] // g, h[1] // g)
-
-    return Chamber(
-        generators=(g1, g2),
-        inequalities=(form(g1, g2), form(g2, g1)),
-        index_set=(),
-        lattice=lattice_from_columns([g1, g2]),
-    )
+    return Chamber(generators=(g1, g2), index_set=(), lattice=lattice_from_columns([g1, g2]))
 
 
 def locate(chambers, u) -> tuple[int, ...]:
     """Indices of every chamber whose closure contains u; empty iff outside."""
-    u = (index(u[0]), index(u[1]))
+    u = tuple(map(index, u))
+    if len(u) != 2:
+        raise ValueError("point dimension mismatch")
     return tuple(i for i, c in enumerate(chambers) if c.contains(u))
 
 

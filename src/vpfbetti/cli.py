@@ -18,7 +18,7 @@ from .chambers import DegenerateGradingError, chamber_complex_2xn, global_lattic
 from .counting import DegreeMatrix, count
 from .hilbert import hf_bigraded_ring, hf_module
 from .kernels import BudgetExceededError
-from .lattices import IntMatrix, hnf
+from .lattices import hnf
 from .quasipoly import FitError
 from .rees import SpecFormatError, UnsupportedRankError, ci_shifts, ingest, serialize
 from .regions import eval_betti, region_decomposition
@@ -268,11 +268,11 @@ def _cmd_reproduce(args) -> int:
     spec = ci_shifts(degrees)
     out.append("worked example 4.7: complete intersection, generator degrees 2, 3, 6")
     out.append("")
-    A = IntMatrix.from_rows([[2, 3, 6], [1, 1, 1]])
+    A = [[2, 3, 6], [1, 1, 1]]
     H, U = hnf(A)
-    out.append(f"degree matrix rows: {[list(r) for r in A.entries]}")
-    out.append(f"column Hermite normal form H = {[list(r) for r in H.entries]}")
-    out.append(f"unimodular U with H = A*U: {[list(r) for r in U.entries]}")
+    out.append(f"degree matrix rows: {A}")
+    out.append(f"column Hermite normal form H = {[list(r) for r in H]}")
+    out.append(f"unimodular U with H = A*U: {[list(r) for r in U]}")
     out.append("")
     chambers = chamber_complex_2xn(degrees)
     for i, c in enumerate(chambers):

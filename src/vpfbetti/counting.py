@@ -29,26 +29,33 @@ class DegreeMatrix:
     dim: int
     columns: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_columns(cls, columns, dim=None) -> "DegreeMatrix":
-        cols = tuple(tuple(index(x) for x in c) for c in columns)
-        if cols:
-            dim = len(cols[0])
-            if any(len(c) != dim for c in cols):
-                raise ValueError("columns of unequal length")
-        elif dim is None:
-            raise ValueError("empty matrix needs an explicit dimension")
+    def __post_init__(self):
+        dim = index(self.dim)
+        cols = tuple(tuple(map(index, c)) for c in self.columns)
         for c in cols:
+            if len(c) != dim:
+                raise ValueError(f"a column has {len(c)} entries, the grading has rank {dim}")
             if any(x < 0 for x in c):
                 raise ValueError("degree entries must be nonnegative")
             if all(x == 0 for x in c):
                 raise ValueError("zero column makes the grading non-positive")
-        return cls(index(dim), cols)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "columns", cols)
+
+    @classmethod
+    def from_columns(cls, columns, dim=None) -> "DegreeMatrix":
+        """The matrix of these columns, of the first column's length (dim if none)."""
+        cols = tuple(map(tuple, columns))
+        if cols:
+            dim = len(cols[0])
+        elif dim is None:
+            raise ValueError("empty matrix needs an explicit dimension")
+        return cls(dim, cols)
 
     @classmethod
     def bigraded(cls, degrees) -> "DegreeMatrix":
         """Columns (d_i, 1) for a Z^2-graded polynomial ring."""
-        return cls.from_columns([(index(d), 1) for d in degrees])
+        return cls.from_columns([(d, 1) for d in degrees])
 
     @property
     def size(self) -> int:

@@ -33,18 +33,22 @@ class KappaNumerator:
     ring: DegreeMatrix
     terms: tuple[tuple[tuple[int, ...], int], ...]
 
-    @classmethod
-    def from_terms(cls, ring: DegreeMatrix, terms) -> "KappaNumerator":
+    def __post_init__(self):
+        # merged, sorted and without zero terms, so equal numerators have equal terms
         merged: dict[tuple[int, ...], int] = {}
-        for shift, coeff in dict(terms).items() if isinstance(terms, dict) else terms:
-            shift = tuple(index(x) for x in shift)
-            if len(shift) != ring.dim:
+        for shift, coeff in self.terms:
+            shift = tuple(map(index, shift))
+            if len(shift) != self.ring.dim:
                 raise ValueError("shift dimension mismatch")
             merged[shift] = merged.get(shift, 0) + index(coeff)
-        clean = tuple(
-            (shift, c) for shift, c in sorted(merged.items()) if c != 0
+        object.__setattr__(
+            self, "terms", tuple((shift, c) for shift, c in sorted(merged.items()) if c)
         )
-        return cls(ring, clean)
+
+    @classmethod
+    def from_terms(cls, ring: DegreeMatrix, terms) -> "KappaNumerator":
+        """The numerator of (shift, coefficient) pairs, or of a dict shift -> coefficient."""
+        return cls(ring, terms.items() if isinstance(terms, dict) else terms)
 
     @property
     def shifts(self) -> tuple[tuple[int, ...], ...]:
@@ -56,7 +60,9 @@ class KappaNumerator:
 
 def hf_module(kappa: KappaNumerator, u) -> int:
     """Hilbert function value sum_a c_a * count(ring, u - a), exact."""
-    u = tuple(index(x) for x in u)
+    u = tuple(map(index, u))
+    if len(u) != kappa.ring.dim:
+        raise ValueError("point dimension mismatch")
     total = 0
     for shift, coeff in kappa.terms:
         total += coeff * count(kappa.ring, tuple(a - b for a, b in zip(u, shift)))
@@ -194,7 +200,7 @@ def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
     closure contains u and the residue class that selected the polynomial
     piece; outside the positive cone the value is 0 with no attribution.
     """
-    u = (index(u[0]), index(u[1]))
+    u = tuple(map(index, u))  # locate rejects a point of the wrong length
     chambers, lattice, fits = _ring_data(degrees)
     located = locate(chambers, u)
     if not located:

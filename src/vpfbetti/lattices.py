@@ -18,42 +18,21 @@ class RankError(ValueError):
     """The input matrix does not have the rank required by the operation."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, stored row-major."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        data = tuple(tuple(index(x) for x in row) for row in rows)
-        if data and any(len(r) != len(data[0]) for r in data):
-            raise ValueError("rows of unequal length")
-        return cls(data)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-
-def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+def hnf(rows):
     """Column-style Hermite normal form: H = M @ U with U unimodular.
 
-    H is lower triangular with positive pivots on the diagonal; in each pivot
-    row the entries to the left are reduced into [0, pivot).  Requires full
-    row rank; raises RankError otherwise.
+    M is given by its integer rows, of equal length; H and U are returned
+    as tuples of rows.  H is lower triangular with positive pivots on the
+    diagonal; in each pivot row the entries to the left are reduced into
+    [0, pivot).  Requires full row rank; raises RankError otherwise.
     """
-    d, n = M.rows, M.cols
+    M = tuple(tuple(map(index, row)) for row in rows)
+    d, n = len(M), len(M[0]) if M else 0
+    if any(len(row) != n for row in M):
+        raise ValueError("rows of unequal length")
     if d > n:
         raise RankError("matrix does not have full row rank")
-    cols = [list(M.column(j)) for j in range(n)]
+    cols = [list(col) for col in zip(*M)]
     ucols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
 
     def combine(j, q, i):
@@ -85,9 +64,7 @@ def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             q = cols[j][i] // cols[i][i]
             if q:
                 combine(j, q, i)
-    H = IntMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(d)))
-    U = IntMatrix(tuple(tuple(ucols[j][i] for j in range(n)) for i in range(n)))
-    return H, U
+    return tuple(zip(*cols)), tuple(zip(*ucols))
 
 
 @dataclass(frozen=True)
@@ -95,13 +72,27 @@ class Lattice:
     """Full-rank sublattice of Z^2 with the canonical basis ((p, q), (0, r)).
 
     `basis` holds the column vectors (p, q) and (0, r), with p, r > 0 and
-    0 <= q < r, so equal lattices always carry identical bases.  The box
-    [0, p) x [0, r) holds exactly one point of every residue class, its
-    canonical representative.
+    0 <= q < r, so equal lattices always carry identical bases; any other
+    basis raises ValueError.  The box [0, p) x [0, r) holds exactly one
+    point of every residue class, its canonical representative.
     """
 
     basis: tuple[tuple[int, int], tuple[int, int]]
-    det: int
+
+    def __post_init__(self):
+        (p, q), (zero, r) = self.basis
+        p, q, zero, r = map(index, (p, q, zero, r))
+        if zero != 0 or p <= 0 or r <= 0 or not 0 <= q < r:
+            raise ValueError(
+                f"lattice basis {self.basis} is not ((p, q), (0, r)) with p, r > 0 and 0 <= q < r"
+            )
+        object.__setattr__(self, "basis", ((p, q), (0, r)))
+
+    @property
+    def det(self) -> int:
+        """The index of the lattice in Z^2: its number of residue classes."""
+        (p, _), (_, r) = self.basis
+        return p * r
 
     def _residue(self, x: int, y: int) -> tuple[int, int]:
         """Canonical representative of (x, y); integers only, not coerced."""
@@ -135,21 +126,20 @@ def lattice_from_columns(vectors) -> Lattice:
         raise RankError("no generators")
     if any(len(v) != 2 for v in vecs):
         raise ValueError("lattice generators must have two coordinates")
-    H, _ = hnf(IntMatrix.from_rows(zip(*vecs)))  # RankError when the span is a line
-    p, q, r = H.entries[0][0], H.entries[1][0], H.entries[1][1]
-    return Lattice(basis=((p, q), (0, r)), det=p * r)
+    H, _ = hnf(zip(*vecs))  # RankError when the span is a line
+    return Lattice(basis=((H[0][0], H[1][0]), (0, H[1][1])))
 
 
 def lattice_intersect(L1: Lattice, L2: Lattice) -> Lattice:
     """Exact intersection of two planar lattices."""
     (p, q), (_, r) = L1.basis
     gen = list(L1.basis) + [(-x, -y) for x, y in L2.basis]
-    H, U = hnf(IntMatrix.from_rows(zip(*gen)))
+    H, U = hnf(zip(*gen))
     # the columns of U under zero columns of H span the relations between
     # the generators; their L1 halves give the common vectors
     vectors = [
         (a * p, a * q + b * r)
-        for j, (a, b, _, _) in enumerate(zip(*U.entries))
-        if H.column(j) == (0, 0)
+        for (a, b, _, _), h in zip(zip(*U), zip(*H))
+        if h == (0, 0)
     ]
     return lattice_from_columns(vectors)

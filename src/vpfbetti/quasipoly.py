@@ -77,14 +77,16 @@ class Polynomial(_Frozen):
     __slots__ = ("nvars", "den", "_nums")
 
     def __new__(cls, nvars: int, terms=()):
-        coeffs = {
-            tuple(operator.index(e) for e in exp): Fraction(c) for exp, c in dict(terms).items()
-        }
+        nvars = operator.index(nvars)
+        coeffs = {}
+        for exp, c in dict(terms).items():
+            exp = tuple(map(operator.index, exp))
+            if len(exp) != nvars or any(e < 0 for e in exp):
+                raise ValueError(f"exponent {exp} is not {nvars} nonnegative integers")
+            coeffs[exp] = Fraction(c)
         den = lcm(*(c.denominator for c in coeffs.values()))
         return cls._from_ints(
-            operator.index(nvars),
-            den,
-            {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()},
+            nvars, den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
         )
 
     @classmethod
@@ -202,6 +204,8 @@ class QuasiPolynomial(_Frozen):
         extra = set(table) - set(keys)
         if extra:
             raise ValueError(f"piece keys not among canonical residues: {sorted(extra)}")
+        if any(piece.nvars != 2 for piece in table.values()):
+            raise ValueError("every piece must be a polynomial in (mu, t)")
         zero = Polynomial.zero(2)
         return cls._build(
             lattice=lattice,
@@ -365,7 +369,7 @@ def _lowest_points(chamber: Chamber, lattice: Lattice, s_max: int) -> dict:
     """
     h1, h2 = chamber.inequalities
     hx, hy = h1[0] + h2[0], h1[1] + h2[1]
-    m = lattice.row_period
+    m, det = lattice.row_period, lattice.det
     residue = lattice._residue
     best: dict[tuple[int, ...], tuple[int, int, int]] = {}
     top = s_max
@@ -382,9 +386,9 @@ def _lowest_points(chamber: Chamber, lattice: Lattice, s_max: int) -> dict:
             old = best.get(res)
             if old is None or key < old:
                 best[res] = key
-                if old is None and len(best) == lattice.det:
+                if old is None and len(best) == det:
                     top = max(k[0] for k in best.values())
-    if len(best) < lattice.det:
+    if len(best) < det:
         raise FitError("internal: a residue class has no point in the anchor window")
     return {res: (x, y) for res, (_, x, y) in best.items()}
 
@@ -507,9 +511,7 @@ def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> Quasi
     )
     m = len(monos)
     h1, h2 = chamber.inequalities
-    det_t = h1[0] * h2[1] - h1[1] * h2[0]
-    if det_t == 0:
-        raise ValueError("chamber inequalities are linearly dependent")
+    det_t = h1[0] * h2[1] - h1[1] * h2[0]  # nonzero: the generators are independent
 
     def to_z(u):
         return (h1[0] * u[0] + h1[1] * u[1], h2[0] * u[0] + h2[1] * u[1])

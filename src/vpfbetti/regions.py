@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import ceil, factorial
 from operator import index
 
 from .chambers import locate
@@ -35,8 +35,14 @@ class HalfLine:
     """The half-line mu = slope * t + intercept through a shift point."""
 
     slope: int
-    intercept: int
     through: tuple[int, int]
+    intercept: int = field(init=False)
+
+    def __post_init__(self):
+        slope, (mu, t) = index(self.slope), map(index, self.through)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "through", (mu, t))
+        object.__setattr__(self, "intercept", mu - slope * t)
 
     def value(self, t: int) -> int:
         return self.slope * t + self.intercept
@@ -47,59 +53,51 @@ class Region:
     """Strip between consecutive sorted lines, valued by signed chamber-fit terms.
 
     A term (i, a, c) contributes c * fits[i](u - a), where fits are the
-    decomposition's chamber fits, each over its chamber's own lattice.
+    decomposition's chamber fits, each over its chamber's own lattice.  The
+    strip lies between lines `lower` and `upper` = lower + 1.
     """
 
     lower: int
-    upper: int
     terms: tuple[tuple[int, tuple[int, int], int], ...]
+
+    @property
+    def upper(self) -> int:
+        return self.lower + 1
 
 
 @dataclass(frozen=True, eq=False)
 class RegionDecomposition:
     t0: int
     lines: tuple[HalfLine, ...]
-    modulus: int
     lattice: Lattice | None
     regions: tuple[Region, ...]
     kappa: KappaNumerator
-    degrees: tuple[int, ...]
     ray_pieces: dict = field(default_factory=dict)
     fits: dict[int, QuasiPolynomial] = field(default_factory=dict)  # by chamber index
+    modulus: int = field(init=False)  # the lattice's det, 1 without one
+    degrees: tuple[int, ...] = field(init=False)  # the ring's distinct degrees
+
+    def __post_init__(self):
+        object.__setattr__(self, "modulus", 1 if self.lattice is None else self.lattice.det)
+        object.__setattr__(self, "degrees", tuple(sorted(set(self.kappa.ring.degrees))))
 
     @property
     def degenerate(self) -> bool:
         return len(self.degrees) == 1
 
 
-def _intercept(shift, slope: int) -> int:
-    return shift[0] - slope * shift[1]
-
-
 def intersection_height(line1: HalfLine, line2: HalfLine) -> Fraction | None:
     """Second coordinate where two half-lines of distinct slopes meet.
 
-    Computed by the determinant expression
-    (det[[b1', a'], [b2', 1]] - det[[b1, a], [b2, 1]]) / (a - a'),
-    where the lines have slopes a, a' through shift points (b1, b2), (b1', b2').
+    Lines mu = a*t + b and mu = a'*t + b' meet at t = (b' - b) / (a - a').
     """
     if line1.slope == line2.slope:
         return None
-    det2 = line2.through[0] - line2.slope * line2.through[1]
-    det1 = line1.through[0] - line1.slope * line1.through[1]
-    return Fraction(det2 - det1, line1.slope - line2.slope)
-
-
-def _ceil_fraction(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
+    return Fraction(line2.intercept - line1.intercept, line1.slope - line2.slope)
 
 
 def all_half_lines(shifts, degrees) -> list[HalfLine]:
-    return [
-        HalfLine(a, _intercept(s, a), (index(s[0]), index(s[1])))
-        for s in shifts
-        for a in degrees
-    ]
+    return [HalfLine(a, s) for s in shifts for a in degrees]
 
 
 def stability_threshold(shifts, degrees) -> int:
@@ -113,7 +111,7 @@ def stability_threshold(shifts, degrees) -> int:
             y = intersection_height(lines[i], lines[j])
             if y is not None and y > best:
                 best = y
-    return max(1, _ceil_fraction(best))
+    return max(1, ceil(best))
 
 
 def sort_lines(shifts, degrees, t0: int) -> tuple[HalfLine, ...]:
@@ -145,15 +143,13 @@ def _degenerate_decomposition(kappa: KappaNumerator, d: int) -> RegionDecomposit
     lines = sort_lines(shifts, (d,), t0)
     rays: dict[int, list] = {}
     for term in kappa.terms:
-        rays.setdefault(_intercept(term[0], d), []).append(term)
+        rays.setdefault(HalfLine(d, term[0]).intercept, []).append(term)
     return RegionDecomposition(
         t0=t0,
         lines=lines,
-        modulus=1,
         lattice=None,
         regions=(),
         kappa=kappa,
-        degrees=(d,),
         ray_pieces={b: _binomial_sum(terms, n) for b, terms in rays.items()},
     )
 
@@ -173,10 +169,7 @@ def region_decomposition(kappa: KappaNumerator) -> RegionDecomposition:
         raise ValueError("region decompositions require a bigraded ring")
     E = tuple(sorted(set(ring.degrees)))
     if kappa.is_zero():
-        return RegionDecomposition(
-            t0=1, lines=(), modulus=1, lattice=None, regions=(),
-            kappa=kappa, degrees=E,
-        )
+        return RegionDecomposition(t0=1, lines=(), lattice=None, regions=(), kappa=kappa)
     if len(E) == 1:
         return _degenerate_decomposition(kappa, E[0])
 
@@ -196,15 +189,13 @@ def region_decomposition(kappa: KappaNumerator) -> RegionDecomposition:
                 # on a shared wall the higher chamber is the one valid on the
                 # strip above the probe line as well as on the line itself
                 terms.append((located[-1], shift, coeff))
-        regions.append(Region(lower=i, upper=i + 1, terms=tuple(terms)))
+        regions.append(Region(lower=i, terms=tuple(terms)))
     return RegionDecomposition(
         t0=t0,
         lines=lines,
-        modulus=lattice.det,
         lattice=lattice,
         regions=tuple(regions),
         kappa=kappa,
-        degrees=E,
         fits={idx: fits[idx] for region in regions for idx, _, _ in region.terms},
     )
 

@@ -1,12 +1,14 @@
 import pytest
 
 from vpfbetti.chambers import (
+    Chamber,
     DegenerateGradingError,
     chamber_complex_2xn,
     chamber_from_generators,
     global_lattice,
     locate,
 )
+from vpfbetti.lattices import lattice_from_columns
 
 
 def test_chambers_2367():
@@ -125,3 +127,12 @@ def test_chamber_from_generators_quadrant():
 def test_chamber_from_generators_dependent():
     with pytest.raises(ValueError):
         chamber_from_generators((2, 4), (1, 2))
+
+
+def test_chamber_derives_its_inequalities_from_its_generators():
+    square = lattice_from_columns([(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        Chamber(generators=((2, 4), (1, 2)), index_set=(), lattice=square)
+    c = Chamber(generators=((4, 2), (0, 3)), index_set=(), lattice=square)
+    assert c.inequalities == ((-1, 2), (1, 0))
+    assert chamber_from_generators((4, 2), (0, 3)).inequalities == c.inequalities

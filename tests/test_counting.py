@@ -114,6 +114,19 @@ def test_degree_matrix_validation():
         DegreeMatrix.from_columns([(1, 2), (1, 2, 3)])
 
 
+def test_degree_matrix_constructor_checks_what_from_columns_checks():
+    # a zero column would make every count infinite
+    with pytest.raises(ValueError, match="zero column"):
+        DegreeMatrix(2, ((0, 0), (1, 1)))
+    with pytest.raises(ValueError):
+        DegreeMatrix(2, ((-1, 2),))
+    with pytest.raises(ValueError):
+        DegreeMatrix(3, ((1, 2),))
+    with pytest.raises(TypeError):
+        DegreeMatrix(2, ((2.0, 1),))
+    assert DegreeMatrix(2, [[2, 1], (3, 1)]) == DegreeMatrix.bigraded([2, 3])
+
+
 def test_count_shared_ring_from_eight_threads(fresh_tables):
     # every thread asks for ever larger t, so rows are appended while others read
     ring = DegreeMatrix.bigraded([2, 3, 6, 7])

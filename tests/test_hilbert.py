@@ -28,7 +28,7 @@ from vpfbetti.hilbert import (
     hf_module,
     series_identity_check,
 )
-from vpfbetti.lattices import IntMatrix, lattice_from_columns
+from vpfbetti.lattices import hnf, lattice_from_columns
 from vpfbetti.quasipoly import Polynomial, QuasiPolynomial
 from vpfbetti.rees import ToriSpec, ci_shifts
 
@@ -81,7 +81,7 @@ def _tor1_fit():
         lambda: _tor1_fit().shift((5.5, 1)),
         lambda: global_lattice([2, 3, 6]).reduce((5.9, 2)),
         lambda: lattice_from_columns([(2, 1), (3.5, 1)]),
-        lambda: IntMatrix.from_rows([[1, 2.5]]),
+        lambda: hnf([[1, 2.5]]),
         lambda: Polynomial(1.0, {(1,): 1}),
         lambda: Polynomial(1, {(Fraction(1),): 1}),
         lambda: chamber_complex_2xn([2, 3.5, 6]),
@@ -99,6 +99,32 @@ def _tor1_fit():
 def test_non_integer_arguments_raise_beyond_the_counting_entry_points(call):
     with pytest.raises(TypeError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hf_module(ci_shifts((2, 3, 6)).tor(1), (28, 10, 5)),
+        lambda: hf_module(TOR1, (28,)),
+        lambda: hf_bigraded_ring((2, 3, 6), (12, 2, 99)),
+        lambda: hf_bigraded_ring((2, 3, 6), (12,)),
+        lambda: locate(chamber_complex_2xn([2, 3, 6]), (12, 2, 99)),
+    ],
+)
+def test_points_of_the_wrong_length_raise_instead_of_truncating(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_kappa_constructor_merges_and_drops_zero_terms():
+    kappa = KappaNumerator(RING, (((5, 1), 0),))
+    assert kappa.is_zero()
+    assert kappa == KappaNumerator.from_terms(RING, [])
+    kappa = KappaNumerator(RING, (((5, 1), 1), ((2, 0), -1), ((5, 1), 1)))
+    assert kappa.terms == (((2, 0), -1), ((5, 1), 2))
+    assert kappa == KappaNumerator.from_terms(RING, {(5, 1): 2, (2, 0): -1})
+    with pytest.raises(ValueError):
+        KappaNumerator(RING, (((5, 1, 0), 1),))
 
 
 def test_tor1_value():

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import det_reference, full_row_rank_reference, matmul_reference, solve_exact
 from vpfbetti.lattices import (
-    IntMatrix,
+    Lattice,
     RankError,
     hnf,
     lattice_from_columns,
@@ -13,27 +13,27 @@ from vpfbetti.lattices import (
 
 
 def test_hnf_worked_example():
-    A = IntMatrix.from_rows([[2, 3, 6], [1, 1, 1]])
+    A = ((2, 3, 6), (1, 1, 1))
     H, U = hnf(A)
-    assert H.entries == ((1, 0, 0), (0, 1, 0))
-    assert matmul_reference(A.entries, U.entries) == H.entries
-    assert det_reference(U.entries) in (1, -1)
+    assert H == ((1, 0, 0), (0, 1, 0))
+    assert matmul_reference(A, U) == H
+    assert det_reference(U) in (1, -1)
 
 
 def test_hnf_identity():
-    I = IntMatrix.from_rows([[1, 0], [0, 1]])
-    H, U = hnf(I)
-    assert H.entries == I.entries
-    assert U.entries == I.entries
+    I = ((1, 0), (0, 1))
+    H, U = hnf([list(row) for row in I])
+    assert H == I
+    assert U == I
 
 
 def test_hnf_four_columns():
-    A = IntMatrix.from_rows([[2, 3, 6, 7], [1, 1, 1, 1]])
+    A = ((2, 3, 6, 7), (1, 1, 1, 1))
     H, U = hnf(A)
-    assert H.entries == ((1, 0, 0, 0), (0, 1, 0, 0))
-    assert matmul_reference(A.entries, U.entries) == H.entries
+    assert H == ((1, 0, 0, 0), (0, 1, 0, 0))
+    assert matmul_reference(A, U) == H
     # unimodularity of U by exact determinant
-    assert det_reference(U.entries) in (1, -1)
+    assert det_reference(U) in (1, -1)
 
 
 def test_hnf_random_contract():
@@ -41,27 +41,55 @@ def test_hnf_random_contract():
     for _ in range(40):
         d = rng.randint(1, 3)
         n = rng.randint(d, d + 3)
-        A = IntMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(d)]
-        )
-        if not full_row_rank_reference(A.entries):
+        A = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(d))
+        if not full_row_rank_reference(A):
             with pytest.raises(RankError):
                 hnf(A)
             continue
         H, U = hnf(A)
-        assert matmul_reference(A.entries, U.entries) == H.entries
-        assert det_reference(U.entries) in (1, -1)
+        assert matmul_reference(A, U) == H
+        assert det_reference(U) in (1, -1)
         for i in range(d):
-            assert H.entries[i][i] > 0
+            assert H[i][i] > 0
             for j in range(i + 1, n):
-                assert H.entries[i][j] == 0
+                assert H[i][j] == 0
             for j in range(i):
-                assert 0 <= H.entries[i][j] < H.entries[i][i]
+                assert 0 <= H[i][j] < H[i][i]
 
 
 def test_hnf_rank_deficient():
     with pytest.raises(RankError):
-        hnf(IntMatrix.from_rows([[1, 2], [2, 4]]))
+        hnf([[1, 2], [2, 4]])
+
+
+def test_hnf_rejects_rows_of_unequal_length():
+    with pytest.raises(ValueError, match="unequal length"):
+        hnf([[1, 2, 3], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        ((2, 5), (0, 3)),  # q not reduced below r
+        ((2, -1), (0, 3)),
+        ((0, 0), (0, 3)),
+        ((2, 0), (0, 0)),
+        ((2, 0), (1, 3)),  # not triangular
+    ],
+)
+def test_lattice_rejects_a_basis_that_is_not_canonical(basis):
+    with pytest.raises(ValueError):
+        Lattice(basis=basis)
+
+
+def test_lattice_det_is_derived_from_the_basis():
+    with pytest.raises(TypeError):
+        Lattice(basis=((2, 0), (0, 3)), det=5)
+    L = Lattice(basis=((2, 2), (0, 3)))
+    assert L.det == 6 == len(L.residues())
+    assert L == lattice_from_columns([(2, 5), (0, 3)])
+    with pytest.raises(TypeError):
+        Lattice(basis=((2.0, 0), (0, 3)))
 
 
 def test_lattice_from_columns_unimodular_pair():

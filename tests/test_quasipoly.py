@@ -64,6 +64,24 @@ def test_polynomial_basics():
     assert Polynomial.zero(2).total_degree() == 0
 
 
+@pytest.mark.parametrize(
+    "nvars, terms",
+    [
+        (2, {(1,): 1}),  # too few exponents
+        (1, {(1, 1): 2}),  # too many
+        (2, {(-1, 0): 1}),  # a negative exponent
+    ],
+)
+def test_polynomial_rejects_malformed_exponents(nvars, terms):
+    with pytest.raises(ValueError):
+        Polynomial(nvars, terms)
+
+
+def test_quasipolynomial_rejects_a_piece_not_in_two_variables():
+    with pytest.raises(ValueError):
+        QuasiPolynomial(GLOBAL, {(0, 0): Polynomial(1, {(1,): 1})})
+
+
 fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
 
 

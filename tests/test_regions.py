@@ -44,10 +44,11 @@ def test_stability_threshold_single_shift_origin():
 
 
 def test_stability_threshold_binding_pair():
-    l1 = HalfLine(3, 2, (5, 1))
-    l2 = HalfLine(2, 7, (11, 2))
+    l1 = HalfLine(3, (5, 1))
+    l2 = HalfLine(2, (11, 2))
+    assert (l1.intercept, l2.intercept) == (2, 7)
     assert intersection_height(l1, l2) == Fraction(5)
-    assert intersection_height(l1, HalfLine(3, 9, (9, 0))) is None
+    assert intersection_height(l1, HalfLine(3, (9, 0))) is None
 
 
 def test_stability_threshold_common_point_above_one():
