@@ -286,12 +286,11 @@ def _cmd_reproduce(args) -> int:
     out.append("  floor((mu - 2t)/4) - (mu - 3t)/3 + 1        on C2, 3 | mu - 3t")
     out.append("  floor((mu - 2t)/4) - floor((mu - 3t)/3)     on C2 otherwise")
     out.append("")
-    for index, kappa in spec.tors:
-        dec = region_decomposition(kappa)
+    decs = {index: region_decomposition(kappa) for index, kappa in spec.tors}
+    for index, dec in decs.items():
         out.append(f"homological index {index}: t0 = {dec.t0}, lines "
                    + ", ".join(textfmt.line_str(l.slope, l.intercept) for l in dec.lines))
-    b1 = region_decomposition(spec.tor(1))
-    sample = eval_betti(b1, 28, 10)
+    sample = eval_betti(decs[1], 28, 10)
     out.append("")
     out.append(f"sample value at (mu, t) = (28, 10), index 1: {sample}")
     out.append("")

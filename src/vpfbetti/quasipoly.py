@@ -132,6 +132,8 @@ class Polynomial(_Frozen):
         return max((sum(e) for e in self._nums), default=0)
 
     def eval(self, point) -> Fraction:
+        if len(point) != self.nvars:
+            raise ValueError("point dimension mismatch")
         total = 0
         for exp, n in self._nums.items():
             for x, e in zip(point, exp):
@@ -157,6 +159,8 @@ class Polynomial(_Frozen):
 
     def shifted(self, a) -> "Polynomial":
         """p(x - a) for an integer vector a; the denominator is unchanged."""
+        if len(a) != self.nvars:
+            raise ValueError("point dimension mismatch")
         return Polynomial._from_ints(self.nvars, self.den, _taylor_shift(self._nums, a))
 
     def __eq__(self, other) -> bool:

@@ -555,14 +555,41 @@ def test_every_call_exits_0_1_or_2(spec_path, data):
 
 
 def test_import_loads_no_numpy():
-    # every command pays the package's import; the counts need only Python ints
+    # every command pays the package's import; the counts need only Python ints,
+    # and the package imports a submodule only when one of its names is read
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import vpfbetti, vpfbetti.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-    )
+    code = f"""
+import json, sys
+sys.path.insert(0, {src!r})
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("vpfbetti."))
+import vpfbetti
+report = {{"bare": loaded()}}
+import vpfbetti.counting
+report["counting"] = loaded()
+names = {{}}
+exec("from vpfbetti import *", names)
+report["foreign"] = [
+    n for n in vpfbetti.__all__
+    if not names[n].__module__.startswith("vpfbetti.")
+    or vars(sys.modules[names[n].__module__]).get(n) is not names[n]
+]
+try:
+    vpfbetti.no_such_name
+except AttributeError:
+    report["unknown"] = "AttributeError"
+import vpfbetti.cli
+report["numpy"] = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+print(json.dumps(report))
+"""
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=False
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout) == {
+        "bare": [],
+        "counting": ["vpfbetti.counting", "vpfbetti.kernels"],
+        "foreign": [],
+        "unknown": "AttributeError",
+        "numpy": [],
+    }

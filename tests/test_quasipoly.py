@@ -134,6 +134,11 @@ def test_polynomial_shift():
     p = Polynomial(2, {(1, 1): 1})
     s = p.shifted((2, 3))
     assert s.eval((5, 7)) == (5 - 2) * (7 - 3)
+    # a point or shift of the wrong length raises, as the constructor does
+    line = Polynomial(1, {(1,): 2})
+    for call, arg in [(line.eval, (3, 5)), (line.shifted, (1, 0)), (line.shifted, (1, 7)), (p.eval, (5,))]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call(arg)
 
 
 def constant(value):
@@ -469,6 +474,8 @@ def test_shift_identity():
     q1 = fitted(0)
     s = q1.shift((0, 0), 1)
     assert s == q1
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        q1.shift((1, 2, 0))
 
 
 def test_shift_contract_pointwise():
