@@ -183,10 +183,17 @@ def _cmd_chambers(args) -> int:
     return 0
 
 
-def _strip_bounds(dec, region) -> tuple[str, str]:
-    """The rendered lower and upper lines of a region's strip."""
-    lo, hi = dec.lines[region.lower], dec.lines[region.upper]
-    return textfmt.line_str(lo.slope, lo.intercept), textfmt.line_str(hi.slope, hi.intercept)
+def _region_rows(dec):
+    """(region, lower line, upper line, [(residue, poly string)]) for each region.
+
+    Each distinct piece is rendered once, for the table and csv formats alike.
+    """
+    for r, pieces in textfmt.rendered_pieces(dec, lambda p: textfmt.poly_str(p, ("mu", "t"))):
+        lo, hi = dec.lines[r.lower], dec.lines[r.upper]
+        yield (
+            r, textfmt.line_str(lo.slope, lo.intercept), textfmt.line_str(hi.slope, hi.intercept),
+            pieces,
+        )
 
 
 def _cmd_regions(args) -> int:
@@ -211,10 +218,8 @@ def _cmd_regions(args) -> int:
         return 0
     if args.format == "csv":
         rows = ["region,lower,upper,residue,poly"]
-        for r, pieces in textfmt.region_pieces(dec):
-            lo, hi = _strip_bounds(dec, r)
-            for res, piece in pieces:
-                poly = textfmt.poly_str(piece, ("mu", "t"))
+        for r, lo, hi, pieces in _region_rows(dec):
+            for res, poly in pieces:
                 rows.append(f"{r.lower},{lo},{hi},\"{list(res)}\",\"{poly}\"")
         _emit("\n".join(rows) + "\n", args.out)
         return 0
@@ -233,11 +238,9 @@ def _cmd_regions(args) -> int:
             )
     else:
         lines.append("regions (half-open [lower, upper), last closed):")
-        for r, pieces in textfmt.region_pieces(dec):
-            lo, hi = _strip_bounds(dec, r)
+        for _, lo, hi, pieces in _region_rows(dec):
             lines.append(f"  [{lo} .. {hi})")
-            for res, piece in pieces:
-                poly = textfmt.poly_str(piece, ("mu", "t"))
+            for res, poly in pieces:
                 lines.append(f"    residue {tuple(res)}: {poly}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -328,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="Hilbert function of a ring or a presented module")
     p.add_argument("point", help="comma-separated bidegree, e.g. 12,2")
-    p.add_argument("--degrees", help="ring query: generator degrees")
-    p.add_argument("--spec", help="module query: shift document file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--degrees", help="ring query: generator degrees")
+    source.add_argument("--spec", help="module query: shift document file")
     p.add_argument("--index", type=int, help="homological index for --spec")
     p.add_argument("--format", choices=("table", "structured"), default="table")
     p.add_argument("--out")
@@ -342,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chambers)
 
     p = sub.add_parser("regions", help="region decomposition for one homological index")
-    p.add_argument("--spec", help="shift document file")
-    p.add_argument("--degrees", help="complete-intersection shortcut")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--spec", help="shift document file")
+    source.add_argument("--degrees", help="complete-intersection shortcut")
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--format", choices=("table", "structured", "csv", "svg"), default="table")
     p.add_argument("--tmax", type=int, default=None, help="height range for svg output")
@@ -356,8 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rees_ci)
 
     p = sub.add_parser("verify", help="run the oracle verification suites")
-    p.add_argument("--spec")
-    p.add_argument("--degrees")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--spec")
+    source.add_argument("--degrees")
     p.add_argument("--tmax", type=int, default=40)
     p.add_argument("--format", choices=("table", "structured"), default="table")
     p.add_argument("--out")

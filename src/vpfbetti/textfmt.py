@@ -72,8 +72,12 @@ def region_pieces(dec: RegionDecomposition):
     residues sums one piece of every term.  Each distinct term is shifted
     once, with QuasiPolynomial.shift, and its column (its piece at every
     global residue) is built once; regions are yielded one at a time.
+    Each distinct combination of term pieces, in any region, is summed once
+    and yields the same Polynomial object.  Sums are keyed by the pieces'
+    ids, which stay unique because `columns` holds every piece.
     """
     columns = {}
+    sums = {}
     residues = sorted(dec.lattice.residues()) if dec.regions else ()
     for region in dec.regions:
         for term in region.terms:
@@ -82,8 +86,31 @@ def region_pieces(dec: RegionDecomposition):
                 q = dec.fits[idx].shift(a, c)
                 pieces, reduce = q.pieces, q.lattice.reduce
                 columns[term] = [pieces[reduce(res)] for res in residues]
-        cols = [columns[term] for term in region.terms]
-        yield region, [(res, Polynomial._sum(2, parts)) for res, *parts in zip(residues, *cols)]
+        out = []
+        for res, *parts in zip(residues, *(columns[term] for term in region.terms)):
+            key = tuple(map(id, parts))
+            poly = sums.get(key)
+            if poly is None:
+                poly = sums[key] = Polynomial._sum(2, parts)
+            out.append((res, poly))
+        yield region, out
+
+
+def rendered_pieces(dec: RegionDecomposition, render):
+    """region_pieces(dec) with each piece replaced by render(piece).
+
+    render runs once per distinct piece object, and a repeated piece yields
+    the same rendered object.  Each entry holds its piece, so ids stay unique.
+    """
+    done = {}
+    for region, pieces in region_pieces(dec):
+        out = []
+        for res, poly in pieces:
+            hit = done.get(id(poly))
+            if hit is None:
+                hit = done[id(poly)] = (poly, render(poly))
+            out.append((res, hit[1]))
+        yield region, out
 
 
 def line_dict(line) -> dict:
@@ -111,9 +138,9 @@ def decomposition_dict(dec: RegionDecomposition) -> dict:
     else:
         out["regions"] = [
             {"lower": r.lower, "upper": r.upper, "pieces": [
-                {"residue": list(res), "poly": poly_dict(p)} for res, p in pieces
+                {"residue": list(res), "poly": poly} for res, poly in pieces
             ]}
-            for r, pieces in region_pieces(dec)
+            for r, pieces in rendered_pieces(dec, poly_dict)
         ]
     return out
 
@@ -122,29 +149,42 @@ def dumps_canonical(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) + "\n", written directly.
 
     Dicts need str keys.  A value that is not a dict, list, tuple, str, int,
-    float, bool or None raises TypeError, as json.dumps does.
+    float, bool or None raises TypeError, as json.dumps does.  A dict object
+    that occurs again at the same indent is written once; its text is copied.
     """
     out = []
-    _write(obj, "\n", out)
+    _write(obj, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(obj, nl: str, out: list) -> None:
-    """Append obj's canonical JSON to out; nl is the newline and indent before obj's items."""
+def _write(obj, nl: str, out: list, seen: dict) -> None:
+    """Append obj's canonical JSON to out; nl is the newline and indent before obj's items.
+
+    seen maps (id, nl) of each dict written so far to the dict and the slice
+    of out that holds its text; holding the dict keeps its id unique.
+    """
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        here = (id(obj), nl)
+        hit = seen.get(here)
+        if hit is not None:
+            out.append("".join(out[hit[1]:hit[2]]))
+            seen[here] = (obj, len(out) - 1, len(out))
+            return
+        start = len(out)
         inner = nl + "  "
         sep = "{" + inner
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(sep + _quote(key) + ": ")
-            _write(obj[key], inner, out)
+            _write(obj[key], inner, out, seen)
             sep = "," + inner
         out.append(nl + "}")
+        seen[here] = (obj, start, len(out))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -156,7 +196,7 @@ def _write(obj, nl: str, out: list) -> None:
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _write(item, inner, out)
+            _write(item, inner, out, seen)
             sep = "," + inner
         out.append(nl + "]")
     elif isinstance(obj, str):

@@ -155,6 +155,26 @@ def test_bad_input_exits_2(capsys, tmp_path, argv, content):
     assert rc == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regions", "--degrees", "2,3,6", "--spec", "{file}", "--index", "1"],
+        ["verify", "--spec", "{file}", "--degrees", "2,3,6"],
+        ["hilbert", "--degrees", "2,3,6", "--spec", "{file}", "--index", "1", "28,10"],
+    ],
+    ids=["regions", "verify", "hilbert"],
+)
+def test_spec_and_degrees_together_are_a_usage_error(capsys, tmp_path, argv):
+    # either option alone is a valid call; together neither is silently dropped
+    path = tmp_path / "spec.json"
+    path.write_text(serialize(ci_shifts((2, 3))))
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{file}", str(path)) for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_hilbert_ring(capsys):
     rc, out, _ = run(capsys, "hilbert", "--degrees", "2,3,6", "12,2")
     assert rc == 0
