@@ -20,6 +20,7 @@ from . import kernels
 from .chambers import chamber_complex_2xn, global_lattice, locate
 from .counting import DegreeMatrix, count
 from .quasipoly import QuasiPolynomial, fit_chamber_qp
+from .waves import RingWaves
 
 
 class DataIntegrityWarning(UserWarning):
@@ -145,7 +146,7 @@ def _series_identity(kappa: KappaNumerator, g, lo) -> bool:
 
 @dataclass(frozen=True)
 class RingHilbertValue:
-    """A Hilbert function value with the chamber and residue that selected it."""
+    """A Hilbert function value with the chamber and global residue class of its point."""
 
     value: int
     chamber: int | None
@@ -178,10 +179,10 @@ class _ChamberFits:
 
 @lru_cache(maxsize=64)
 def _ring_chamber_data(degrees: tuple[int, ...]):
-    """Chambers, global lattice and lazy fits of the ring with these sorted degrees."""
+    """Chambers, global lattice, lazy fits and partition waves of the ring with these sorted degrees."""
     ring = DegreeMatrix.bigraded(degrees)
     chambers = chamber_complex_2xn(degrees)
-    return chambers, global_lattice(degrees), _ChamberFits(ring, chambers)
+    return chambers, global_lattice(degrees), _ChamberFits(ring, chambers), RingWaves(degrees)
 
 
 _RINGS_LOCK = threading.Lock()  # lru_cache alone may build a ring twice on concurrent misses
@@ -196,15 +197,24 @@ def _ring_data(degrees):
 def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
     """Hilbert function of k[T_1..T_n] with deg T_i = (d_i, 1), with attribution.
 
-    Returns the value together with the index of the (lowest) chamber whose
-    closure contains u and the residue class that selected the polynomial
-    piece; outside the positive cone the value is 0 with no attribution.
+    Returns the value, read from the ring's partition waves, with the index
+    of the (lowest) chamber whose closure contains u and u's residue modulo
+    the global lattice; outside the positive cone the value is 0 with no
+    attribution.  Where a wave table would be over the budget, the value is
+    read from that chamber's fit instead, unless the fit has more residue
+    classes than the cell budget; then, or if the fit is over budget,
+    BudgetExceededError.
     """
     u = tuple(map(index, u))  # locate rejects a point of the wrong length
-    chambers, lattice, fits = _ring_data(degrees)
+    chambers, lattice, fits, waves = _ring_data(degrees)
     located = locate(chambers, u)
     if not located:
         return RingHilbertValue(0, None, None)
     idx = located[0]
-    value = fits[idx].eval_row(u[1], u[0], u[0])[0]
+    try:
+        value = waves.count(*u)
+    except kernels.BudgetExceededError:  # far past a wave's threshold: a wide period
+        what = f"fit of chamber C{idx + 1}, one piece per residue class,"
+        kernels.check_cells(chambers[idx].lattice.det, what)
+        value = fits[idx].eval_row(u[1], u[0], u[0])[0]
     return RingHilbertValue(value, idx, lattice.reduce(u))

@@ -176,7 +176,7 @@ def region_decomposition(kappa: KappaNumerator) -> RegionDecomposition:
     shifts = kappa.shifts
     t0 = stability_threshold(shifts, E)
     lines = sort_lines(shifts, E, t0)
-    chambers, lattice, fits = _ring_data(ring.degrees)
+    chambers, lattice, fits, _ = _ring_data(ring.degrees)
 
     t_probe = t0 + 1
     regions = []

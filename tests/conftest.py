@@ -5,12 +5,13 @@ from vpfbetti import counting, hilbert, kernels
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """Empty count and chamber-fit caches for one test; call the returned function to empty them again.
+    """Empty count, chamber-fit and wave caches for one test; call the returned function to empty them again.
 
     The caches go together: the shared band rows of every ring
     (`kernels._BANDS`), the per-matrix memo that points at them
-    (`counting._ORACLES`), and the per-ring chamber fits
-    (`hilbert._ring_chamber_data`), so a test that counts fits starts cold.
+    (`counting._ORACLES`), and the per-ring chamber fits and partition waves
+    (`hilbert._ring_chamber_data`), so a test that counts fits or tables
+    starts cold.
     """
 
     def reset():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_count
+from vpfbetti import hilbert, kernels
 from vpfbetti.cli import main
 from vpfbetti.counting import DegreeMatrix, count
 from vpfbetti.rees import ci_shifts, serialize
@@ -192,12 +193,66 @@ def test_hilbert_far_point_fits_only_its_chamber(capsys):
     assert json.loads(out) == {"chamber": 0, "point": [30, 10], "residue": [30, 10], "value": 7}
 
 
-def test_hilbert_chamber_over_budget_exits_2(capsys):
+def test_hilbert_answers_where_the_chamber_fit_is_over_budget(capsys, fresh_tables):
     # chamber (5,1)-(7,1) of this ring has own-lattice det 79200, and even its
-    # lowest anchors need count rows past the cell budget
+    # lowest anchors need count rows past the cell budget; the ring query reads
+    # partition waves instead, tables of at most 41 values
+    degrees = (2, 3, 5, 7, 11, 13)
     rc, out, err = run(capsys, "hilbert", "--degrees", "2,3,5,7,11,13", "60,10")
-    assert rc == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (rc, out, err) == (0, "65  chamber=C3 residue=(0, 2950)\n", "")
+    assert count(DegreeMatrix.bigraded(degrees), (60, 10)) == 65
+    assert brute_count([(d, 1) for d in degrees], (60, 10)) == 65
+    chambers, _, fits, _ = hilbert._ring_data(degrees)
+    i = next(i for i, c in enumerate(chambers) if c.generators == ((5, 1), (7, 1)))
+    with pytest.raises(kernels.BudgetExceededError):
+        fits[i]
+
+
+def test_hilbert_reads_a_wave_no_further_than_its_argument(capsys, fresh_tables):
+    # P(0) of the one part 10**11 - 1: a one-value table, where the chamber
+    # fit would have 10**11 - 1 residue classes
+    rc, out, err = run(capsys, "hilbert", "--degrees", "1,100000000000", "5,5")
+    assert (rc, out, err) == (0, "1  chamber=C1 residue=(0, 0)\n", "")
+    # the lowest degree's wave has the parts 30..34 (period 2,782,560, degree 4,
+    # so a threshold-long table of 55,651,200 values); here it is read at 335
+    degrees = (1, 31, 32, 33, 34, 35)
+    rc, out, err = run(capsys, "hilbert", "--degrees", "1,31,32,33,34,35", "345,10")
+    assert (rc, out, err) == (0, "6  chamber=C5 residue=(3, 2782228)\n", "")
+    assert count(DegreeMatrix.bigraded(degrees), (345, 10)) == 6
+    assert brute_count([(d, 1) for d in degrees], (345, 10)) == 6
+
+
+def test_hilbert_reads_the_chamber_fit_past_a_wave_over_budget(capsys, fresh_tables):
+    # far into chamber (34,1)-(35,1) the lowest degree's wave is read past its
+    # threshold, where its table is over the budget; the chamber's own lattice
+    # has det 204, and its fit gives the value
+    degrees = (1, 31, 32, 33, 34, 35)
+    rc, out, err = run(capsys, "hilbert", "--degrees", "1,31,32,33,34,35", "34500000,1000000")
+    assert (rc, out, err) == (0, "3191942431577228760  chamber=C5 residue=(0, 2673280)\n", "")
+    chambers, _, fits, _ = hilbert._ring_data(degrees)
+    assert chambers[4].generators == ((34, 1), (35, 1)) and chambers[4].lattice.det == 204
+    assert fits[4].eval_row(1000000, 34500000, 34500000) == [3191942431577228760]
+
+
+def test_hilbert_over_budget_on_wave_and_fit_exits_2_without_allocating(capsys):
+    # the one wave read, the part 10**11 - 1, would need 2e11 values, and the
+    # chamber fit has 10**11 - 1 residue classes
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "hilbert", "--degrees", "1,100000000000", "200000000003,5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == "" and err.startswith("error: fit of chamber C1") and "budget" in err
+    assert err.count("\n") == 1
+    assert peak < 2**20
+
+
+def test_hilbert_on_widely_spread_degrees_builds_no_count_table(capsys, fresh_tables):
+    # the waves read P(0) of the part 999,999, where the chamber fit has det 999,999
+    rc, out, err = run(capsys, "hilbert", "--degrees", "1,1000000", "5,5")
+    assert (rc, out, err) == (0, "1  chamber=C1 residue=(0, 0)\n", "")
+    assert kernels._BANDS == {}
 
 
 def test_hilbert_chamber_fits_from_its_lowest_points(capsys):

@@ -352,7 +352,7 @@ def test_fit_cache_is_keyed_by_sorted_degrees(fresh_tables):
 def test_lazy_fits_equal_the_eager_global_fits(degrees, fresh_tables):
     # each fit is cached over its chamber's own lattice, and every global
     # residue reads the eager global fit's piece from the class it falls in
-    chambers, lattice, fits = _ring_chamber_data(degrees)
+    chambers, lattice, fits, _ = _ring_chamber_data(degrees)
     want = ring_fits_reference(degrees)
     assert len(chambers) == len(want)
     for i, ref in enumerate(want):
@@ -361,8 +361,8 @@ def test_lazy_fits_equal_the_eager_global_fits(degrees, fresh_tables):
             assert fits[i].pieces[fits[i].lattice.reduce(k)] == ref.pieces[k]
 
 
-def test_a_ring_query_makes_no_global_copy(monkeypatch, fresh_tables):
-    # the one quasi-polynomial a ring query builds is its chamber's fit
+def recording_builds(monkeypatch):
+    """Record the lattice of every QuasiPolynomial built."""
     built = []
     real = QuasiPolynomial._build.__func__
 
@@ -371,9 +371,18 @@ def test_a_ring_query_makes_no_global_copy(monkeypatch, fresh_tables):
         return real(cls, **fields)
 
     monkeypatch.setattr(QuasiPolynomial, "_build", classmethod(build))
+    return built
+
+
+def test_a_ring_query_makes_no_global_copy(monkeypatch, fresh_tables):
+    # a ring query builds no quasi-polynomial; the one a chamber fit builds
+    # is over its chamber's own lattice, not the global one
+    built = recording_builds(monkeypatch)
     res = hf_bigraded_ring((2, 3, 6, 7, 11), (30, 10))
     assert res == RingHilbertValue(7, 0, (30, 10))
-    chambers, lattice, _ = _ring_chamber_data((2, 3, 6, 7, 11))
+    assert built == []
+    chambers, lattice, fits, _ = _ring_chamber_data((2, 3, 6, 7, 11))
+    assert fits[0].eval_row(10, 30, 30) == [7]
     assert built == [chambers[0].lattice] and lattice.det == 21600
 
 
@@ -390,12 +399,37 @@ def counting_fits(monkeypatch):
     return fitted
 
 
+@pytest.mark.parametrize(
+    "degrees,u",
+    [
+        ((2, 3, 6, 7), (650, 100)),
+        ((2, 3, 4, 5, 6), (45, 10)),
+        ((2, 2, 5), (10**9 + 2, 3 * 10**8)),
+        ((2, 3, 5, 7, 11, 13), (60, 10)),
+    ],
+)
+def test_a_ring_query_fits_nothing(monkeypatch, fresh_tables, degrees, u):
+    # the value comes from the ring's partition waves, not from a chamber fit
+    fitted = counting_fits(monkeypatch)
+    built = recording_builds(monkeypatch)
+    hf_bigraded_ring(degrees, u)
+    assert fitted == [] and built == []
+
+
+def fit_value(degrees, u):
+    """The value at u of the fit of the lowest chamber holding u, read through the ring data."""
+    chambers, _, fits, _ = hilbert._ring_data(degrees)
+    (i, *_) = locate(chambers, u)
+    return fits[i].eval_row(u[1], u[0], u[0])[0]
+
+
 def test_one_point_fits_only_its_chamber(monkeypatch, fresh_tables):
     fitted = counting_fits(monkeypatch)
-    res = hf_bigraded_ring((2, 3, 4, 5, 6), (45, 10))  # strictly between slopes 4 and 5
-    assert res.value == count(DegreeMatrix.bigraded([2, 3, 4, 5, 6]), (45, 10))
+    degrees = (2, 3, 4, 5, 6)
+    value = fit_value(degrees, (45, 10))  # strictly between slopes 4 and 5
+    assert value == count(DegreeMatrix.bigraded(degrees), (45, 10))
     assert fitted == [((4, 1), (5, 1))]
-    hf_bigraded_ring((2, 3, 4, 5, 6), (46, 10))
+    fit_value(degrees, (46, 10))
     assert len(fitted) == 1
 
 
@@ -407,16 +441,16 @@ def test_a_fit_that_raises_is_not_kept(monkeypatch, fresh_tables):
 
     monkeypatch.setattr(hilbert, "fit_chamber_qp", over_budget)
     with pytest.raises(kernels.BudgetExceededError):
-        hf_bigraded_ring((2, 3, 6), (40, 10))
+        fit_value((2, 3, 6), (40, 10))
     monkeypatch.setattr(hilbert, "fit_chamber_qp", real)
-    assert hf_bigraded_ring((2, 3, 6), (40, 10)).value == count(RING, (40, 10))
+    assert fit_value((2, 3, 6), (40, 10)) == count(RING, (40, 10))
 
 
 def test_each_chamber_fitted_once_from_eight_threads(monkeypatch, fresh_tables):
     degrees = (2, 3, 4, 5, 6)
     points = [(mu, t) for t in (10, 11, 12, 13) for mu in range(2 * t + 1, 6 * t, 3)]
     jobs = [points[k::8] + points[: k + 1] for k in range(8)]  # every job reads the first chamber
-    want = [[hf_bigraded_ring(degrees, u) for u in job] for job in jobs]
+    want = [[hf_bigraded_ring(degrees, u).value for u in job] for job in jobs]
     fitted = counting_fits(monkeypatch)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -426,7 +460,7 @@ def test_each_chamber_fitted_once_from_eight_threads(monkeypatch, fresh_tables):
             fitted.clear()
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [
-                    pool.submit(lambda job: [hf_bigraded_ring(degrees, u) for u in job], job)
+                    pool.submit(lambda job: [fit_value(degrees, u) for u in job], job)
                     for job in jobs
                 ]
                 assert [f.result(timeout=120) for f in futures] == want

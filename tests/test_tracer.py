@@ -21,7 +21,13 @@ tr = tracer.install()
 from vpfbetti import cli
 with contextlib.redirect_stdout(io.StringIO()) as out:
     rc = cli.main(["hilbert", "--degrees", "2,3,6", "12,2"])
-print(json.dumps({{"rc": rc, "out": out.getvalue(), "metrics": tr.metrics()}}))
+hilbert = tr.metrics()
+with contextlib.redirect_stdout(io.StringIO()) as counted:
+    rc_count = cli.main(["count", "--degrees", "2,3,6", "12,2"])
+print(json.dumps({{
+    "rc": [rc, rc_count], "out": [out.getvalue(), counted.getvalue()],
+    "hilbert": hilbert, "metrics": tr.metrics(),
+}}))
 """
 
 
@@ -32,5 +38,9 @@ def test_tracer_installs_and_records_a_traced_query():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["rc"] == 0 and report["out"].startswith("1  chamber=C2")
+    assert report["rc"] == [0, 0]
+    assert report["out"][0].startswith("1  chamber=C2") and report["out"][1] == "1\n"
+    # a ring query reads partition waves: it locates its chamber and counts nothing
+    assert report["hilbert"]["chambers.locate.calls"] >= 1
+    assert report["hilbert"]["counting.count.calls"] == 0
     assert report["metrics"]["counting.count.calls"] >= 1
