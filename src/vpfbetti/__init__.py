@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # the public names, under the module that defines each
 _EXPORTS = {
     "chambers": (
-        "Chamber", "DegenerateGradingError", "chamber_complex_2xn",
-        "chamber_from_generators", "global_lattice", "locate",
+        "Chamber", "DegenerateGradingError", "chamber_complex_2xn", "global_lattice",
+        "locate",
     ),
     "counting": ("DegreeMatrix", "count", "series_coeffs"),
     "hilbert": (

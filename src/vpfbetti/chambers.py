@@ -100,14 +100,6 @@ def chamber_complex_2xn(degrees) -> tuple[Chamber, ...]:
     return tuple(chambers)
 
 
-def chamber_from_generators(g1, g2) -> Chamber:
-    """Manually supplied planar chamber (for general 2 x n degree matrices).
-
-    The attached lattice is the span of the generators.
-    """
-    return Chamber(generators=(g1, g2), index_set=(), lattice=lattice_from_columns([g1, g2]))
-
-
 def locate(chambers, u) -> tuple[int, ...]:
     """Indices of every chamber whose closure contains u; empty iff outside."""
     u = tuple(map(index, u))

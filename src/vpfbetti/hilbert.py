@@ -157,7 +157,8 @@ class _ChamberFits:
     """fits[i]: chamber i fitted over its own lattice, modulo which it is periodic.
 
     Fitted on first read under the ring's lock, so once whatever the threads,
-    and read without it after that.  A fit that raises is not kept.
+    and read without it after that; a fit that raises is not kept.  A lattice
+    with more residue classes (pieces) than the cell budget raises first.
     """
 
     def __init__(self, ring: DegreeMatrix, chambers):
@@ -172,6 +173,8 @@ class _ChamberFits:
                 fit = self._fits[i]
                 if fit is None:
                     c = self._chambers[i]
+                    what = f"fit of chamber C{i + 1}, one piece per residue class,"
+                    kernels.check_cells(c.lattice.det, what)
                     fit = fit_chamber_qp(self._ring, c, c.lattice)
                     self._fits[i] = fit
         return fit
@@ -201,8 +204,7 @@ def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
     of the (lowest) chamber whose closure contains u and u's residue modulo
     the global lattice; outside the positive cone the value is 0 with no
     attribution.  Where a wave table would be over the budget, the value is
-    read from that chamber's fit instead, unless the fit has more residue
-    classes than the cell budget; then, or if the fit is over budget,
+    read from that chamber's fit instead; if the fit is over the budget too,
     BudgetExceededError.
     """
     u = tuple(map(index, u))  # locate rejects a point of the wrong length
@@ -214,7 +216,5 @@ def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
     try:
         value = waves.count(*u)
     except kernels.BudgetExceededError:  # far past a wave's threshold: a wide period
-        what = f"fit of chamber C{idx + 1}, one piece per residue class,"
-        kernels.check_cells(chambers[idx].lattice.det, what)
         value = fits[idx].eval_row(u[1], u[0], u[0])[0]
     return RingHilbertValue(value, idx, lattice.reduce(u))

@@ -1,10 +1,10 @@
-"""Quasi-polynomials with respect to a lattice, and their exact recovery.
+"""Quasi-polynomials with respect to a lattice, and the chamber quasi-polynomials of a ring.
 
 A quasi-polynomial stores one rational-coefficient polynomial per residue
-class of a full-rank sublattice of Z^2.  fit_chamber_qp reconstructs the
-counting function of a degree matrix on a closed planar chamber by exact
-interpolation per residue class, then validates the result on points it did
-not fit; a mismatch is a hard structural error, never a silent repair.
+class of a full-rank sublattice of Z^2.  fit_chamber_qp assembles a bigraded
+ring's counting function on a closed chamber from its partition waves
+(`waves.py`) and checks it against the count table at the chamber's apex; a
+mismatch is a hard structural error, never a silent repair.
 """
 
 from __future__ import annotations
@@ -15,12 +15,8 @@ from math import comb, gcd, lcm
 from types import MappingProxyType
 
 from .chambers import Chamber
-from .counting import DegreeMatrix, count, count_row
-from .lattices import Lattice, lattice_from_columns
-
-# held-out validation points per fitted coefficient, in every chamber fit and
-# in the estimate of its extent
-VALIDATE_FACTOR = 3
+from .counting import DegreeMatrix, count_row
+from .lattices import Lattice
 
 
 class FitError(RuntimeError):
@@ -288,55 +284,6 @@ def _ceildiv(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _lagrange_gauss(v1, v2):
-    """Shortest basis of the rank-2 lattice spanned by v1 and v2."""
-    v1, v2 = list(v1), list(v2)
-
-    def norm(v):
-        return v[0] * v[0] + v[1] * v[1]
-
-    def dot(a, b):
-        return a[0] * b[0] + a[1] * b[1]
-
-    if norm(v1) < norm(v2):
-        v1, v2 = v2, v1
-    while True:
-        # the nearest integer to dot / norm, ties toward +infinity
-        q = (2 * dot(v1, v2) + norm(v2)) // (2 * norm(v2))
-        v1 = [a - q * b for a, b in zip(v1, v2)]
-        if norm(v1) >= norm(v2):
-            break
-        v1, v2 = v2, v1
-    return tuple(v2), tuple(v1)
-
-
-def _integer_inverse(rows):
-    """(adj, det) with M @ adj == det * I and det = |det M|, for a square integer M.
-
-    None when M is singular.  Fraction-free (Bareiss) Gauss-Jordan
-    elimination on [M | I]: every division is exact, every diagonal entry
-    of the left block is the latest pivot, and the last pivot is +-det M, so
-    the right block ends as that pivot times the inverse.
-    """
-    n = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if aug[i][k]), None)
-        if pivot is None:
-            return None
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        top = aug[k]
-        p = top[k]
-        for i, row in enumerate(aug):
-            if i != k:
-                a = row[k]
-                aug[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
-        prev = p
-    sign = 1 if prev > 0 else -1
-    return [[sign * x for x in row[n:]] for row in aug], abs(prev)
-
-
 def _window_rows(chamber: Chamber, s_max: int):
     """Rows (y, lo, hi) of the closed chamber's integer points with H1 + H2 <= s_max."""
     h1, h2 = chamber.inequalities
@@ -361,91 +308,6 @@ def _window_rows(chamber: Chamber, s_max: int):
             yield y, lo, hi
 
 
-def _lowest_points(chamber: Chamber, lattice: Lattice, s_max: int) -> dict:
-    """The lowest point of the closed chamber in each residue class of the lattice.
-
-    Lowest means least height H1 + H2, ties broken by the point itself; every
-    class must occur at height <= s_max.  Along a row of the window the
-    height is monotone and the classes repeat every m points, (m, 0) being
-    the shortest lattice vector on the x axis, so each row offers only its m
-    lowest points, and once every class has a point, only those no higher
-    than the highest of them.
-    """
-    h1, h2 = chamber.inequalities
-    hx, hy = h1[0] + h2[0], h1[1] + h2[1]
-    m, det = lattice.row_period, lattice.det
-    residue = lattice._residue
-    best: dict[tuple[int, ...], tuple[int, int, int]] = {}
-    top = s_max
-    for y, lo, hi in _window_rows(chamber, s_max):
-        if hx >= 0:
-            xs = range(lo, min(hi, lo + m - 1) + 1)
-        else:
-            xs = range(hi, max(lo, hi - m + 1) - 1, -1)
-        for x in xs:
-            key = (hx * x + hy * y, x, y)
-            if key[0] > top:
-                break
-            res = residue(x, y)
-            old = best.get(res)
-            if old is None or key < old:
-                best[res] = key
-                if old is None and len(best) == det:
-                    top = max(k[0] for k in best.values())
-    if len(best) < det:
-        raise FitError("internal: a residue class has no point in the anchor window")
-    return {res: (x, y) for res, (_, x, y) in best.items()}
-
-
-def _quadrant_basis(lattice, to_z):
-    """Two short independent lattice images with nonnegative cone coordinates.
-
-    Offsets built from such a basis always point into the cone, so a pattern
-    anchored anywhere in the closed chamber stays in it.  Candidates come
-    from small combinations of a Lagrange-Gauss reduced basis; the canonical
-    triangular basis of the image lattice is the always-available fallback.
-    """
-    z1, z2 = to_z(lattice.basis[0]), to_z(lattice.basis[1])
-    w1, w2 = _lagrange_gauss(z1, z2)
-    cands = []
-    for a in range(-12, 13):
-        for b in range(-12, 13):
-            v = (a * w1[0] + b * w2[0], a * w1[1] + b * w2[1])
-            if v != (0, 0) and v[0] >= 0 and v[1] >= 0:
-                cands.append(v)
-    cands.extend(lattice_from_columns([z1, z2]).basis)
-    cands.sort(key=lambda v: (v[0] + v[1], v))
-    best = cands[0]
-    for v in cands[1:]:
-        if best[0] * v[1] - best[1] * v[0] != 0:
-            return best, v
-    raise FitError("internal: could not build a nonnegative lattice basis")
-
-
-def _design_k_points(deg: int, extra: int):
-    """Triangular interpolation grid plus a disjoint validation grid.
-
-    The fit points {k >= 0 : k1 + k2 <= deg} are a principal lattice, which
-    is unisolvent for total degree <= deg.  Validation points are the other
-    points of the smallest box [0, K]^2 holding `extra` of them, keeping the
-    whole pattern as compact as possible.
-    """
-    fit = [(i, s - i) for s in range(deg + 1) for i in range(s, -1, -1)]
-    in_fit = set(fit)
-    K = deg
-    while (K + 1) ** 2 - len(fit) < extra:
-        K += 1
-    val = [
-        k
-        for k in sorted(
-            ((i, j) for i in range(K + 1) for j in range(K + 1)),
-            key=lambda e: (sum(e), e),
-        )
-        if k not in in_fit
-    ][:extra]
-    return fit, val
-
-
 def _sweep_height(chamber: Chamber) -> int:
     """Height H1 + H2 of the window at the apex that a chamber fit is swept over."""
     h1, h2 = chamber.inequalities
@@ -458,113 +320,20 @@ def _sweep_height(chamber: Chamber) -> int:
     return s_val
 
 
-def pattern_extent_estimate(chamber, lattice, deg: int):
-    """Rough upper bounds (max height t, count-table cells) for a chamber fit.
-
-    Covers the interpolation patterns and the apex sweep, and is cheap (no
-    residue enumeration), so callers can skip fits over a sane budget.
-    """
-    h1, h2 = chamber.inequalities
-
-    def to_z(u):
-        return (h1[0] * u[0] + h1[1] * u[1], h2[0] * u[0] + h2[1] * u[1])
-
-    v1, v2 = _quadrant_basis(lattice, to_z)
-    m = (deg + 1) * (deg + 2) // 2
-    fit_k, val_k = _design_k_points(deg, VALIDATE_FACTOR * m)
-    kmax = max(k[0] + k[1] for k in fit_k + val_k)
-    p = lattice.basis[0][0]
-    q = lattice.basis[1][1]
-    corners = [(0, 0), (p, 0), (0, q), (p, q)]
-    zs = [to_z(c) for c in corners]
-    anchor_bound = (
-        max(abs(z[0]) for z in zs)
-        + max(abs(z[1]) for z in zs)
-        + v1[0] + v1[1] + v2[0] + v2[1]
-    )
-    extent = kmax * (v1[0] + v1[1] + v2[0] + v2[1])
-    de = h1[0] * h2[1] - h1[1] * h2[0]
-    top = max(y for y, _, _ in _window_rows(chamber, _sweep_height(chamber)))
-    tmax = max((anchor_bound + extent) // abs(de) + 1, top)
-    g_hi = max(chamber.generators[0][0], chamber.generators[1][0])
-    cells = (tmax + 1) * (g_hi * tmax + 1)
-    return tmax, cells
-
-
 def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> QuasiPolynomial:
-    """Recover the counting quasi-polynomial of A on a closed planar chamber.
+    """The counting quasi-polynomial of a bigraded A on a closed chamber, over a lattice.
 
-    The lattice must be the chamber lattice or any full-rank sublattice of
-    it.  Per residue class, a polynomial of total degree at most n - d is
-    interpolated through a fixed unisolvent pattern of lattice translates
-    anchored at the lowest point of the class in the closed chamber, where
-    the quasi-polynomial already holds, then checked on VALIDATE_FACTOR
-    times as many held-out pattern points; finally the assembled pieces are
-    swept against the counts on a window at the apex of the chamber, which
-    exercises both boundary rays.  Any mismatch raises FitError: wrong
-    chamber or lattice input, never silently repaired.
+    The lattice must be the chamber lattice or a full-rank sublattice of it.
+    The pieces come from A's partition waves (`waves.RingWaves.chamber_qp`)
+    and are swept against the count table at the chamber's apex, on both
+    rays; a mismatch raises FitError: wrong chamber or lattice input, never
+    silently repaired.  A wave table over the budget raises BudgetExceededError.
     """
-    if A.dim != 2:
-        raise ValueError("chamber fitting is implemented for planar gradings only")
-    deg = A.size - A.dim
-    if deg < 0:
-        raise ValueError("need at least as many columns as the grading rank")
-    monos = sorted(
-        ((i, j) for i in range(deg + 1) for j in range(deg + 1 - i)),
-        key=lambda e: (sum(e), e),
-    )
-    m = len(monos)
-    h1, h2 = chamber.inequalities
-    det_t = h1[0] * h2[1] - h1[1] * h2[0]  # nonzero: the generators are independent
+    if not A.is_bigraded() or len(set(A.degrees)) < 2:
+        raise ValueError("chambers exist only for a bigraded ring with two distinct degrees")
+    from .waves import RingWaves  # waves builds its pieces from this module's classes
 
-    def to_z(u):
-        return (h1[0] * u[0] + h1[1] * u[1], h2[0] * u[0] + h2[1] * u[1])
-
-    def to_u(z):
-        # inverse of to_z; exact on images of integer points
-        a = h2[1] * z[0] - h1[1] * z[1]
-        b = -h2[0] * z[0] + h1[0] * z[1]
-        if a % det_t or b % det_t:
-            raise FitError("internal: point is not an integer-point image")
-        return (a // det_t, b // det_t)
-
-    w1, w2 = _quadrant_basis(lattice, to_z)
-    fit_k, val_k = _design_k_points(deg, VALIDATE_FACTOR * m)
-    # the pattern as u-offsets from an anchor: an integer linear image of
-    # the k-grid, so the fit points stay unisolvent
-    steps = [
-        to_u((k[0] * w1[0] + k[1] * w2[0], k[0] * w1[1] + k[1] * w2[1]))
-        for k in fit_k + val_k
-    ]
-    # monomial rows of the fit steps (the design) and of the held-out steps
-    rows = [[v[0] ** i * v[1] ** j for (i, j) in monos] for v in steps]
-    inverse = _integer_inverse(rows[:m])
-    if inverse is None:
-        raise FitError("internal: interpolation design is singular")
-    # the design inverse as integer coefficient numerators over inv_den
-    inv_num, inv_den = inverse
-
-    # every class meets the half-open parallelogram on w1 and w2, which lies
-    # in the chamber below this height
-    anchors = _lowest_points(chamber, lattice, w1[0] + w1[1] + w2[0] + w2[1])
-    pieces = {}
-    for res in lattice.residues():
-        anchor = anchors[res]
-        u_pts = [(anchor[0] + v[0], anchor[1] + v[1]) for v in steps]
-        vals = [count(A, u) for u in u_pts]
-        # p(u) = q(u - anchor), q with numerators nums over inv_den; map
-        # stops at the m values of the fit points
-        nums = [sum(map(operator.mul, row, vals)) for row in inv_num]
-        for row, u, val in zip(rows[m:], u_pts[m:], vals[m:]):
-            if sum(map(operator.mul, nums, row)) != val * inv_den:
-                raise FitError(
-                    f"validation failed at {u} for residue {res}: "
-                    "wrong chamber or lattice input"
-                )
-        q = dict(zip(monos, nums))
-        pieces[res] = Polynomial._from_ints(2, inv_den, _taylor_shift(q, anchor))
-
-    result = QuasiPolynomial(lattice, pieces)
+    result = RingWaves(A.degrees).chamber_qp(chamber, lattice)
     # apex-window sweep, first 4096 points: the tip and stretches of both rays
     left = 4096
     for y, lo, hi in _window_rows(chamber, _sweep_height(chamber)):

@@ -25,6 +25,11 @@ of them.  A table is a list of Python ints, so its size is checked in bytes
 before it is allocated: a pointer and an int object per cell, the int no
 larger than a bound on P there, against the bytes of the largest count table
 (`kernels.MAX_TABLE_CELLS` cells of 8 bytes); over that, BudgetExceededError.
+
+Read as quasi-polynomials, the same terms give each chamber's counting
+quasi-polynomial (`RingWaves.chamber_qp`, read by `quasipoly.fit_chamber_qp`)
+from either side of its lower wall, whichever needs the smaller tables (wall
+crossing; Szenes-Vergne, Adv. Appl. Math. 30, 2003).
 """
 
 from __future__ import annotations
@@ -32,11 +37,15 @@ from __future__ import annotations
 import sys
 import threading
 from itertools import accumulate, product
-from math import comb, lcm
+from math import comb, factorial, lcm
 from operator import add, sub
 
 from . import kernels
-from .quasipoly import VALIDATE_FACTOR, FitError
+from .quasipoly import FitError, Polynomial, QuasiPolynomial
+
+# held-out values per class-polynomial coefficient, checked before a class
+# polynomial is used
+VALIDATE_FACTOR = 3
 
 
 def _partition_table(parts, size):
@@ -81,10 +90,25 @@ class _Wave:
         if m < self.threshold:
             return self._grow(m + 1)[m]
         q, r = divmod(m, self.period)
+        return sum(comb(q, i) * d for i, d in enumerate(self.diffs(r)))
+
+    def diffs(self, r):
+        """Forward differences at q = 0 of q -> P(r + q L), checked on the class's other values."""
         diffs = self._classes.get(r)
         if diffs is None:
-            diffs = self._classes[r] = self._fit(self._grow(self.threshold), r)
-        return sum(comb(q, i) * d for i, d in enumerate(diffs))
+            values = self._grow(self.threshold)[r::self.period]
+            diffs, row = [], values[: self.degree + 1]
+            while row:
+                diffs.append(row[0])
+                row = list(map(sub, row[1:], row[:-1]))
+            for q in range(self.degree + 1, len(values)):
+                if sum(comb(q, i) * d for i, d in enumerate(diffs)) != values[q]:
+                    raise FitError(
+                        f"the partitions into the parts {self.parts} are not a polynomial "
+                        f"of degree {self.degree} on the class {r} mod {self.period}"
+                    )
+            self._classes[r] = diffs
+        return diffs
 
     def _grow(self, size):
         """The table, rebuilt to at least `size` values if it is shorter."""
@@ -102,21 +126,6 @@ class _Wave:
                     )
                 table = self._table = _partition_table(self.parts, size)
         return table
-
-    def _fit(self, table, r):
-        """Forward differences of q -> P(r + q L), checked on the class's held-out values."""
-        values = table[r::self.period]
-        diffs, row = [], values[: self.degree + 1]
-        while row:
-            diffs.append(row[0])
-            row = list(map(sub, row[1:], row[:-1]))
-        for q in range(self.degree + 1, len(values)):
-            if sum(comb(q, i) * d for i, d in enumerate(diffs)) != values[q]:
-                raise FitError(
-                    f"the partitions into the parts {self.parts} are not a polynomial "
-                    f"of degree {self.degree} on the class {r} mod {self.period}"
-                )
-        return diffs
 
 
 class RingWaves:
@@ -167,3 +176,78 @@ class RingWaves:
             if m >= 0:
                 total += coeff * comb(a, r0) * wave(m)
         return total
+
+    def chamber_qp(self, chamber, lattice) -> QuasiPolynomial:
+        """The counting quasi-polynomial on a closed chamber, one piece per residue of `lattice`.
+
+        There the count is the sum of the terms of the degrees at or below the
+        chamber's lower wall, read as quasi-polynomials, and so minus the sum
+        of those above it: all of them sum to 0, as the count does above the
+        top degree, where every argument is >= 0.  The side whose distinct
+        waves have the smaller total threshold is read.
+        """
+        wall = chamber.generators[0][0]
+        sides = [
+            ([term for term in self._terms if term[2] <= wall], 1),
+            ([term for term in self._terms if term[2] > wall], -1),
+        ]
+        terms, sign = min(
+            sides, key=lambda side: sum({id(w): w.threshold for *_, w in side[0]}.values())
+        )
+        return self._assemble(terms, sign, lattice)
+
+    def _assemble(self, terms, sign, lattice) -> QuasiPolynomial:
+        """sign times the sum of these terms, one piece per residue of the lattice.
+
+        On the finer class through a residue every term's argument m stays in
+        one class r mod L, where the term is a polynomial of total degree at
+        most N - 2; their sum is the residue's piece, because the chamber's
+        sum is one polynomial on the lattice's class and the finer class is
+        Zariski-dense in it.
+        """
+        residues = lattice.residues()
+        # the class r mod L of each term's argument at every residue
+        classes = [
+            [(x - ej * (y + self._a_shift - r0) + shift) % wave.period for x, y in residues]
+            for _, r0, ej, shift, wave in terms
+        ]
+        polys = [
+            {r: self._term_poly(term, r, sign) for r in set(column)}
+            for term, column in zip(terms, classes)
+        ]
+        columns = [[by_class[r] for r in column] for by_class, column in zip(polys, classes)]
+        pieces = {res: Polynomial._sum(2, parts) for res, parts in zip(residues, zip(*columns))}
+        return QuasiPolynomial(lattice, pieces)
+
+    def _term_poly(self, term, r, sign) -> Polynomial:
+        """sign times the term, as a polynomial in (mu, t), where its argument is r mod L.
+
+        The term is coeff C(a, r_0) sum_i d_i C(q, i).  With s = mu - e_j t,
+        the argument m is s + c + r and q = (s + c) / L, so the wave's class
+        polynomial is sum_i d_i (D! / i!) L^(D - i) prod_{k < i} (s + c - k L)
+        over L^D D!, and C(a, r_0) is prod_{k < r_0} (t + N - 1 - k) over r_0!.
+        """
+        coeff, r0, ej, shift, wave = term
+        top, period = wave.degree, wave.period
+        c = shift - ej * (self._a_shift - r0) - r
+        s_nums, falling = [0] * (top + 1), [1]  # low degree first
+        for i, d in enumerate(wave.diffs(r)):
+            weight = d * (factorial(top) // factorial(i)) * period ** (top - i)
+            for k, f in enumerate(falling):
+                s_nums[k] += weight * f
+            falling = _times_linear(falling, c - i * period)
+        t_nums = [1]
+        for k in range(r0):
+            t_nums = _times_linear(t_nums, self._a_shift - k)
+        nums = {}  # s^a = (mu - e_j t)^a, expanded
+        for a, sa in enumerate(s_nums):
+            for i in range(a + 1):
+                base = sign * coeff * sa * comb(a, i) * (-ej) ** (a - i)
+                for b, tb in enumerate(t_nums):
+                    nums[i, a - i + b] = nums.get((i, a - i + b), 0) + base * tb
+        return Polynomial._from_ints(2, period**top * factorial(top) * factorial(r0), nums)
+
+
+def _times_linear(nums, c):
+    """Coefficients, low degree first, of p(x) (x + c) from those of p(x)."""
+    return [a + c * b for a, b in zip([0, *nums], [*nums, 0])]

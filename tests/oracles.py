@@ -17,9 +17,9 @@ decomposition's row sums through a Vandermonde solve, apart from the
 numerator's binomial sum the library returns, with solve_exact, a
 Gauss-Jordan elimination in Fractions that criterion 6 also uses and the
 library has no counterpart of.  matmul_reference and det_reference (a
-Laplace expansion) check Hermite normal forms and the chamber fit's integer
-design inverse with no library code, and full_row_rank_reference decides
-through det_reference which matrices a Hermite normal form must reject.  The
+Laplace expansion) check Hermite normal forms with no library code, and
+full_row_rank_reference decides through det_reference which matrices a
+Hermite normal form must reject.  The
 closed-form fixtures reproduce the traditionally quoted piecewise tables for
 the worked example with generator degrees (2, 3, 6); the first-syzygy table
 is kept verbatim, including its two known defects, so tests can pin down

@@ -194,18 +194,14 @@ def test_hilbert_far_point_fits_only_its_chamber(capsys):
 
 
 def test_hilbert_answers_where_the_chamber_fit_is_over_budget(capsys, fresh_tables):
-    # chamber (5,1)-(7,1) of this ring has own-lattice det 79200, and even its
-    # lowest anchors need count rows past the cell budget; the ring query reads
-    # partition waves instead, tables of at most 41 values
+    # chamber (5,1)-(7,1) of this ring has own-lattice det 79200, so its fit
+    # holds 79200 pieces; the ring query reads partition waves instead, tables
+    # of at most 41 values
     degrees = (2, 3, 5, 7, 11, 13)
     rc, out, err = run(capsys, "hilbert", "--degrees", "2,3,5,7,11,13", "60,10")
     assert (rc, out, err) == (0, "65  chamber=C3 residue=(0, 2950)\n", "")
     assert count(DegreeMatrix.bigraded(degrees), (60, 10)) == 65
     assert brute_count([(d, 1) for d in degrees], (60, 10)) == 65
-    chambers, _, fits, _ = hilbert._ring_data(degrees)
-    i = next(i for i, c in enumerate(chambers) if c.generators == ((5, 1), (7, 1)))
-    with pytest.raises(kernels.BudgetExceededError):
-        fits[i]
 
 
 def test_hilbert_reads_a_wave_no_further_than_its_argument(capsys, fresh_tables):
@@ -248,6 +244,26 @@ def test_hilbert_over_budget_on_wave_and_fit_exits_2_without_allocating(capsys):
     assert peak < 2**20
 
 
+def test_regions_over_a_fit_over_budget_exits_2_without_allocating(capsys, tmp_path):
+    # the decomposition reads the fit of chamber (1,1)-(100000000000,1), which
+    # has 10**11 - 1 residue classes
+    doc = {
+        "generators": [[1, 1], [100000000000, 1]],
+        "tor": [{"index": 1, "shifts": [{"a": [100000000001, 1], "c": 1}]}],
+    }
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "regions", "--spec", str(path), "--index", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == "" and err.startswith("error: fit of chamber C1") and "budget" in err
+    assert err.count("\n") == 1
+    assert peak < 2**20
+
+
 def test_hilbert_on_widely_spread_degrees_builds_no_count_table(capsys, fresh_tables):
     # the waves read P(0) of the part 999,999, where the chamber fit has det 999,999
     rc, out, err = run(capsys, "hilbert", "--degrees", "1,1000000", "5,5")
@@ -256,8 +272,8 @@ def test_hilbert_on_widely_spread_degrees_builds_no_count_table(capsys, fresh_ta
 
 
 def test_hilbert_chamber_fits_from_its_lowest_points(capsys):
-    # chamber (6,1)-(7,1) has own-lattice det 1800; every residue class occurs
-    # by t = 93, so the fit stays far inside the cell budget
+    # chamber (6,1)-(7,1) has own-lattice det 1800; the value, chamber and
+    # residue agree with the count table and brute force
     argv = ("hilbert", "--degrees", "2,3,6,7,11", "65,10")
     rc, out, err = run(capsys, *argv)
     assert rc == 0 and err == ""

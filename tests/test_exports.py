@@ -9,7 +9,6 @@ UNCALLED_EXPORTS = {
     "series_coeffs": "perfbench/tracer.py wraps it by name",
     "series_identity_check": "perfbench/tracer.py wraps it by name",
     "total_betti_polynomial": "the README's eventual totals",
-    "chamber_from_generators": "the only public way to build a non-bigraded chamber",
 }
 
 # public methods and properties of exported classes that no package module

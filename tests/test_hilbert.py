@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from oracles import brute_count, ring_fits_reference, ring_hilbert_closed_form
 from vpfbetti import hilbert, kernels, regions
 from vpfbetti.chambers import (
+    Chamber,
     DegenerateGradingError,
     chamber_complex_2xn,
-    chamber_from_generators,
     global_lattice,
     locate,
 )
@@ -85,7 +85,7 @@ def _tor1_fit():
         lambda: Polynomial(1.0, {(1,): 1}),
         lambda: Polynomial(1, {(Fraction(1),): 1}),
         lambda: chamber_complex_2xn([2, 3.5, 6]),
-        lambda: chamber_from_generators((2, 1), (3.5, 1)),
+        lambda: Chamber(((2, 1), (3.5, 1)), (), global_lattice([2, 3])),
         lambda: global_lattice([2, 3.5, 6]),
         lambda: ci_shifts((2.5, 3, 6)),
         lambda: ToriSpec.build((2.5, 3), {0: [((0, 0), 1)]}),

@@ -164,7 +164,7 @@ def test_intersect_membership_random():
 
 
 def test_reduce_is_the_box_point_of_its_class():
-    # eval_row and the anchor search key pieces by this arithmetic; a basis
+    # eval_row keys pieces by this arithmetic; a basis
     # with p > 1 and q != 0 exercises both terms of the second coordinate
     rng = random.Random(23)
     seen = 0

@@ -1,4 +1,4 @@
-"""Partition waves against the count table, brute force and the chamber fits."""
+"""Partition waves against the count table, brute force and the chamber quasi-polynomials."""
 
 import sys
 import tracemalloc
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_count
 from vpfbetti import hilbert, kernels, waves
+from vpfbetti.chambers import chamber_complex_2xn
 from vpfbetti.counting import DegreeMatrix, count_row
 from vpfbetti.hilbert import hf_bigraded_ring
 from vpfbetti.quasipoly import FitError
@@ -48,6 +49,25 @@ def test_ring_queries_equal_the_chamber_fits_at_far_points(degrees, rng):
         mu = rng.randint(min(degrees) * t, max(degrees) * t)
         res = hf_bigraded_ring(degrees, (mu, t))
         assert res.value == fits[res.chamber].eval_row(t, mu, mu)[0]
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [(2, 3, 6), (4, 9, 13), (2, 3, 5, 7, 11, 13), (1, 2), (5, 8), (2, 2, 5), (1, 1, 2, 3, 3),
+     (2, 2, 2, 7), (3, 3, 4, 4)],
+    ids=lambda d: ",".join(map(str, d)),
+)
+def test_both_sides_of_every_chamber_give_its_quasi_polynomial(degrees):
+    # the terms at or below the chamber's lower wall, and minus those above it
+    ring, ring_waves = DegreeMatrix.bigraded(degrees), RingWaves(degrees)
+    for chamber in chamber_complex_2xn(degrees):
+        (lo, _), (hi, _) = chamber.generators
+        below = [term for term in ring_waves._terms if term[2] <= lo]
+        above = [term for term in ring_waves._terms if term[2] > lo]
+        lower = ring_waves._assemble(below, 1, chamber.lattice)
+        assert ring_waves._assemble(above, -1, chamber.lattice) == lower
+        for t in range(25):
+            assert lower.eval_row(t, lo * t, hi * t) == count_row(ring, t, lo * t, hi * t)
 
 
 def test_a_wave_that_fails_its_held_out_values_raises(monkeypatch):
@@ -94,14 +114,24 @@ def test_a_wave_table_over_the_byte_budget_raises_before_allocating():
 
 
 def test_a_wave_over_budget_reads_the_chamber_fit(monkeypatch, fresh_tables):
-    degrees, u = (2, 3, 6, 7), (6 * 10**9 + 1, 10**9)
+    # in chamber (1,1)-(3,1) of (1, 3, 4) the count reads the wave of degree 1,
+    # the parts (2, 3); the chamber's fit reads the cheaper waves above its
+    # lower wall, the parts (1, 2) and (1, 3), so it answers where that wave
+    # is over the budget
+    degrees, u = (1, 3, 4), (2 * 10**9 + 1, 10**9)
     want = hf_bigraded_ring(degrees, u)
+    assert want.chamber == 0
     fresh_tables()
+    real = waves._partition_table
 
     def over_budget(parts, size):
-        raise kernels.BudgetExceededError(f"partition table of the parts {parts}")
+        if parts == ((2, 1), (3, 1)):
+            raise kernels.BudgetExceededError(f"partition table of the parts {parts}")
+        return real(parts, size)
 
     monkeypatch.setattr(waves, "_partition_table", over_budget)
+    with pytest.raises(kernels.BudgetExceededError):
+        RingWaves(degrees).count(*u)
     assert hf_bigraded_ring(degrees, u) == want
     chambers, _, fits, _ = hilbert._ring_data(degrees)
     assert fits._fits[want.chamber] is not None
