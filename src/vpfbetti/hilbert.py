@@ -200,21 +200,14 @@ def _ring_data(degrees):
 def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
     """Hilbert function of k[T_1..T_n] with deg T_i = (d_i, 1), with attribution.
 
-    Returns the value, read from the ring's partition waves, with the index
-    of the (lowest) chamber whose closure contains u and u's residue modulo
-    the global lattice; outside the positive cone the value is 0 with no
-    attribution.  Where a wave table would be over the budget, the value is
-    read from that chamber's fit instead; if the fit is over the budget too,
-    BudgetExceededError.
+    Returns the value, read from the ring's partition waves on one side of
+    u's lower wall, with the index of the (lowest) chamber whose closure
+    contains u and u's residue modulo the global lattice; outside the positive
+    cone it is 0 with no attribution.  Over the wave budget, BudgetExceededError.
     """
     u = tuple(map(index, u))  # locate rejects a point of the wrong length
-    chambers, lattice, fits, waves = _ring_data(degrees)
+    chambers, lattice, _, waves = _ring_data(degrees)
     located = locate(chambers, u)
     if not located:
         return RingHilbertValue(0, None, None)
-    idx = located[0]
-    try:
-        value = waves.count(*u)
-    except kernels.BudgetExceededError:  # far past a wave's threshold: a wide period
-        value = fits[idx].eval_row(u[1], u[0], u[0])[0]
-    return RingHilbertValue(value, idx, lattice.reduce(u))
+    return RingHilbertValue(waves.count(*u), located[0], lattice.reduce(u))

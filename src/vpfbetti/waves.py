@@ -26,10 +26,12 @@ before it is allocated: a pointer and an int object per cell, the int no
 larger than a bound on P there, against the bytes of the largest count table
 (`kernels.MAX_TABLE_CELLS` cells of 8 bytes); over that, BudgetExceededError.
 
-Read as quasi-polynomials, the same terms give each chamber's counting
-quasi-polynomial (`RingWaves.chamber_qp`, read by `quasipoly.fit_chamber_qp`)
-from either side of its lower wall, whichever needs the smaller tables (wall
-crossing; Szenes-Vergne, Adv. Appl. Math. 30, 2003).
+Read as quasi-polynomials, with C(q, i) = (-1)^i C(i - q - 1, i) for q < 0,
+all the terms sum to 0, as the count does above the top degree.  So on a
+closed chamber the count is the sum of the terms at or below its lower wall
+and minus the sum of those above it (wall crossing; Szenes-Vergne, Adv. Appl.
+Math. 30, 2003): a point's `RingWaves.count` and a chamber's `chamber_qp` (read
+by `quasipoly.fit_chamber_qp`) each read the side that needs smaller tables.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ def _partition_table(parts, size):
     return table
 
 
+def _binomial(q, i):
+    """C(q, i) for any integer q: (-1)^i C(i - q - 1, i) for q < 0."""
+    return comb(q, i) if q >= 0 else (-1) ** i * comb(i - q - 1, i)
+
+
 class _Wave:
     """P of one multiset of parts: an exact table of its first values, then class polynomials.
 
@@ -82,15 +89,14 @@ class _Wave:
         self._classes = {}  # r -> forward differences of P(r + q L) at q = 0
 
     def __call__(self, m: int) -> int:
-        if m < 0:
-            return 0
+        """P(m) for m >= 0; below 0, the value of P's quasi-polynomial."""
         table = self._table
-        if m < len(table):
+        if 0 <= m < len(table):
             return table[m]
-        if m < self.threshold:
+        if 0 <= m < self.threshold:
             return self._grow(m + 1)[m]
         q, r = divmod(m, self.period)
-        return sum(comb(q, i) * d for i, d in enumerate(self.diffs(r)))
+        return sum(_binomial(q, i) * d for i, d in enumerate(self.diffs(r)))
 
     def diffs(self, r):
         """Forward differences at q = 0 of q -> P(r + q L), checked on the class's other values."""
@@ -139,6 +145,7 @@ class RingWaves:
         degrees = list(degrees)
         e = sorted(set(degrees))
         mult = [degrees.count(d) for d in e]
+        self._degrees = e
         self._a_shift = len(degrees) - 1
         lock = threading.Lock()
         waves = {}
@@ -166,35 +173,50 @@ class RingWaves:
                 self._terms.append((coeff, mult[j] - 1 - sum(rs), ej, shift, waves[key]))
 
     def count(self, mu: int, t: int) -> int:
-        """The number of monomials of bidegree (mu, t); zero for t < 0."""
-        if t < 0:
+        """The number of monomials of bidegree (mu, t); zero outside the cone.
+
+        The point's lower wall is the largest degree below the top with e t <= mu.
+        """
+        e = self._degrees
+        if t < 0 or not e[0] * t <= mu <= e[-1] * t:
             return 0
         a = t + self._a_shift
-        total = 0
-        for coeff, r0, ej, shift, wave in self._terms:
+        wall = max((d for d in e[:-1] if d * t <= mu), default=e[0])
+        terms, sign = self._side(wall, lambda term: mu - term[2] * (a - term[1]) + term[3])
+        return self._read(mu, t, terms, sign)
+
+    def _read(self, mu, t, terms, sign) -> int:
+        """sign times the sum of these terms at (mu, t), with P(m) = 0 for m < 0 if sign is 1."""
+        a, total = t + self._a_shift, 0
+        for coeff, r0, ej, shift, wave in terms:
             m = mu - ej * (a - r0) + shift
-            if m >= 0:
+            if m >= 0 or sign < 0:
                 total += coeff * comb(a, r0) * wave(m)
-        return total
+        return sign * total
+
+    def _side(self, wall, reach):
+        """(terms, sign) of the side of `wall` whose distinct waves need the fewer table values.
+
+        Those above it, negated, read class polynomials, so need each wave's
+        threshold-long table; those at or below it need each wave's table to
+        the largest argument `reach(term)` of its terms.  A tie reads below.
+        """
+        lower = [term for term in self._terms if term[2] <= wall]
+        upper = [term for term in self._terms if term[2] > wall]
+        need = {}  # wave -> table values
+        for term in lower:
+            need[term[4]] = max(need.get(term[4], 0), min(reach(term) + 1, term[4].threshold))
+        if sum(need.values()) <= sum(wave.threshold for wave in {term[4] for term in upper}):
+            return lower, 1
+        return upper, -1
 
     def chamber_qp(self, chamber, lattice) -> QuasiPolynomial:
         """The counting quasi-polynomial on a closed chamber, one piece per residue of `lattice`.
 
-        There the count is the sum of the terms of the degrees at or below the
-        chamber's lower wall, read as quasi-polynomials, and so minus the sum
-        of those above it: all of them sum to 0, as the count does above the
-        top degree, where every argument is >= 0.  The side whose distinct
-        waves have the smaller total threshold is read.
+        Read from one side of the chamber's lower wall, each whole wave table needed.
         """
         wall = chamber.generators[0][0]
-        sides = [
-            ([term for term in self._terms if term[2] <= wall], 1),
-            ([term for term in self._terms if term[2] > wall], -1),
-        ]
-        terms, sign = min(
-            sides, key=lambda side: sum({id(w): w.threshold for *_, w in side[0]}.values())
-        )
-        return self._assemble(terms, sign, lattice)
+        return self._assemble(*self._side(wall, lambda term: term[4].threshold), lattice)
 
     def _assemble(self, terms, sign, lattice) -> QuasiPolynomial:
         """sign times the sum of these terms, one piece per residue of the lattice.

@@ -214,32 +214,45 @@ def test_hilbert_reads_a_wave_no_further_than_its_argument(capsys, fresh_tables)
     degrees = (1, 31, 32, 33, 34, 35)
     rc, out, err = run(capsys, "hilbert", "--degrees", "1,31,32,33,34,35", "345,10")
     assert (rc, out, err) == (0, "6  chamber=C5 residue=(3, 2782228)\n", "")
+    ring_waves = hilbert._ring_data(degrees)[3]
+    assert max(len(term[4]._table) for term in ring_waves._terms) == 336
     assert count(DegreeMatrix.bigraded(degrees), (345, 10)) == 6
     assert brute_count([(d, 1) for d in degrees], (345, 10)) == 6
 
 
-def test_hilbert_reads_the_chamber_fit_past_a_wave_over_budget(capsys, fresh_tables):
-    # far into chamber (34,1)-(35,1) the lowest degree's wave is read past its
-    # threshold, where its table is over the budget; the chamber's own lattice
-    # has det 204, and its fit gives the value
+def test_hilbert_reads_the_cheaper_side_past_a_wave_over_budget(capsys, fresh_tables):
+    # the lowest degree's wave, the parts 30..34, has period 2,782,560: far
+    # into chambers C1 and C5 its table is over the budget, and the query
+    # reads the waves above the point's lower wall instead, periods of at
+    # most 204; chamber C1's own lattice has det 2,782,560
     degrees = (1, 31, 32, 33, 34, 35)
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "hilbert", "--degrees", "1,31,32,33,34,35", "16000000,1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out, err) == (0, "63173839928121540937  chamber=C1 residue=(4, 1695364)\n", "")
+    assert peak < 2 * 2**20
+    ring_waves = hilbert._ring_data(degrees)[3]
+    below = [term for term in ring_waves._terms if term[2] <= 1]
+    with pytest.raises(kernels.BudgetExceededError):
+        ring_waves._read(16000000, 1000000, below, 1)
     rc, out, err = run(capsys, "hilbert", "--degrees", "1,31,32,33,34,35", "34500000,1000000")
     assert (rc, out, err) == (0, "3191942431577228760  chamber=C5 residue=(0, 2673280)\n", "")
-    chambers, _, fits, _ = hilbert._ring_data(degrees)
-    assert chambers[4].generators == ((34, 1), (35, 1)) and chambers[4].lattice.det == 204
-    assert fits[4].eval_row(1000000, 34500000, 34500000) == [3191942431577228760]
 
 
-def test_hilbert_over_budget_on_wave_and_fit_exits_2_without_allocating(capsys):
-    # the one wave read, the part 10**11 - 1, would need 2e11 values, and the
-    # chamber fit has 10**11 - 1 residue classes
+def test_hilbert_over_budget_on_both_sides_exits_2_without_allocating(capsys):
+    # both sides of the wall read the one wave of the part 10**11 - 1; below
+    # it the point needs 2e11 of its values
     tracemalloc.start()
     try:
         rc, out, err = run(capsys, "hilbert", "--degrees", "1,100000000000", "200000000003,5")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rc == 2 and out == "" and err.startswith("error: fit of chamber C1") and "budget" in err
+    assert rc == 2 and out == "" and "budget" in err
+    assert err.startswith("error: partition table of the parts ((99999999999, 1),)")
     assert err.count("\n") == 1
     assert peak < 2**20
 

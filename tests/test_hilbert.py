@@ -406,6 +406,7 @@ def counting_fits(monkeypatch):
         ((2, 3, 4, 5, 6), (45, 10)),
         ((2, 2, 5), (10**9 + 2, 3 * 10**8)),
         ((2, 3, 5, 7, 11, 13), (60, 10)),
+        ((1, 31, 32, 33, 34, 35), (16000000, 1000000)),
     ],
 )
 def test_a_ring_query_fits_nothing(monkeypatch, fresh_tables, degrees, u):

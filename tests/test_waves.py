@@ -23,12 +23,21 @@ RINGS = st.lists(st.integers(0, 12), min_size=2, max_size=6).filter(lambda d: le
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(RINGS)
 def test_waves_equal_count_across_the_band(degrees):
+    # count, and in the cone each side of the point's lower wall, whichever
+    # side count reads there
     ring = DegreeMatrix.bigraded(degrees)
     ring_waves = RingWaves(degrees)
-    lo, hi = min(degrees), max(degrees)
+    e = sorted(set(degrees))
     for t in range(21):
-        mus = range(lo * t - 3, hi * t + 4)
-        assert [ring_waves.count(mu, t) for mu in mus] == count_row(ring, t, mus[0], mus[-1])
+        mus = range(e[0] * t - 3, e[-1] * t + 4)
+        row = count_row(ring, t, mus[0], mus[-1])
+        assert [ring_waves.count(mu, t) for mu in mus] == row
+        for mu, want in zip(mus[3:-3], row[3:-3]):
+            wall = max(d for d in e[:-1] if d * t <= mu)
+            below = [term for term in ring_waves._terms if term[2] <= wall]
+            above = [term for term in ring_waves._terms if term[2] > wall]
+            assert ring_waves._read(mu, t, below, 1) == want
+            assert ring_waves._read(mu, t, above, -1) == want
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -91,36 +100,41 @@ def test_a_wave_table_grows_to_the_largest_argument_read():
     ring_waves = RingWaves((2, 3, 6))  # at j = 0 the parts (1, 4): threshold 32
     (wave,) = {term[-1] for term in ring_waves._terms if term[-1].parts == ((1, 1), (4, 1))}
     assert wave.threshold == 32 and len(wave._table) == 1
-    ring_waves.count(12 + 2 * 2, 2)  # at j = 0 it reads P(mu - 2t), here P(12)
+    # each point is read below its wall 3, whose waves need fewer values than
+    # the 96 of the one above it, the parts (3, 4)
+    ring_waves.count(12 + 2 * 3, 3)  # at j = 0 it reads P(mu - 2t), here P(12)
     assert len(wave._table) == 13
-    ring_waves.count(15 + 2 * 3, 3)  # P(15): the table doubles
+    ring_waves.count(15 + 2 * 4, 4)  # P(15): the table doubles
     assert len(wave._table) == 26
     ring_waves.count(6 * 10**6, 10**6)  # past the threshold: the class polynomials
     assert len(wave._table) == 32
 
 
 def test_a_wave_table_over_the_byte_budget_raises_before_allocating():
-    # the part 9,999,999 alone: 4e7 values below its threshold, under the cell
-    # budget, but a pointer and an int object each are over its bytes
+    # the part 9,999,999 alone, on both sides of the wall: 4e7 values below its
+    # threshold, under the cell budget, but a pointer and an int object each
+    # are over its bytes; the point reads past the threshold
     ring_waves = RingWaves((1, 10**7))
     tracemalloc.start()
     try:
         with pytest.raises(kernels.BudgetExceededError, match="bytes"):
-            ring_waves.count(10**9, 5)
+            ring_waves.count(10**9, 100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
 
 
-def test_a_wave_over_budget_reads_the_chamber_fit(monkeypatch, fresh_tables):
-    # in chamber (1,1)-(3,1) of (1, 3, 4) the count reads the wave of degree 1,
-    # the parts (2, 3); the chamber's fit reads the cheaper waves above its
-    # lower wall, the parts (1, 2) and (1, 3), so it answers where that wave
-    # is over the budget
+def test_a_point_past_a_wave_over_budget_reads_the_other_side(monkeypatch, fresh_tables):
+    # in chamber (1,1)-(3,1) of (1, 3, 4) the terms below the wall read the
+    # wave of degree 1, the parts (2, 3), to its threshold 48; those above it
+    # read the cheaper waves of the parts (1, 2) and (1, 3), thresholds 16
+    # and 24, so the count answers where that wave is over the budget
     degrees, u = (1, 3, 4), (2 * 10**9 + 1, 10**9)
     want = hf_bigraded_ring(degrees, u)
-    assert want.chamber == 0
+    ring_waves = RingWaves(degrees)
+    below = [term for term in ring_waves._terms if term[2] <= 1]
+    assert want.chamber == 0 and ring_waves._read(*u, below, 1) == want.value
     fresh_tables()
     real = waves._partition_table
 
@@ -130,11 +144,14 @@ def test_a_wave_over_budget_reads_the_chamber_fit(monkeypatch, fresh_tables):
         return real(parts, size)
 
     monkeypatch.setattr(waves, "_partition_table", over_budget)
+    ring_waves = RingWaves(degrees)
+    assert ring_waves.count(*u) == want.value
+    below = [term for term in ring_waves._terms if term[2] <= 1]
     with pytest.raises(kernels.BudgetExceededError):
-        RingWaves(degrees).count(*u)
+        ring_waves._read(*u, below, 1)
     assert hf_bigraded_ring(degrees, u) == want
-    chambers, _, fits, _ = hilbert._ring_data(degrees)
-    assert fits._fits[want.chamber] is not None
+    fits = hilbert._ring_data(degrees)[2]
+    assert fits._fits == [None] * len(fits._fits)
 
 
 def test_each_wave_table_size_built_once_from_eight_threads(monkeypatch, fresh_tables):
