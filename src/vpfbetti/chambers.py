@@ -1,14 +1,15 @@
 """Chamber decomposition of the positive cone for bigraded degree matrices.
 
-For columns (d_1, 1) <= ... <= (d_n, 1) the maximal chambers are the cones
-spanned by consecutive distinct degrees.  Each chamber records the index
-pairs whose cone contains it and the intersection lattice of those pairs.
+Under the grading deg T_i = (d_i, 1) every column lies on a degree ray, so
+for columns (d_1, 1) <= ... <= (d_n, 1) the maximal chambers are the closed
+degree intervals lo*t <= mu <= hi*t between consecutive distinct degrees.
+Each chamber records the index pairs whose cone contains it and the
+intersection lattice of those pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from operator import index
 
 from .lattices import Lattice, lattice_from_columns, lattice_intersect
@@ -18,24 +19,14 @@ class DegenerateGradingError(ValueError):
     """Fewer than two distinct generator degrees: no planar chamber geometry."""
 
 
-def _primitive_normal(on, toward) -> tuple[int, int]:
-    """The primitive integer form vanishing on the ray of `on`, positive on `toward`."""
-    h = (-on[1], on[0])
-    s = h[0] * toward[0] + h[1] * toward[1]
-    if s == 0:
-        raise ValueError("generators are linearly dependent")
-    if s < 0:
-        h = (-h[0], -h[1])
-    g = gcd(*h)
-    return (h[0] // g, h[1] // g)
-
-
 @dataclass(frozen=True)
 class Chamber:
-    """Closed 2-dimensional cone of two independent integer generators.
+    """The closed cone lo*t <= mu <= hi*t between the degree rays (lo, 1) and (hi, 1).
 
-    Its `inequalities` are derived: one primitive form per generator ray,
-    vanishing on it and positive on the other generator.
+    Its generators must be ((lo, 1), (hi, 1)) with integers lo < hi, or this
+    raises ValueError.  Its `inequalities` are derived: the primitive forms
+    (1, -lo) and (-1, hi), each vanishing on one ray and nonnegative on the
+    chamber.
     """
 
     generators: tuple[tuple[int, int], tuple[int, int]]
@@ -44,14 +35,18 @@ class Chamber:
     inequalities: tuple[tuple[int, int], tuple[int, int]] = field(init=False)
 
     def __post_init__(self):
-        g1, g2 = ((index(x), index(y)) for x, y in self.generators)
-        object.__setattr__(self, "generators", (g1, g2))
-        object.__setattr__(
-            self, "inequalities", (_primitive_normal(g1, g2), _primitive_normal(g2, g1))
-        )
+        (lo, s), (hi, r) = ((index(x), index(y)) for x, y in self.generators)
+        if s != 1 or r != 1 or lo >= hi:
+            raise ValueError(
+                f"generators {self.generators} are not ((lo, 1), (hi, 1)) with lo < hi"
+            )
+        object.__setattr__(self, "generators", ((lo, 1), (hi, 1)))
+        object.__setattr__(self, "inequalities", ((1, -lo), (-1, hi)))
 
     def contains(self, u) -> bool:
-        return all(h[0] * u[0] + h[1] * u[1] >= 0 for h in self.inequalities)
+        (lo, _), (hi, _) = self.generators
+        mu, t = u
+        return lo * t <= mu <= hi * t
 
 
 def pair_lattice(d_i: int, d_j: int) -> Lattice:

@@ -280,44 +280,18 @@ class QuasiPolynomial(_Frozen):
         return f"QuasiPolynomial(det={self.lattice.det}, pieces={len(self.pieces)})"
 
 
-def _ceildiv(a: int, b: int) -> int:
-    return -((-a) // b)
+def _sweep_rows(chamber: Chamber):
+    """Rows (t, lo*t, hi*t) of the closed chamber lo*t <= mu <= hi*t, t = 0..top.
 
-
-def _window_rows(chamber: Chamber, s_max: int):
-    """Rows (y, lo, hi) of the closed chamber's integer points with H1 + H2 <= s_max."""
-    h1, h2 = chamber.inequalities
-    h = (h1[0] + h2[0], h1[1] + h2[1])
-    # the window is the triangle on 0 and the generators scaled to height s_max
-    ys = [s_max * g[1] // (h[0] * g[0] + h[1] * g[1]) for g in chamber.generators]
-    for y in range(min(0, *ys), max(0, *ys) + 1):
-        lo, hi = None, None
-        feasible = True
-        for hx, hy, rhs in ((h1[0], h1[1], 0), (h2[0], h2[1], 0), (-h[0], -h[1], -s_max)):
-            r = rhs - hy * y
-            if hx > 0:
-                b = _ceildiv(r, hx)
-                lo = b if lo is None else max(lo, b)
-            elif hx < 0:
-                b = r // hx
-                hi = b if hi is None else min(hi, b)
-            elif r > 0:
-                feasible = False
-                break
-        if feasible and lo is not None and hi is not None and lo <= hi:
-            yield y, lo, hi
-
-
-def _sweep_height(chamber: Chamber) -> int:
-    """Height H1 + H2 of the window at the apex that a chamber fit is swept over."""
-    h1, h2 = chamber.inequalities
-    g1, g2 = chamber.generators
-    hg = min(h1[0] * g2[0] + h1[1] * g2[1], h2[0] * g1[0] + h2[1] * g1[1])
-    s_val = 4 * hg
-    cross = abs(g1[0] * g2[1] - g1[1] * g2[0])
-    while s_val * s_val * cross < 512 * (2 * hg) * (2 * hg):
-        s_val *= 2
-    return s_val
+    The apex window a chamber fit is swept over: top is the least 4 * 2^k
+    with (hi - lo) * top^2 >= 2048, so even a narrow chamber shows over
+    a thousand points.
+    """
+    (lo, _), (hi, _) = chamber.generators
+    top = 4
+    while (hi - lo) * top * top < 2048:
+        top *= 2
+    return ((t, lo * t, hi * t) for t in range(top + 1))
 
 
 def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> QuasiPolynomial:
@@ -336,7 +310,7 @@ def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> Quasi
     result = RingWaves(A.degrees).chamber_qp(chamber, lattice)
     # apex-window sweep, first 4096 points: the tip and stretches of both rays
     left = 4096
-    for y, lo, hi in _window_rows(chamber, _sweep_height(chamber)):
+    for y, lo, hi in _sweep_rows(chamber):
         hi = min(hi, lo + left - 1)
         got, want = result.eval_row(y, lo, hi), count_row(A, y, lo, hi)
         if got != want:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import ceil, factorial
+from itertools import combinations
+from math import factorial
 from operator import index
 
 from .chambers import locate
@@ -86,32 +86,22 @@ class RegionDecomposition:
         return len(self.degrees) == 1
 
 
-def intersection_height(line1: HalfLine, line2: HalfLine) -> Fraction | None:
-    """Second coordinate where two half-lines of distinct slopes meet.
-
-    Lines mu = a*t + b and mu = a'*t + b' meet at t = (b' - b) / (a - a').
-    """
-    if line1.slope == line2.slope:
-        return None
-    return Fraction(line2.intercept - line1.intercept, line1.slope - line2.slope)
-
-
 def all_half_lines(shifts, degrees) -> list[HalfLine]:
     return [HalfLine(a, s) for s in shifts for a in degrees]
 
 
 def stability_threshold(shifts, degrees) -> int:
-    """Smallest safe integer height: the ordering of the half-lines through
-    the shift points is fixed beyond the largest pairwise intersection."""
-    degrees = sorted(set(index(d) for d in degrees))
-    lines = all_half_lines(shifts, degrees)
-    best = Fraction(0)
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            y = intersection_height(lines[i], lines[j])
-            if y is not None and y > best:
-                best = y
-    return max(1, ceil(best))
+    """Smallest safe integer height, at least 1: the ordering of the half-lines
+    through the shift points is fixed beyond the largest pairwise intersection.
+
+    Lines of degrees e < d meet at t = (b_e - b_d) / (d - e), b the intercepts,
+    so that largest intersection pairs each degree's extreme intercepts.
+    """
+    b: dict[int, list[int]] = {}  # intercepts by slope, slopes increasing
+    for line in all_half_lines(shifts, sorted(set(index(d) for d in degrees))):
+        b.setdefault(line.slope, []).append(line.intercept)
+    # the ceiling of (max b_e - min b_d) / (d - e) over slopes e < d
+    return max([1] + [-((min(b[d]) - max(b[e])) // (d - e)) for e, d in combinations(b, 2)])
 
 
 def sort_lines(shifts, degrees, t0: int) -> tuple[HalfLine, ...]:

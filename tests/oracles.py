@@ -19,7 +19,9 @@ Gauss-Jordan elimination in Fractions that criterion 6 also uses and the
 library has no counterpart of.  matmul_reference and det_reference (a
 Laplace expansion) check Hermite normal forms with no library code, and
 full_row_rank_reference decides through det_reference which matrices a
-Hermite normal form must reject.  The
+Hermite normal form must reject.  stability_threshold_reference meets every
+pair of half-lines in Fractions, apart from the library's closed form over
+degree pairs.  The
 closed-form fixtures reproduce the traditionally quoted piecewise tables for
 the worked example with generator degrees (2, 3, 6); the first-syzygy table
 is kept verbatim, including its two known defects, so tests can pin down
@@ -28,6 +30,7 @@ exactly where the oracle disagrees.
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from vpfbetti.chambers import chamber_complex_2xn, global_lattice
@@ -157,6 +160,20 @@ def eval_betti_reference(dec, mu, t):
         value = sum((c * dec.fits[i].eval((mu - a[0], t - a[1])) for i, a, c in terms), Fraction(0))
     assert value.denominator == 1, (value, mu, t)
     return int(value)
+
+
+def stability_threshold_reference(shifts, degrees):
+    """The largest height at which two half-lines mu = d*t + b meet, at least 1.
+
+    Every line through a shift point (mu, t) with a slope among the degrees
+    meets every other line of another slope; no pair is skipped.
+    """
+    lines = [(d, mu - d * t) for mu, t in shifts for d in sorted(set(degrees))]
+    best = Fraction(0)
+    for (d1, b1), (d2, b2) in itertools.combinations(lines, 2):
+        if d1 != d2:
+            best = max(best, Fraction(b2 - b1, d1 - d2))
+    return max(1, math.ceil(best))
 
 
 def ring_fits_reference(degrees):

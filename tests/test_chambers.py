@@ -116,12 +116,10 @@ def test_global_lattice_degenerate():
 
 
 def test_chamber_quadrant():
+    # the quadrant is a cone but no degree interval, so it is not a chamber
     square = lattice_from_columns([(1, 0), (0, 1)])
-    c = Chamber(generators=((1, 0), (0, 1)), index_set=(), lattice=square)
-    assert c.contains((3, 4))
-    assert c.contains((0, 0))
-    assert not c.contains((-1, 2))
-    assert c.inequalities == ((0, 1), (1, 0))
+    with pytest.raises(ValueError, match="lo < hi"):
+        Chamber(generators=((1, 0), (0, 1)), index_set=(), lattice=square)
 
 
 def test_chamber_from_generators_dependent():
@@ -131,8 +129,12 @@ def test_chamber_from_generators_dependent():
 
 
 def test_chamber_derives_its_inequalities_from_its_generators():
+    # generators ((lo, 1), (hi, 1)) with lo < hi give lo*t <= mu <= hi*t
     square = lattice_from_columns([(1, 0), (0, 1)])
-    with pytest.raises(ValueError, match="linearly dependent"):
-        Chamber(generators=((2, 4), (1, 2)), index_set=(), lattice=square)
-    c = Chamber(generators=((4, 2), (0, 3)), index_set=(), lattice=square)
-    assert c.inequalities == ((-1, 2), (1, 0))
+    for generators in [((2, 4), (1, 2)), ((3, 1), (2, 1)), ((2, 1), (2, 1))]:
+        with pytest.raises(ValueError, match="lo < hi"):
+            Chamber(generators=generators, index_set=(), lattice=square)
+    c = Chamber(generators=((-2, 1), (5, 1)), index_set=(), lattice=square)
+    assert c.inequalities == ((1, 2), (-1, 5))
+    assert c.contains((-6, 3)) and c.contains((15, 3)) and c.contains((0, 0))
+    assert not c.contains((-7, 3)) and not c.contains((16, 3)) and not c.contains((0, -1))

@@ -326,6 +326,81 @@ def test_chambers_csv(capsys):
     assert rc == 0 and out.splitlines()[0] == "chamber,lo,hi,ineq1,ineq2,det"
 
 
+# the chambers command's three formats, byte for byte: a zero degree and
+# repeated degrees, and five distinct degrees
+CHAMBERS_OUTPUTS = {
+    "0,0,3,3,7": {
+        "table": (
+            "degrees: [0, 0, 3, 3, 7]\n"
+            "global lattice det: 84\n"
+            "C1: cone{(0,1),(3,1)}  mu - 0t >= 0, 3t - mu >= 0  (lattice det 21)\n"
+            "C2: cone{(3,1),(7,1)}  mu - 3t >= 0, 7t - mu >= 0  (lattice det 28)\n"
+        ),
+        "csv": (
+            "chamber,lo,hi,ineq1,ineq2,det\n"
+            "C1,0,3,1*mu+0*t>=0,-1*mu+3*t>=0,21\n"
+            "C2,3,7,1*mu+-3*t>=0,-1*mu+7*t>=0,28\n"
+        ),
+        "structured": {
+            "degrees": [0, 0, 3, 3, 7],
+            "global_lattice": {"basis": [[21, 3], [0, 4]], "det": 84},
+            "chambers": [
+                {"generators": [[0, 1], [3, 1]], "inequalities": [[1, 0], [-1, 3]],
+                 "index_set": [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4]],
+                 "lattice": {"basis": [[21, 0], [0, 1]], "det": 21}},
+                {"generators": [[3, 1], [7, 1]], "inequalities": [[1, -3], [-1, 7]],
+                 "index_set": [[0, 4], [1, 4], [2, 4], [3, 4]],
+                 "lattice": {"basis": [[7, 1], [0, 4]], "det": 28}},
+            ],
+        },
+    },
+    "2,3,6,7,11": {
+        "table": (
+            "degrees: [2, 3, 6, 7, 11]\n"
+            "global lattice det: 21600\n"
+            "C1: cone{(2,1),(3,1)}  mu - 2t >= 0, 3t - mu >= 0  (lattice det 180)\n"
+            "C2: cone{(3,1),(6,1)}  mu - 3t >= 0, 6t - mu >= 0  (lattice det 4320)\n"
+            "C3: cone{(6,1),(7,1)}  mu - 6t >= 0, 7t - mu >= 0  (lattice det 1800)\n"
+            "C4: cone{(7,1),(11,1)}  mu - 7t >= 0, 11t - mu >= 0  (lattice det 360)\n"
+        ),
+        "csv": (
+            "chamber,lo,hi,ineq1,ineq2,det\n"
+            "C1,2,3,1*mu+-2*t>=0,-1*mu+3*t>=0,180\n"
+            "C2,3,6,1*mu+-3*t>=0,-1*mu+6*t>=0,4320\n"
+            "C3,6,7,1*mu+-6*t>=0,-1*mu+7*t>=0,1800\n"
+            "C4,7,11,1*mu+-7*t>=0,-1*mu+11*t>=0,360\n"
+        ),
+        "structured": {
+            "degrees": [2, 3, 6, 7, 11],
+            "global_lattice": {"basis": [[60, 300], [0, 360]], "det": 21600},
+            "chambers": [
+                {"generators": [[2, 1], [3, 1]], "inequalities": [[1, -2], [-1, 3]],
+                 "index_set": [[0, 1], [0, 2], [0, 3], [0, 4]],
+                 "lattice": {"basis": [[2, 1], [0, 90]], "det": 180}},
+                {"generators": [[3, 1], [6, 1]], "inequalities": [[1, -3], [-1, 6]],
+                 "index_set": [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4]],
+                 "lattice": {"basis": [[12, 276], [0, 360]], "det": 4320}},
+                {"generators": [[6, 1], [7, 1]], "inequalities": [[1, -6], [-1, 7]],
+                 "index_set": [[0, 3], [0, 4], [1, 3], [1, 4], [2, 3], [2, 4]],
+                 "lattice": {"basis": [[5, 295], [0, 360]], "det": 1800}},
+                {"generators": [[7, 1], [11, 1]], "inequalities": [[1, -7], [-1, 11]],
+                 "index_set": [[0, 4], [1, 4], [2, 4], [3, 4]],
+                 "lattice": {"basis": [[1, 131], [0, 360]], "det": 360}},
+            ],
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "structured"])
+@pytest.mark.parametrize("degrees", list(CHAMBERS_OUTPUTS))
+def test_chambers_outputs_byte_for_byte(capsys, degrees, fmt):
+    want = CHAMBERS_OUTPUTS[degrees][fmt]
+    if fmt == "structured":
+        want = json.dumps(want, sort_keys=True, indent=2) + "\n"
+    assert run(capsys, "chambers", "--degrees", degrees, "--format", fmt) == (0, want, "")
+
+
 def test_regions_tor2_lines(capsys):
     rc, out, _ = run(capsys, "regions", "--degrees", "2,3,6", "--index", "2")
     assert rc == 0

@@ -16,8 +16,7 @@ from vpfbetti.quasipoly import (
     FitError,
     Polynomial,
     QuasiPolynomial,
-    _sweep_height,
-    _window_rows,
+    _sweep_rows,
     fit_chamber_qp,
 )
 
@@ -240,37 +239,30 @@ def test_fit_rejects_a_grading_that_is_not_bigraded():
     # columns (2,1), (1,2), (1,1): a planar grading with no bigraded chambers;
     # a single distinct degree has no chamber either
     square = lattice_from_columns([(1, 0), (0, 1)])
-    chamber = Chamber(generators=((2, 1), (1, 1)), index_set=(), lattice=square)
+    chamber = Chamber(generators=((1, 1), (2, 1)), index_set=(), lattice=square)
     for A in (DegreeMatrix.from_columns([(2, 1), (1, 2), (1, 1)]), DegreeMatrix.bigraded([5, 5])):
         with pytest.raises(ValueError, match="bigraded"):
             fit_chamber_qp(A, chamber, square)
 
 
-def _cone(g1, g2):
-    return Chamber(generators=(g1, g2), index_set=(), lattice=lattice_from_columns([g1, g2]))
-
-
-# chambers whose rows rise, fall or stay level in height H1 + H2, or that
-# reach below the mu axis
-SHAPES = {
-    "rising": _cone((1, 0), (1, 3)),
-    "falling": _cone((-1, 1), (-1, 3)),
-    "level": chamber_complex_2xn([1, 10])[0],
-    "below-axis": _cone((2, -1), (1, 2)),
-}
-
-
-@pytest.mark.parametrize("shape", list(SHAPES))
-def test_window_points_are_the_low_points_of_the_closed_chamber(shape):
-    chamber = SHAPES[shape]
-    h = [a + b for a, b in zip(*chamber.inequalities)]
-    box = range(-40, 41)
-    expected = sorted(
-        (y, x) for y in box for x in box
-        if chamber.contains((x, y)) and h[0] * x + h[1] * y <= 20
-    )
-    got = [(y, x) for y, lo, hi in _window_rows(chamber, 20) for x in range(lo, hi + 1)]
-    assert sorted(got) == expected
+@pytest.mark.parametrize(
+    "degrees", [(2, 3, 6), (1, 10), (1, 1000), (4, 9, 13), (0, 3, 5)],
+    ids=["2,3,6", "1,10", "1,1000", "4,9,13", "0,3,5"],
+)
+def test_window_points_are_the_low_points_of_the_closed_chamber(degrees):
+    for chamber in chamber_complex_2xn(degrees):
+        rows = list(_sweep_rows(chamber))
+        top = rows[-1][0]
+        # top is the least 4 * 2^k with (hi - lo) * top^2 >= 2048
+        width = chamber.generators[1][0] - chamber.generators[0][0]
+        assert top in [4 << k for k in range(10)]
+        assert width * top * top >= 2048 and (top == 4 or width * top * top < 4 * 2048)
+        box = range(-3, chamber.generators[1][0] * top + 4)
+        expected = [
+            (y, x) for y in range(-3, top + 1) for x in box
+            if all(h[0] * x + h[1] * y >= 0 for h in chamber.inequalities)
+        ]
+        assert [(y, x) for y, lo, hi in rows for x in range(lo, hi + 1)] == expected
 
 
 @pytest.mark.parametrize("degrees", [(2, 3, 6), (1, 1000)], ids=["2,3,6", "1,1000"])
@@ -279,11 +271,7 @@ def test_apex_sweep_rejects_a_count_off_the_pattern(monkeypatch, degrees):
     # the apex window, row by row.  The (1, 1000) window has 9995 points.
     A = DegreeMatrix.bigraded(degrees)
     chamber = chamber_complex_2xn(degrees)[-1]
-    window = [
-        (x, y)
-        for y, lo, hi in _window_rows(chamber, _sweep_height(chamber))
-        for x in range(lo, hi + 1)
-    ]
+    window = [(x, y) for y, lo, hi in _sweep_rows(chamber) for x in range(lo, hi + 1)]
     swept, rows = window[:4096], []
 
     def recording_count_row(A, t, lo, hi):
@@ -309,7 +297,7 @@ def test_apex_sweep_rejects_a_count_off_the_pattern(monkeypatch, degrees):
             fit_with_one_count_off(target)
     # a point past the first 4096 is never compared
     beyond = window[4096:]
-    assert (len(window) > 4096) == (degrees == (1, 1000))
+    assert len(window) == 9995 if degrees == (1, 1000) else len(window) < 4096
     if beyond:
         fit_with_one_count_off(beyond[0])
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import eval_betti_reference, total_betti_reference
+from oracles import eval_betti_reference, stability_threshold_reference, total_betti_reference
 from vpfbetti import hilbert, textfmt
 from vpfbetti.counting import DegreeMatrix
 from vpfbetti.hilbert import DataIntegrityWarning, KappaNumerator, hf_module
@@ -18,7 +18,6 @@ from vpfbetti.regions import (
     HalfLine,
     eval_betti,
     eval_row,
-    intersection_height,
     region_decomposition,
     row_support,
     sort_lines,
@@ -47,13 +46,22 @@ def test_stability_threshold_binding_pair():
     l1 = HalfLine(3, (5, 1))
     l2 = HalfLine(2, (11, 2))
     assert (l1.intercept, l2.intercept) == (2, 7)
-    assert intersection_height(l1, l2) == Fraction(5)
-    assert intersection_height(l1, HalfLine(3, (9, 0))) is None
+    # they meet at (7 - 2) / (3 - 2) = 5, the highest crossing of the four lines
+    assert stability_threshold([(5, 1), (11, 2)], (2, 3)) == 5
 
 
 def test_stability_threshold_common_point_above_one():
     # lines through a single shift point cross exactly there
     assert stability_threshold([(0, 7)], (2, 5)) == 7
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    degrees=st.lists(st.integers(0, 15), min_size=1, max_size=5),
+    shifts=st.lists(st.tuples(st.integers(-20, 40), st.integers(-3, 8)), max_size=6),
+)
+def test_stability_threshold_is_the_highest_crossing_of_all_line_pairs(degrees, shifts):
+    assert stability_threshold(shifts, degrees) == stability_threshold_reference(shifts, degrees)
 
 
 def test_sort_lines_worked_example():

@@ -2,6 +2,7 @@ import json
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -54,6 +55,29 @@ def test_check_decomposition_refuses_a_grid_short_of_a_band_row():
     for lo, hi in [((0, 1), (60, 10)), ((10, 1), (80, 10)), ((0, 1), (80, 9))]:
         with pytest.raises(ValueError, match="leave the value grid"):
             check_decomposition(dec, 10, hf_grid(kappa, lo, hi), lo)
+
+
+def test_line_ordering_fails_at_t0_on_corrupted_lines():
+    kappa = ci_shifts((2, 3, 6)).tor(1)
+    dec = region_decomposition(kappa)
+    grid = hf_grid(kappa, (0, 1), (80, 10))
+
+    def ordering(d):
+        return next(c for c in check_decomposition(d, 10, grid, (0, 1)) if c.name == "line ordering")
+
+    assert ordering(dec).passed and ordering(dec).witness is None
+    assert dec.t0 == 5
+    # lines 0 and 1 have slope 2 and values 13 < 16 at t0; lines 3 and 4 have
+    # slopes 2 < 3 and both value 17 at t0, so swapped they are sorted at t0
+    # by value but not by slope, and cross above it
+    assert [(L.slope, L.value(5)) for L in dec.lines[:5]] == [
+        (2, 13), (2, 16), (2, 17), (2, 17), (3, 17)
+    ]
+    for i in (0, 3):
+        lines = list(dec.lines)
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        check = ordering(replace(dec, lines=tuple(lines)))
+        assert not check.passed and check.witness == (dec.t0,)
 
 
 def test_verify_spec_builds_one_grid_per_index(monkeypatch):
