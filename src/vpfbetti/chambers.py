@@ -67,8 +67,8 @@ def chamber_complex_2xn(degrees) -> tuple[Chamber, ...]:
     distinct = sorted(set(degrees))
     if len(distinct) < 2:
         raise DegenerateGradingError(
-            "need at least two distinct generator degrees; the single-degree "
-            "case is supported only through direct counting"
+            "need at least two distinct generator degrees; a ring with one distinct "
+            "degree has no chambers (hilbert and hf_bigraded_ring give its values)"
         )
     chambers = []
     for lo, hi in zip(distinct, distinct[1:]):

@@ -153,48 +153,47 @@ class RingHilbertValue:
     residue: tuple[int, ...] | None
 
 
-class _ChamberFits:
-    """fits[i]: chamber i fitted over its own lattice, modulo which it is periodic.
+class _Ring:
+    """The partition waves, chambers, global lattice and lazy chamber fits of one bigraded ring.
 
-    Fitted on first read under the ring's lock, so once whatever the threads,
-    and read without it after that; a fit that raises is not kept.  A lattice
-    with more residue classes (pieces) than the cell budget raises first.
+    A ring with one distinct degree has no chambers, and its lattice is None.
+    fit(i), chamber i fitted over its own lattice, modulo which it is
+    periodic, is built from `waves` on first read under the ring's lock, so
+    once whatever the threads, and read without it after that; a fit that
+    raises is not kept.  A lattice with more residue classes (pieces) than
+    the cell budget raises first.
     """
 
-    def __init__(self, ring: DegreeMatrix, chambers):
-        self._ring, self._chambers = ring, chambers
-        self._fits = [None] * len(chambers)
+    def __init__(self, degrees: tuple[int, ...]):
+        self.matrix = DegreeMatrix.bigraded(degrees)
+        self.waves = RingWaves(degrees)
+        planar = len(set(degrees)) > 1
+        self.chambers = chamber_complex_2xn(degrees) if planar else ()
+        self.lattice = global_lattice(degrees) if planar else None
+        self._fits = [None] * len(self.chambers)
         self._lock = threading.Lock()
 
-    def __getitem__(self, i: int) -> QuasiPolynomial:
+    def fit(self, i: int) -> QuasiPolynomial:
         fit = self._fits[i]
         if fit is None:
             with self._lock:
                 fit = self._fits[i]
                 if fit is None:
-                    c = self._chambers[i]
+                    c = self.chambers[i]
                     what = f"fit of chamber C{i + 1}, one piece per residue class,"
                     kernels.check_cells(c.lattice.det, what)
-                    fit = fit_chamber_qp(self._ring, c, c.lattice)
-                    self._fits[i] = fit
+                    fit = self._fits[i] = fit_chamber_qp(self.matrix, c, c.lattice)
         return fit
 
 
-@lru_cache(maxsize=64)
-def _ring_chamber_data(degrees: tuple[int, ...]):
-    """Chambers, global lattice, lazy fits and partition waves of the ring with these sorted degrees."""
-    ring = DegreeMatrix.bigraded(degrees)
-    chambers = chamber_complex_2xn(degrees)
-    return chambers, global_lattice(degrees), _ChamberFits(ring, chambers), RingWaves(degrees)
-
-
+_cached_ring = lru_cache(maxsize=64)(_Ring)  # keyed by the sorted degrees
 _RINGS_LOCK = threading.Lock()  # lru_cache alone may build a ring twice on concurrent misses
 
 
-def _ring_data(degrees):
-    """`_ring_chamber_data` of the ring with these degrees in any order, built once."""
+def _ring(degrees) -> _Ring:
+    """The record of the ring with these degrees in any order, built once."""
     with _RINGS_LOCK:
-        return _ring_chamber_data(tuple(sorted(index(d) for d in degrees)))
+        return _cached_ring(tuple(sorted(index(d) for d in degrees)))
 
 
 def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
@@ -202,12 +201,16 @@ def hf_bigraded_ring(degrees, u) -> RingHilbertValue:
 
     Returns the value, read from the ring's partition waves on one side of
     u's lower wall, with the index of the (lowest) chamber whose closure
-    contains u and u's residue modulo the global lattice; outside the positive
-    cone it is 0 with no attribution.  Over the wave budget, BudgetExceededError.
+    contains u and u's residue modulo the global lattice.  Outside the
+    positive cone the value is 0 with no attribution.  A ring with one
+    distinct degree e has no chambers: its value is C(t + n - 1, n - 1) on
+    the ray mu = e t and 0 off it, with no attribution.  Over the wave
+    budget, BudgetExceededError.
     """
-    u = tuple(map(index, u))  # locate rejects a point of the wrong length
-    chambers, lattice, _, waves = _ring_data(degrees)
-    located = locate(chambers, u)
+    u = tuple(map(index, u))
+    ring = _ring(degrees)
+    located = locate(ring.chambers, u)  # rejects a point of the wrong length
+    value = ring.waves.count(*u)
     if not located:
-        return RingHilbertValue(0, None, None)
-    return RingHilbertValue(waves.count(*u), located[0], lattice.reduce(u))
+        return RingHilbertValue(value, None, None)
+    return RingHilbertValue(value, located[0], ring.lattice.reduce(u))

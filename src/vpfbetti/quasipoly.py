@@ -2,9 +2,9 @@
 
 A quasi-polynomial stores one rational-coefficient polynomial per residue
 class of a full-rank sublattice of Z^2.  fit_chamber_qp assembles a bigraded
-ring's counting function on a closed chamber from its partition waves
-(`waves.py`) and checks it against the count table at the chamber's apex; a
-mismatch is a hard structural error, never a silent repair.
+ring's counting function on a closed chamber from the ring's cached partition
+waves (`waves.py`) and checks it against the count table at the chamber's
+apex; a mismatch is a hard structural error, never a silent repair.
 """
 
 from __future__ import annotations
@@ -298,16 +298,17 @@ def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> Quasi
     """The counting quasi-polynomial of a bigraded A on a closed chamber, over a lattice.
 
     The lattice must be the chamber lattice or a full-rank sublattice of it.
-    The pieces come from A's partition waves (`waves.RingWaves.chamber_qp`)
-    and are swept against the count table at the chamber's apex, on both
-    rays; a mismatch raises FitError: wrong chamber or lattice input, never
-    silently repaired.  A wave table over the budget raises BudgetExceededError.
+    The pieces come from the partition waves that `hilbert` caches for A's
+    ring (`waves.RingWaves.chamber_qp`), the ones its ring queries read, and
+    are swept against the count table at the chamber's apex, on both rays; a
+    mismatch raises FitError: wrong chamber or lattice input, never silently
+    repaired.  A wave table over the budget raises BudgetExceededError.
     """
     if not A.is_bigraded() or len(set(A.degrees)) < 2:
         raise ValueError("chambers exist only for a bigraded ring with two distinct degrees")
-    from .waves import RingWaves  # waves builds its pieces from this module's classes
+    from .hilbert import _ring  # hilbert caches each ring's waves and imports this module
 
-    result = RingWaves(A.degrees).chamber_qp(chamber, lattice)
+    result = _ring(A.degrees).waves.chamber_qp(chamber, lattice)
     # apex-window sweep, first 4096 points: the tip and stretches of both rays
     left = 4096
     for y, lo, hi in _sweep_rows(chamber):

@@ -18,7 +18,7 @@ from math import factorial
 from operator import index
 
 from .chambers import locate
-from .hilbert import DataIntegrityWarning, KappaNumerator, _ring_data
+from .hilbert import DataIntegrityWarning, KappaNumerator, _ring
 from .lattices import Lattice
 from .quasipoly import FitError, Polynomial, QuasiPolynomial, _as_int
 
@@ -166,7 +166,7 @@ def region_decomposition(kappa: KappaNumerator) -> RegionDecomposition:
     shifts = kappa.shifts
     t0 = stability_threshold(shifts, E)
     lines = sort_lines(shifts, E, t0)
-    chambers, lattice, fits, _ = _ring_data(ring.degrees)
+    record = _ring(ring.degrees)
 
     t_probe = t0 + 1
     regions = []
@@ -174,7 +174,7 @@ def region_decomposition(kappa: KappaNumerator) -> RegionDecomposition:
         mu_probe = lines[i].value(t_probe)
         terms = []
         for shift, coeff in kappa.terms:
-            located = locate(chambers, (mu_probe - shift[0], t_probe - shift[1]))
+            located = locate(record.chambers, (mu_probe - shift[0], t_probe - shift[1]))
             if located:
                 # on a shared wall the higher chamber is the one valid on the
                 # strip above the probe line as well as on the line itself
@@ -183,10 +183,10 @@ def region_decomposition(kappa: KappaNumerator) -> RegionDecomposition:
     return RegionDecomposition(
         t0=t0,
         lines=lines,
-        lattice=lattice,
+        lattice=record.lattice,
         regions=tuple(regions),
         kappa=kappa,
-        fits={idx: fits[idx] for region in regions for idx, _, _ in region.terms},
+        fits={idx: record.fit(idx) for region in regions for idx, _, _ in region.terms},
     )
 
 

@@ -64,20 +64,21 @@ def lattice_dict(L: Lattice) -> dict:
     return {"basis": [list(b) for b in L.basis], "det": L.det}
 
 
-def region_pieces(dec: RegionDecomposition):
-    """Each region of dec with its sorted (residue, Polynomial) pieces over dec.lattice.
+def rendered_pieces(dec: RegionDecomposition, render):
+    """Each region of dec with its sorted (residue, render(piece)) pairs over dec.lattice.
 
     A region's value is the signed sum of its terms' shifted chamber fits.
     The global lattice refines every chamber lattice, so each of its
     residues sums one piece of every term.  Each distinct term is shifted
     once, with QuasiPolynomial.shift, and its column (its piece at every
     global residue) is built once; regions are yielded one at a time.
-    Each distinct combination of term pieces, in any region, is summed once
-    and yields the same Polynomial object.  Sums are keyed by the pieces'
-    ids, which stay unique because `columns` holds every piece.
+    Each distinct combination of term pieces, in any region, is summed and
+    rendered once and yields the same rendered object.  Combinations are
+    keyed by the pieces' ids, which stay unique because `columns` holds
+    every piece.
     """
     columns = {}
-    sums = {}
+    done = {}
     residues = sorted(dec.lattice.residues()) if dec.regions else ()
     for region in dec.regions:
         for term in region.terms:
@@ -89,27 +90,10 @@ def region_pieces(dec: RegionDecomposition):
         out = []
         for res, *parts in zip(residues, *(columns[term] for term in region.terms)):
             key = tuple(map(id, parts))
-            poly = sums.get(key)
-            if poly is None:
-                poly = sums[key] = Polynomial._sum(2, parts)
-            out.append((res, poly))
-        yield region, out
-
-
-def rendered_pieces(dec: RegionDecomposition, render):
-    """region_pieces(dec) with each piece replaced by render(piece).
-
-    render runs once per distinct piece object, and a repeated piece yields
-    the same rendered object.  Each entry holds its piece, so ids stay unique.
-    """
-    done = {}
-    for region, pieces in region_pieces(dec):
-        out = []
-        for res, poly in pieces:
-            hit = done.get(id(poly))
+            hit = done.get(key)
             if hit is None:
-                hit = done[id(poly)] = (poly, render(poly))
-            out.append((res, hit[1]))
+                hit = done[key] = render(Polynomial._sum(2, parts))
+            out.append((res, hit))
         yield region, out
 
 

@@ -9,15 +9,15 @@ def fresh_tables(monkeypatch):
 
     The caches go together: the shared band rows of every ring
     (`kernels._BANDS`), the per-matrix memo that points at them
-    (`counting._ORACLES`), and the per-ring chamber fits and partition waves
-    (`hilbert._ring_chamber_data`), so a test that counts fits or tables
-    starts cold.
+    (`counting._ORACLES`), and the per-ring records of partition waves and
+    chamber fits (`hilbert._cached_ring`), so a test that counts fits or
+    tables starts cold.
     """
 
     def reset():
         monkeypatch.setattr(kernels, "_BANDS", {})
         monkeypatch.setattr(counting, "_ORACLES", {})
-        hilbert._ring_chamber_data.cache_clear()
+        hilbert._cached_ring.cache_clear()
 
     reset()
     return reset

@@ -183,6 +183,17 @@ def test_hilbert_ring(capsys):
     assert "chamber=C2" in out
 
 
+def test_hilbert_ring_with_one_distinct_degree(capsys):
+    # no chambers, so no attribution: C(t + n - 1, n - 1) on the ray mu = 5t, 0 off it
+    for point, want in (("10,2", "3"), ("11,2", "0"), ("10000000000,2000000000", "2000000001")):
+        assert run(capsys, "hilbert", "--degrees", "5,5", point) == (0, want + "\n", "")
+    rc, out, err = run(capsys, "hilbert", "--degrees", "5,5", "10,2", "--format", "structured")
+    assert (rc, err) == (0, "") and json.loads(out) == {"point": [10, 2], "value": 3}
+    assert run(capsys, "hilbert", "--degrees", "0,0,0", "0,4") == (0, "15\n", "")
+    rc, out, err = run(capsys, "chambers", "--degrees", "5,5")
+    assert rc == 2 and out == "" and "has no chambers" in err
+
+
 def test_hilbert_far_point_fits_only_its_chamber(capsys):
     argv = ("hilbert", "--degrees", "2,3,6,7,11", "30,10")
     rc, out, err = run(capsys, *argv)
@@ -214,7 +225,7 @@ def test_hilbert_reads_a_wave_no_further_than_its_argument(capsys, fresh_tables)
     degrees = (1, 31, 32, 33, 34, 35)
     rc, out, err = run(capsys, "hilbert", "--degrees", "1,31,32,33,34,35", "345,10")
     assert (rc, out, err) == (0, "6  chamber=C5 residue=(3, 2782228)\n", "")
-    ring_waves = hilbert._ring_data(degrees)[3]
+    ring_waves = hilbert._ring(degrees).waves
     assert max(len(term[4]._table) for term in ring_waves._terms) == 336
     assert count(DegreeMatrix.bigraded(degrees), (345, 10)) == 6
     assert brute_count([(d, 1) for d in degrees], (345, 10)) == 6
@@ -234,7 +245,7 @@ def test_hilbert_reads_the_cheaper_side_past_a_wave_over_budget(capsys, fresh_ta
         tracemalloc.stop()
     assert (rc, out, err) == (0, "63173839928121540937  chamber=C1 residue=(4, 1695364)\n", "")
     assert peak < 2 * 2**20
-    ring_waves = hilbert._ring_data(degrees)[3]
+    ring_waves = hilbert._ring(degrees).waves
     below = [term for term in ring_waves._terms if term[2] <= 1]
     with pytest.raises(kernels.BudgetExceededError):
         ring_waves._read(16000000, 1000000, below, 1)

@@ -12,7 +12,6 @@ from oracles import brute_count, ring_fits_reference, ring_hilbert_closed_form
 from vpfbetti import hilbert, kernels, regions
 from vpfbetti.chambers import (
     Chamber,
-    DegenerateGradingError,
     chamber_complex_2xn,
     global_lattice,
     locate,
@@ -22,7 +21,6 @@ from vpfbetti.hilbert import (
     DataIntegrityWarning,
     KappaNumerator,
     RingHilbertValue,
-    _ring_chamber_data,
     hf_bigraded_ring,
     hf_grid,
     hf_module,
@@ -219,8 +217,17 @@ def test_hf_bigraded_ring_matches_count_and_closed_form():
 
 
 def test_hf_bigraded_ring_degenerate():
-    with pytest.raises(DegenerateGradingError):
-        hf_bigraded_ring([4, 4], (8, 2))
+    # one distinct degree: no chambers, so the value comes with no attribution;
+    # on the ray mu = e t it is C(t + n - 1, n - 1), and 0 off it
+    for degrees in ((5, 5), (2, 2, 2), (0, 0, 0)):
+        A, e = DegreeMatrix.bigraded(degrees), degrees[0]
+        for t in range(-1, 8):
+            for mu in range(e * t - 2, e * t + 3):
+                res = hf_bigraded_ring(degrees, (mu, t))
+                assert res == RingHilbertValue(count(A, (mu, t)), None, None)
+        assert hf_bigraded_ring(degrees, (4 * e, 4)).value == count(A, (4 * e, 4)) > 1
+        with pytest.raises(ValueError):
+            hf_bigraded_ring(degrees, (e, 1, 1))
 
 
 def test_hf_module_any_dimension():
@@ -342,7 +349,8 @@ def test_fit_cache_is_keyed_by_sorted_degrees(fresh_tables):
     b = hf_bigraded_ring((2, 3, 6), (40, 10))
     assert a == b
     assert isinstance(a, RingHilbertValue) and a.value == count(RING, (40, 10))
-    assert _ring_chamber_data.cache_info().currsize == 1
+    assert hilbert._cached_ring.cache_info().currsize == 1
+    assert hilbert._ring((6, 3, 2)) is hilbert._ring((3, 2, 6))
 
 
 @pytest.mark.parametrize(
@@ -352,13 +360,14 @@ def test_fit_cache_is_keyed_by_sorted_degrees(fresh_tables):
 def test_lazy_fits_equal_the_eager_global_fits(degrees, fresh_tables):
     # each fit is cached over its chamber's own lattice, and every global
     # residue reads the eager global fit's piece from the class it falls in
-    chambers, lattice, fits, _ = _ring_chamber_data(degrees)
+    ring = hilbert._ring(degrees)
     want = ring_fits_reference(degrees)
-    assert len(chambers) == len(want)
+    assert len(ring.chambers) == len(want)
     for i, ref in enumerate(want):
-        assert fits[i].lattice == chambers[i].lattice
-        for k in lattice.residues():
-            assert fits[i].pieces[fits[i].lattice.reduce(k)] == ref.pieces[k]
+        fit = ring.fit(i)
+        assert fit.lattice == ring.chambers[i].lattice
+        for k in ring.lattice.residues():
+            assert fit.pieces[fit.lattice.reduce(k)] == ref.pieces[k]
 
 
 def recording_builds(monkeypatch):
@@ -381,13 +390,13 @@ def test_a_ring_query_makes_no_global_copy(monkeypatch, fresh_tables):
     res = hf_bigraded_ring((2, 3, 6, 7, 11), (30, 10))
     assert res == RingHilbertValue(7, 0, (30, 10))
     assert built == []
-    chambers, lattice, fits, _ = _ring_chamber_data((2, 3, 6, 7, 11))
-    assert fits[0].eval_row(10, 30, 30) == [7]
-    assert built == [chambers[0].lattice] and lattice.det == 21600
+    ring = hilbert._ring((2, 3, 6, 7, 11))
+    assert ring.fit(0).eval_row(10, 30, 30) == [7]
+    assert built == [ring.chambers[0].lattice] and ring.lattice.det == 21600
 
 
 def counting_fits(monkeypatch):
-    """Record the chamber of every fit the lazy chamber data makes."""
+    """Record the chamber of every fit the ring records make."""
     fitted = []
     real = hilbert.fit_chamber_qp
 
@@ -418,10 +427,10 @@ def test_a_ring_query_fits_nothing(monkeypatch, fresh_tables, degrees, u):
 
 
 def fit_value(degrees, u):
-    """The value at u of the fit of the lowest chamber holding u, read through the ring data."""
-    chambers, _, fits, _ = hilbert._ring_data(degrees)
-    (i, *_) = locate(chambers, u)
-    return fits[i].eval_row(u[1], u[0], u[0])[0]
+    """The value at u of the fit of the lowest chamber holding u, read through the ring record."""
+    ring = hilbert._ring(degrees)
+    (i, *_) = locate(ring.chambers, u)
+    return ring.fit(i).eval_row(u[1], u[0], u[0])[0]
 
 
 def test_one_point_fits_only_its_chamber(monkeypatch, fresh_tables):

@@ -169,7 +169,7 @@ def test_region_piece_key_depends_on_residue_only():
     dec = decomposition(1)
     rng = random.Random(4)
     lat = dec.lattice
-    for region, pieces in textfmt.region_pieces(dec):
+    for region, pieces in textfmt.rendered_pieces(dec, lambda p: p):
         pieces = dict(pieces)
         assert len(pieces) == lat.det
         for _ in range(20):
@@ -327,7 +327,7 @@ def test_first_region_mod_selector():
     # (a * t - mu) mod D for the region's lower-line slope a; grouping the
     # stored pieces by that selector must collapse them to equal polynomials
     dec = decomposition(0)
-    region, pieces = next(textfmt.region_pieces(dec))  # [2t, 3t)
+    region, pieces = next(textfmt.rendered_pieces(dec, lambda p: p))  # [2t, 3t)
     a = dec.lines[region.lower].slope
     groups = {}
     for res, piece in pieces:
@@ -377,12 +377,12 @@ def test_eval_row_returns_negative_values_without_warning():
 
 def test_eval_row_rejects_a_non_integer_piece(monkeypatch, fresh_tables):
     # one residue class of the first chamber's cached fit is worth 1/2
-    fits = hilbert._ring_data((2, 3, 6))[2]
-    real = fits[0]
+    ring = hilbert._ring((2, 3, 6))
+    real = ring.fit(0)
     res = real.lattice.residues()[0]
     half = Polynomial(2, {(0, 0): Fraction(1, 2)})
     broken = QuasiPolynomial(real.lattice, {**real.pieces, res: half})
-    monkeypatch.setattr(fits, "_fits", [broken, *fits._fits[1:]])
+    monkeypatch.setattr(ring, "_fits", [broken, *ring._fits[1:]])
     dec = decomposition(1)
     with pytest.raises(FitError, match="non-integer piece value 1/2"):
         for t in range(dec.t0, dec.t0 + 12):

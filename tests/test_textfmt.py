@@ -78,7 +78,7 @@ CASES = [(d, i) for d in ((4, 9, 13), (6, 10, 15), (2, 3, 6)) for i in (1, 2)] +
 @pytest.mark.parametrize("degrees, index", CASES)
 def test_region_pieces_equal_the_polynomial_sums(degrees, index):
     dec = region_decomposition(_kappa(degrees, index))
-    assert list(textfmt.region_pieces(dec)) == region_pieces_reference(dec)
+    assert list(textfmt.rendered_pieces(dec, lambda p: p)) == region_pieces_reference(dec)
 
 
 def _line_reference(line):

@@ -13,7 +13,9 @@ from vpfbetti import hilbert, kernels, waves
 from vpfbetti.chambers import chamber_complex_2xn
 from vpfbetti.counting import DegreeMatrix, count_row
 from vpfbetti.hilbert import hf_bigraded_ring
-from vpfbetti.quasipoly import FitError
+from vpfbetti.quasipoly import FitError, fit_chamber_qp
+from vpfbetti.rees import ci_shifts
+from vpfbetti.regions import region_decomposition
 from vpfbetti.waves import RingWaves
 
 # 2-6 degrees from 0-12, repeats allowed, at least two distinct
@@ -52,12 +54,12 @@ def test_waves_equal_brute_force(degrees, points):
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(st.sampled_from([(2, 3, 6, 7), (2, 3, 4, 5, 6), (2, 2, 5)]), st.randoms(use_true_random=False))
 def test_ring_queries_equal_the_chamber_fits_at_far_points(degrees, rng):
-    fits = hilbert._ring_data(degrees)[2]
+    ring = hilbert._ring(degrees)
     for _ in range(4):
         t = rng.randint(0, 10 ** rng.randint(1, 12))
         mu = rng.randint(min(degrees) * t, max(degrees) * t)
         res = hf_bigraded_ring(degrees, (mu, t))
-        assert res.value == fits[res.chamber].eval_row(t, mu, mu)[0]
+        assert res.value == ring.fit(res.chamber).eval_row(t, mu, mu)[0]
 
 
 @pytest.mark.parametrize(
@@ -150,8 +152,31 @@ def test_a_point_past_a_wave_over_budget_reads_the_other_side(monkeypatch, fresh
     with pytest.raises(kernels.BudgetExceededError):
         ring_waves._read(*u, below, 1)
     assert hf_bigraded_ring(degrees, u) == want
-    fits = hilbert._ring_data(degrees)[2]
-    assert fits._fits == [None] * len(fits._fits)
+    ring = hilbert._ring(degrees)
+    assert ring._fits == [None] * len(ring.chambers)
+
+
+def test_a_ring_has_one_wave_set(monkeypatch, fresh_tables):
+    # ring queries, chamber fits and decompositions all read the waves
+    # cached with the ring, so each ring builds one RingWaves
+    built = []
+    real = RingWaves.__init__
+
+    def init(self, degrees):
+        built.append(tuple(degrees))
+        real(self, degrees)
+
+    monkeypatch.setattr(RingWaves, "__init__", init)
+    degrees = (2, 3, 6, 7)
+    for u in ((250, 100), (400, 100), (650, 100)):
+        hf_bigraded_ring(degrees, u)
+    for chamber in chamber_complex_2xn(degrees):
+        fit_chamber_qp(DegreeMatrix.bigraded(degrees), chamber, chamber.lattice)
+    assert built == [degrees]
+    built.clear()
+    for d in ((2, 3, 6), (4, 9, 13), (6, 10, 15)):
+        region_decomposition(ci_shifts(d).tor(1))
+    assert built == [(2, 3, 6), (4, 9, 13), (6, 10, 15)]
 
 
 def test_each_wave_table_size_built_once_from_eight_threads(monkeypatch, fresh_tables):
