@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
-from operator import add, index, mul, neg, sub
+from operator import add, index, mul, sub
 
 from . import kernels
 from .chambers import chamber_complex_2xn, global_lattice, locate
@@ -82,7 +82,9 @@ def hf_grid(kappa: KappaNumerator, lo, hi) -> list[list[int]]:
     The grid is a list[list[int]], one list per row t.  One window of the
     ring's shared count rows (the rows `count` reads), reaching hi minus the
     lowest shift, is added into each grid row as one shifted slice per
-    numerator term.  Bigraded rings only.  A grid or table over
+    numerator term: only the part of count row s = t - a_t that can be
+    nonzero, e_min * s <= mu - a_mu <= e_max * s over the ring's least and
+    greatest degrees.  Bigraded rings only.  A grid or table over
     `kernels.MAX_TABLE_CELLS` raises BudgetExceededError.
     """
     if not kappa.ring.is_bigraded():
@@ -90,27 +92,26 @@ def hf_grid(kappa: KappaNumerator, lo, hi) -> list[list[int]]:
     (mu0, t0), (mu1, t1) = lo, hi
     height, width = max(t1 - t0 + 1, 0), max(mu1 - mu0 + 1, 0)
     kernels.check_cells(height * width, "value grid")
+    g = [[0] * width for _ in range(height)]
     if not kappa.terms or not height * width:
-        return [[0] * width for _ in range(height)]
-    g = [None] * height  # a row is built by the first term that reaches it
+        return g
     reach_mu = mu1 - min(a[0] for a in kappa.shifts)
     reach_t = t1 - min(a[1] for a in kappa.shifts)
     table = kernels.bigraded_table(kappa.ring.degrees, max(reach_t, 0), max(reach_mu, 0))
+    e_min, e_max = min(kappa.ring.degrees), max(kappa.ring.degrees)
     for (a_mu, a_t), c in kappa.terms:
-        mu, t_low = max(mu0, a_mu), max(t0, a_t)  # lowest point with u - a >= 0
-        if mu > mu1:
-            continue
         op = add if c > 0 else sub
-        for t in range(t_low, t1 + 1):
-            part = islice(table[t - a_t], mu - a_mu, mu1 - a_mu + 1)
+        for t in range(max(t0, a_t), t1 + 1):  # lowest row with t - a_t >= 0
+            s = t - a_t
+            start, stop = max(mu0, a_mu + e_min * s), min(mu1, a_mu + e_max * s) + 1
+            if start >= stop:
+                continue
+            part = islice(table[s], start - a_mu, stop - a_mu)
             if abs(c) != 1:
                 part = map(mul, repeat(abs(c)), part)
             row = g[t - t0]
-            if row is None:
-                g[t - t0] = [0] * (mu - mu0) + list(part if c > 0 else map(neg, part))
-            else:
-                row[mu - mu0:] = map(op, islice(row, mu - mu0, None), part)
-    return [row or [0] * width for row in g]
+            row[start - mu0:stop - mu0] = map(op, islice(row, start - mu0, stop - mu0), part)
+    return g
 
 
 def series_identity_check(kappa: KappaNumerator, bound) -> bool:
@@ -129,14 +130,41 @@ def _series_identity(kappa: KappaNumerator, g, lo) -> bool:
     """The series identity on the value grid g of kappa, with g[0][0] at lo.
 
     Exact when lo is at or below the lowest shift in both coordinates.  The
-    product is taken in place, so g is consumed.
+    product with the denominator is unitriangular, so the identity holds
+    only if g is numerator x series on the box.  Row t of that is zero
+    outside the union over the terms with a_t <= t of the bands
+    a_mu + e_min * s <= mu <= a_mu + e_max * s, s = t - a_t; a nonzero value
+    there fails at once.  Each factor then subtracts only over the spans
+    that can still be nonzero.  The product is taken in place, so g is
+    consumed.
     """
     h, w = len(g), len(g[0]) if g else 0
-    for d in kappa.ring.degrees:
-        if d < w:
-            for i in range(h - 1, 0, -1):  # from the top, so row i - 1 is still unchanged
+    degrees = kappa.ring.degrees
+    e_min, e_max = min(degrees), max(degrees)
+    spans = []  # per row, the hull [start, stop) of the columns that can be nonzero
+    for i, row in enumerate(g):
+        t = lo[1] + i
+        bands = sorted(
+            (max(a_mu - lo[0] + e_min * (t - a_t), 0), a_mu - lo[0] + e_max * (t - a_t) + 1)
+            for (a_mu, a_t), _ in kappa.terms
+            if a_t <= t
+        )
+        start = stop = bands[0][0] if bands else 0
+        for band_lo, band_hi in bands:
+            if any(row[stop:band_lo]):
+                return False
+            stop = max(stop, band_hi)
+        if any(row[:start]) or any(row[stop:]):
+            return False
+        spans.append((start, min(stop, w)))
+    for d in degrees:
+        for i in range(h - 1, 0, -1):  # from the top, so row i - 1 is still unchanged
+            start, stop = spans[i - 1]
+            a, b = start + d, min(stop + d, w)
+            if a < b:
                 row = g[i]
-                row[d:] = map(sub, islice(row, d, None), g[i - 1])
+                row[a:b] = map(sub, islice(row, a, b), islice(g[i - 1], start, stop))
+                spans[i] = min(spans[i][0], a), max(spans[i][1], b)
     want = [[0] * w for _ in g]
     for (a_mu, a_t), c in kappa.terms:
         if a_mu - lo[0] < w and a_t - lo[1] < h:

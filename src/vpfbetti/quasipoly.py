@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb, gcd, lcm
 from types import MappingProxyType
 
@@ -228,8 +229,15 @@ class QuasiPolynomial(_Frozen):
 
         Once per row period of the lattice, a class's piece is looked up by
         its residue and t put into its integer numerators, leaving integer
-        coefficients in mu over its den for an integer Horner loop at each
-        of the class's points.  A non-integer value raises FitError.
+        coefficients in mu over its den, of degree D in mu.  An integer
+        Horner loop gives the class's values at its first D + 1 points, and
+        a non-integer value there raises FitError.  Along a class the values
+        are a polynomial of degree D in the point's rank, so once they are
+        integers at D + 1 consecutive points they are integers at every
+        point.  A long class, one with more than 4 * (D + 2) points, fills
+        the rest by running sums of its forward differences, which costs
+        less past that length than Horner at every point; a shorter class
+        runs Horner at every point.
         """
         t, lo, hi = operator.index(t), operator.index(lo), operator.index(hi)
         residue, pieces = self.lattice._residue, self.pieces
@@ -242,7 +250,8 @@ class QuasiPolynomial(_Frozen):
             for (i, j), n in poly._nums.items():
                 coeffs[top - i] += n * t**j
             den = poly.den
-            for mu in range(first, hi + 1, m):
+            long = hi - first >= 4 * (top + 2) * m  # more than 4 * (top + 2) points
+            for mu in range(first, first + (top + 1) * m if long else hi + 1, m):
                 acc = 0
                 for c in coeffs:
                     acc = acc * mu + c
@@ -250,6 +259,17 @@ class QuasiPolynomial(_Frozen):
                 if rest:
                     raise FitError(f"non-integer piece value {Fraction(acc, den)} at {(mu, t)}")
                 out[mu - lo] = value
+            if long:
+                values = out[first - lo:first - lo + (top + 1) * m:m]
+                heads = []  # the differences of orders 0..top - 1 at the first point
+                for _ in range(top):
+                    heads.append(values[0])
+                    values = list(map(operator.sub, values[1:], values))
+                # the difference of order top is constant along the class
+                values = repeat(values[0], (hi - first) // m + 1 - top)
+                for head in reversed(heads):
+                    values = accumulate(values, initial=head)
+                out[first - lo::m] = values
         return out
 
     def shift(self, a, c=1) -> "QuasiPolynomial":

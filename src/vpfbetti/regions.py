@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice, repeat
 from math import factorial
-from operator import index
+from operator import add, index, mul, sub
 
 from .chambers import locate
 from .hilbert import DataIntegrityWarning, KappaNumerator, _ring
@@ -197,39 +197,63 @@ def row_support(dec: RegionDecomposition, t: int) -> tuple[int, int]:
     return dec.lines[0].value(t), dec.lines[-1].value(t)
 
 
-def eval_row(dec: RegionDecomposition, t: int, lo: int, hi: int) -> list[int]:
-    """Exact values at (mu, t) for lo <= mu <= hi; zero off the line support.
+def eval_rows(dec: RegionDecomposition, rows) -> list[list[int]]:
+    """Exact values at (mu, t) for lo <= mu <= hi, one list per row (t, lo, hi).
 
-    Only valid in the stable range t >= t0.  Never warns: a negative value is
-    returned as it is.  Each strip adds c times the row of fits[i] at
-    (mu - a_mu, t - a_t) over its terms (i, a, c).
+    Zero off the line support.  Only valid in the stable range t >= t0.
+    Never warns: a negative value is returned as it is.  Each strip adds c
+    times the row of fits[i] at (mu - a_mu, t - a_t) over its terms
+    (i, a, c).  A first pass records the mu span each fit row (i, t - a_t)
+    is read over; each fit row is then evaluated once, over the union of
+    its spans, in order of first use, and every (row, strip, term) adds its
+    slice of it.
     """
-    t, lo, hi = index(t), index(lo), index(hi)
-    if t < dec.t0:
-        raise BelowThresholdError(
-            f"t = {t} is below the stability threshold {dec.t0}; use hf_module"
-        )
-    out = [0] * max(hi - lo + 1, 0)
+    rows = [(index(t), index(lo), index(hi)) for t, lo, hi in rows]
+    for t, _, _ in rows:
+        if t < dec.t0:
+            raise BelowThresholdError(
+                f"t = {t} is below the stability threshold {dec.t0}; use hf_module"
+            )
+    outs = [[0] * max(hi - lo + 1, 0) for _, lo, hi in rows]
     if dec.degenerate:
-        for b, poly in dec.ray_pieces.items():
-            mu = dec.degrees[0] * t + b
-            if lo <= mu <= hi:
-                out[mu - lo] = _as_int(poly.eval((t,)), (mu, t))
-        return out
-    vals = [line.value(t) for line in dec.lines]
+        for (t, lo, hi), out in zip(rows, outs):
+            for b, poly in dec.ray_pieces.items():
+                mu = dec.degrees[0] * t + b
+                if lo <= mu <= hi:
+                    out[mu - lo] = _as_int(poly.eval((t,)), (mu, t))
+        return outs
+    spans = {}  # fit row (i, t - a_t) -> [lowest, highest] mu read
+    adds = []  # (out, start - lo, stop - lo, fit row, its first mu read, c)
     last = len(dec.regions) - 1
-    for i, region in enumerate(dec.regions):
-        # half-open strip [vals[i], vals[i + 1]), the last one closed above
-        start = max(vals[i], lo)
-        stop = min(vals[i + 1] + (i == last), hi + 1)
-        if start >= stop:
-            continue
-        for idx, (a_mu, a_t), c in region.terms:
-            row = dec.fits[idx].eval_row(t - a_t, start - a_mu, stop - 1 - a_mu)
-            out[start - lo:stop - lo] = [
-                v + c * w for v, w in zip(out[start - lo:stop - lo], row)
-            ]
-    return out
+    for (t, lo, hi), out in zip(rows, outs):
+        vals = [line.value(t) for line in dec.lines]
+        for i, region in enumerate(dec.regions):
+            # half-open strip [vals[i], vals[i + 1]), the last one closed above
+            start = max(vals[i], lo)
+            stop = min(vals[i + 1] + (i == last), hi + 1)
+            if start >= stop:
+                continue
+            for idx, (a_mu, a_t), c in region.terms:
+                key, first, final = (idx, t - a_t), start - a_mu, stop - 1 - a_mu
+                span = spans.setdefault(key, [first, final])
+                span[:] = min(span[0], first), max(span[1], final)
+                adds.append((out, start - lo, stop - lo, key, first, c))
+    fit_rows = {
+        key: (span_lo, dec.fits[key[0]].eval_row(key[1], span_lo, span_hi))
+        for key, (span_lo, span_hi) in spans.items()
+    }
+    for out, a, b, key, first, c in adds:
+        span_lo, row = fit_rows[key]
+        part = islice(row, first - span_lo, first - span_lo + b - a)
+        if abs(c) != 1:
+            part = map(mul, repeat(abs(c)), part)
+        out[a:b] = map(add if c > 0 else sub, islice(out, a, b), part)
+    return outs
+
+
+def eval_row(dec: RegionDecomposition, t: int, lo: int, hi: int) -> list[int]:
+    """Exact values at (mu, t) for lo <= mu <= hi: the one row of `eval_rows`."""
+    return eval_rows(dec, [(t, lo, hi)])[0]
 
 
 def eval_betti(dec: RegionDecomposition, mu: int, t: int) -> int:
@@ -262,8 +286,9 @@ def total_betti_polynomial(dec: RegionDecomposition) -> Polynomial:
     """
     n = dec.kappa.ring.size
     poly = _binomial_sum(dec.kappa.terms, n)
-    for t in range(dec.t0, dec.t0 + n + TOTAL_BETTI_CHECKS + 1):
-        total = sum(eval_row(dec, t, *row_support(dec, t)))
+    ts = range(dec.t0, dec.t0 + n + TOTAL_BETTI_CHECKS + 1)
+    for t, row in zip(ts, eval_rows(dec, [(t, *row_support(dec, t)) for t in ts])):
+        total = sum(row)
         if poly.eval((t,)) != total:
             raise FitError(
                 f"row t = {t} of the decomposition sums to {total}, "

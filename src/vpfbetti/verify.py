@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field
 
 from .hilbert import _series_identity, hf_grid
-from .regions import RegionDecomposition, eval_row, region_decomposition, row_support
+from .regions import RegionDecomposition, eval_rows, region_decomposition, row_support
 from .rees import ToriSpec, serialize
 
 # lattice points checked beyond each side of the support at every height
@@ -103,17 +103,19 @@ def check_decomposition(dec: RegionDecomposition, tmax: int, grid, origin):
     equiv_witness = None
     support_witness = None
     negative_witness = None
-    for t, lo, hi in bands:
+    for (t, lo, hi), gots in zip(bands, eval_rows(dec, bands)):
         wants = grid[t - g_t0][lo - mu0: hi - mu0 + 1]
-        for mu, got, want in zip(range(lo, hi + 1), eval_row(dec, t, lo, hi), wants):
-            if got != want and equiv_witness is None:
-                equiv_witness = (mu, t, got, want)
-            if (got == 0) != (want == 0) and support_witness is None:
-                support_witness = (mu, t, got, want)
-            if want < 0 and negative_witness is None:
-                negative_witness = (mu, t, want)
-        if equiv_witness and support_witness and negative_witness:
-            break
+        # a row is scanned point by point only for a witness it can still give
+        if (gots != wants and (equiv_witness is None or support_witness is None)) or (
+            negative_witness is None and min(wants) < 0
+        ):
+            for mu, got, want in zip(range(lo, hi + 1), gots, wants):
+                if got != want and equiv_witness is None:
+                    equiv_witness = (mu, t, got, want)
+                if (got == 0) != (want == 0) and support_witness is None:
+                    support_witness = (mu, t, got, want)
+                if want < 0 and negative_witness is None:
+                    negative_witness = (mu, t, want)
     npoints = sum(hi - lo + 1 for _, lo, hi in bands)
     checks.append(
         CheckResult(

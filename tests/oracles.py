@@ -21,7 +21,11 @@ Laplace expansion) check Hermite normal forms with no library code, and
 full_row_rank_reference decides through det_reference which matrices a
 Hermite normal form must reject.  stability_threshold_reference meets every
 pair of half-lines in Fractions, apart from the library's closed form over
-degree pairs.  The
+degree pairs.
+qp_eval_row_reference, decomposition_row_reference and
+series_identity_reference are the row evaluators and the series identity as
+they were before the row path was batched: Horner at every point of a class,
+one fit-row read per strip and term, and the product over the whole box.  The
 closed-form fixtures reproduce the traditionally quoted piecewise tables for
 the worked example with generator degrees (2, 3, 6); the first-syzygy table
 is kept verbatim, including its two known defects, so tests can pin down
@@ -32,11 +36,12 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import sub
 
 from vpfbetti.chambers import chamber_complex_2xn, global_lattice
 from vpfbetti.counting import DegreeMatrix
 from vpfbetti.quasipoly import FitError, Polynomial, fit_chamber_qp
-from vpfbetti.regions import TOTAL_BETTI_CHECKS, eval_row, row_support
+from vpfbetti.regions import TOTAL_BETTI_CHECKS, BelowThresholdError, eval_row, row_support
 
 
 def brute_count(columns, u):
@@ -160,6 +165,65 @@ def eval_betti_reference(dec, mu, t):
         value = sum((c * dec.fits[i].eval((mu - a[0], t - a[1])) for i, a, c in terms), Fraction(0))
     assert value.denominator == 1, (value, mu, t)
     return int(value)
+
+
+def qp_eval_row_reference(q, t, lo, hi):
+    """QuasiPolynomial.eval_row by an integer Horner loop at every point of every class."""
+    residue, m = q.lattice._residue, q.lattice.row_period
+    out = [0] * max(hi - lo + 1, 0)
+    for first in range(lo, min(lo + m, hi + 1)):
+        poly = q.pieces[residue(first, t)]
+        top = max(poly._nums, default=(0,))[0]
+        coeffs = [0] * (top + 1)
+        for (i, j), n in poly._nums.items():
+            coeffs[top - i] += n * t**j
+        for mu in range(first, hi + 1, m):
+            acc = 0
+            for c in coeffs:
+                acc = acc * mu + c
+            value, rest = divmod(acc, poly.den)
+            if rest:
+                value = Fraction(acc, poly.den)
+                raise FitError(f"non-integer piece value {value} at {(mu, t)}")
+            out[mu - lo] = value
+    return out
+
+
+def decomposition_row_reference(dec, t, lo, hi):
+    """regions.eval_row by one qp_eval_row_reference read per strip and term of the row."""
+    if t < dec.t0:
+        raise BelowThresholdError(
+            f"t = {t} is below the stability threshold {dec.t0}; use hf_module"
+        )
+    if dec.degenerate:
+        return [eval_betti_reference(dec, mu, t) for mu in range(lo, hi + 1)]
+    out = [0] * max(hi - lo + 1, 0)
+    vals = [line.value(t) for line in dec.lines]
+    last = len(dec.regions) - 1
+    for i, region in enumerate(dec.regions):
+        start = max(vals[i], lo)
+        stop = min(vals[i + 1] + (i == last), hi + 1)
+        if start >= stop:
+            continue
+        for idx, (a_mu, a_t), c in region.terms:
+            row = qp_eval_row_reference(dec.fits[idx], t - a_t, start - a_mu, stop - 1 - a_mu)
+            part = out[start - lo:stop - lo]
+            out[start - lo:stop - lo] = [v + c * w for v, w in zip(part, row)]
+    return out
+
+
+def series_identity_reference(kappa, g, lo):
+    """The series identity, each factor multiplied over the whole box; g is consumed."""
+    h, w = len(g), len(g[0]) if g else 0
+    for d in kappa.ring.degrees:
+        if d < w:
+            for i in range(h - 1, 0, -1):
+                g[i][d:] = list(map(sub, g[i][d:], g[i - 1]))
+    want = [[0] * w for _ in g]
+    for (a_mu, a_t), c in kappa.terms:
+        if a_mu - lo[0] < w and a_t - lo[1] < h:
+            want[a_t - lo[1]][a_mu - lo[0]] = c
+    return g == want
 
 
 def stability_threshold_reference(shifts, degrees):

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_count, ring_fits_reference, ring_hilbert_closed_form
+from oracles import (
+    brute_count,
+    ring_fits_reference,
+    ring_hilbert_closed_form,
+    series_identity_reference,
+)
 from vpfbetti import hilbert, kernels, regions
 from vpfbetti.chambers import (
     Chamber,
@@ -23,6 +28,7 @@ from vpfbetti.hilbert import (
     RingHilbertValue,
     hf_bigraded_ring,
     hf_grid,
+    _series_identity,
     hf_module,
     series_identity_check,
 )
@@ -313,6 +319,33 @@ def test_hf_grid_matches_hf_module_and_series_identity(case):
                 )
                 assert g[t - lo[1]][mu - lo[0]] == want == hf_module(kappa, (mu, t))
     assert series_identity_check(kappa, hi)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(bigraded_numerators(), st.data())
+def test_series_identity_matches_the_full_box_reference(case, data):
+    # 0-2 cells bumped anywhere in the box, inside the support or outside it
+    kappa, _, hi = case
+    lo = tuple(min((a[i] for a in kappa.shifts), default=0) for i in (0, 1))
+    hi = (max(hi[0], lo[0]), max(hi[1], lo[1]))
+    g = hf_grid(kappa, lo, hi)
+    cell = st.tuples(
+        st.integers(0, len(g) - 1), st.integers(0, len(g[0]) - 1), st.sampled_from([-1, 1])
+    )
+    for i, j, bump in data.draw(st.lists(cell, max_size=2)):
+        g[i][j] += bump
+    want = series_identity_reference(kappa, [row[:] for row in g], lo)
+    assert _series_identity(kappa, g, lo) == want
+
+
+def test_series_identity_fails_on_a_value_outside_the_support():
+    # row t = 3 of TOR1 is nonzero only on 5 + 2*2 <= mu <= 9 + 6*2 (terms with a_t = 1)
+    lo = (5, 1)
+    g = hf_grid(TOR1, lo, (40, 6))
+    assert series_identity_reference(TOR1, [row[:] for row in g], lo)
+    g[3 - lo[1]][30 - lo[0]] = 1
+    assert not _series_identity(TOR1, [row[:] for row in g], lo)
+    assert not series_identity_reference(TOR1, g, lo)
 
 
 def test_hf_grid_and_count_share_one_ring_from_eight_threads(fresh_tables):

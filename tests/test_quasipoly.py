@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Q_formula, brute_count, poly_eval_reference
+from oracles import Q_formula, brute_count, poly_eval_reference, qp_eval_row_reference
 from vpfbetti import quasipoly
 from vpfbetti.chambers import Chamber, chamber_complex_2xn, global_lattice
 from vpfbetti.counting import DegreeMatrix, count, count_row
-from vpfbetti.lattices import lattice_from_columns
+from vpfbetti.lattices import Lattice, lattice_from_columns
 from vpfbetti.quasipoly import (
     FitError,
     Polynomial,
@@ -186,6 +186,43 @@ def test_eval_row_rejects_a_non_integer_piece():
     half = constant(Fraction(1, 2))
     with pytest.raises(FitError, match=re.escape("non-integer piece value 1/2 at (-1, 3)")):
         half.eval_row(3, -1, 4)
+
+
+# integer-valued in mu (1, mu, C(mu, 2), C(mu, 3)) and not (mu / 2, 1 / 3)
+_MU_BASIS = (
+    {0: 1}, {1: 1}, {2: Fraction(1, 2), 1: Fraction(-1, 2)},
+    {3: Fraction(1, 6), 2: Fraction(-1, 2), 1: Fraction(1, 3)},
+)
+_NON_INTEGER = ({1: Fraction(1, 2)}, {0: Fraction(1, 3)})
+
+
+def _random_piece(rng):
+    """A piece of mu-degree 0-3 and t-degree 0-2, not integer-valued about one time in ten."""
+    terms = {}
+    for k in range(rng.randint(0, 3) + 1):
+        basis = rng.choice(_NON_INTEGER) if rng.random() < 0.05 else _MU_BASIS[k]
+        c, j = rng.randint(-3, 3), rng.randint(0, 2)
+        for i, b in basis.items():
+            terms[(i, j)] = terms.get((i, j), 0) + c * b
+    return Polynomial(2, terms)
+
+
+def test_eval_row_matches_the_per_point_horner_reference():
+    # rows whose classes are shorter and longer than 4 * (D + 2) points, from negative mu
+    rng = random.Random(31)
+    for _ in range(150):
+        p, r = rng.randint(1, 4), rng.randint(1, 4)
+        lattice = Lattice(((p, rng.randrange(r)), (0, r)))
+        q = QuasiPolynomial(lattice, {res: _random_piece(rng) for res in lattice.residues()})
+        t, lo = rng.randint(-3, 6), rng.randint(-40, 10)
+        hi = lo + rng.randint(-1, lattice.row_period * rng.choice((3, 12, 25)))
+        try:
+            want = qp_eval_row_reference(q, t, lo, hi)
+        except FitError as exc:
+            with pytest.raises(FitError, match=re.escape(str(exc))):
+                q.eval_row(t, lo, hi)
+        else:
+            assert q.eval_row(t, lo, hi) == want
 
 
 def test_fit_c1_reproduces_closed_form():

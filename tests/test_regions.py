@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import eval_betti_reference, stability_threshold_reference, total_betti_reference
+from oracles import (
+    decomposition_row_reference,
+    eval_betti_reference,
+    stability_threshold_reference,
+    total_betti_reference,
+)
 from vpfbetti import hilbert, textfmt
 from vpfbetti.counting import DegreeMatrix
 from vpfbetti.hilbert import DataIntegrityWarning, KappaNumerator, hf_module
@@ -18,6 +23,7 @@ from vpfbetti.regions import (
     HalfLine,
     eval_betti,
     eval_row,
+    eval_rows,
     region_decomposition,
     row_support,
     sort_lines,
@@ -363,6 +369,31 @@ def test_eval_row_matches_the_per_point_reference(degrees, terms, dt, from_top, 
     lo = row_support(dec, t)[from_top] + offset
     got = eval_row(dec, t, lo, lo + width - 1)
     assert got == [eval_betti_reference(dec, mu, t) for mu in range(lo, lo + width)]
+
+
+def _random_free_module(rng):
+    """R plus 1-3 copies R(-a), a in [0, 12] x [0, 2], over 2 or 3 distinct degrees 1-9."""
+    ring = DegreeMatrix.bigraded(rng.sample(range(1, 10), rng.choice((2, 3))))
+    shifts = [(rng.randint(0, 12), rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]
+    return KappaNumerator.from_terms(ring, [((0, 0), 1)] + [(a, 1) for a in shifts])
+
+
+def test_eval_rows_match_the_per_strip_reference():
+    # the first free module is one whose strips item 3 attributes wrongly;
+    # the random ones are not screened for that
+    rng = random.Random(17)
+    kappas = [KappaNumerator.from_terms(DegreeMatrix.bigraded((2, 8)), [((2, 0), 1), ((8, 2), 1)])]
+    for degrees in [(2, 3, 6), (4, 7, 9), (2, 2, 5)]:
+        kappas += [ci_shifts(degrees).tor(i) for i in (0, 1, 2)]
+    kappas += [_random_free_module(rng) for _ in range(10)]
+    for kappa in kappas:
+        dec = region_decomposition(kappa)
+        # verify's band rows, then rows from negative mu and rows in any order
+        rows = [(t, *row_support(dec, t)) for t in range(dec.t0, dec.t0 + 12)]
+        rows = [(t, lo - 5, hi + 5) for t, lo, hi in rows]
+        for _ in range(4):
+            rows.append((dec.t0 + rng.randint(0, 20), rng.randint(-30, 10), rng.randint(-5, 90)))
+        assert eval_rows(dec, rows) == [decomposition_row_reference(dec, *row) for row in rows]
 
 
 def test_eval_row_returns_negative_values_without_warning():

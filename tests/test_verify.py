@@ -1,16 +1,21 @@
 import json
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from oracles import decomposition_row_reference
 from vpfbetti import hilbert, verify
-from vpfbetti.hilbert import hf_grid
+from vpfbetti.counting import DegreeMatrix
+from vpfbetti.hilbert import KappaNumerator, hf_grid
+from vpfbetti.quasipoly import FitError, Polynomial, QuasiPolynomial
 from vpfbetti.rees import ci_shifts, ingest, serialize
-from vpfbetti.regions import region_decomposition
-from vpfbetti.verify import check_decomposition, verify_spec
+from vpfbetti.regions import region_decomposition, row_support
+from vpfbetti.verify import GRID_PAD, check_decomposition, verify_spec
 
 
 def sign_flipped_236():
@@ -55,6 +60,56 @@ def test_check_decomposition_refuses_a_grid_short_of_a_band_row():
     for lo, hi in [((0, 1), (60, 10)), ((10, 1), (80, 10)), ((0, 1), (80, 9))]:
         with pytest.raises(ValueError, match="leave the value grid"):
             check_decomposition(dec, 10, hf_grid(kappa, lo, hi), lo)
+
+
+def verify_grid(kappa, tmax):
+    """The value grid and its origin that verify_spec reads for kappa up to tmax."""
+    shifts = kappa.shifts
+    origin = (min(a[0] for a in shifts) - GRID_PAD, min(a[1] for a in shifts))
+    bound = (max(kappa.ring.degrees) * tmax + max(a[0] for a in shifts) + GRID_PAD, tmax)
+    return hf_grid(kappa, origin, bound), origin
+
+
+def test_a_failing_report_compares_every_band_row(monkeypatch):
+    # all three witnesses are in row t0 = 4, and the report counts every band point
+    ring = DegreeMatrix.bigraded((4, 9))
+    kappa = KappaNumerator.from_terms(ring, [((8, 0), 1), ((6, 2), -1)])
+    dec = region_decomposition(kappa)
+    grid, origin = verify_grid(kappa, 30)
+    heights = set()
+    read = QuasiPolynomial.eval_row
+
+    def recorded(self, t, lo, hi):
+        heights.add(t)
+        return read(self, t, lo, hi)
+
+    monkeypatch.setattr(QuasiPolynomial, "eval_row", recorded)
+    checks = {c.name: c for c in check_decomposition(dec, 30, grid, origin)}
+    assert checks["oracle equivalence"].detail == "grid t=4..30, 2862 points"
+    witnesses = ("oracle equivalence", "support exactness", "nonnegative values")
+    assert [checks[name].witness[1] for name in witnesses] == [4, 4, 4]
+    # row t reads the fits at t - a_t for a_t = 0 and 2
+    assert heights == set(range(2, 31))
+
+
+@pytest.mark.parametrize("degrees", [(2, 3, 6), (4, 7, 9), (3, 5, 7)])
+def test_a_corrupted_fit_fails_at_the_reference_point(degrees):
+    # every residue of every tor1 fit in turn is worth 1/2 (4 + 12, 15 + 10 and 4 + 4 classes)
+    kappa = ci_shifts(degrees).tor(1)
+    dec = region_decomposition(kappa)
+    grid, origin = verify_grid(kappa, 20)
+    bands = [(t, *row_support(dec, t)) for t in range(dec.t0, 21)]
+    bands = [(t, lo - GRID_PAD, hi + GRID_PAD) for t, lo, hi in bands]
+    half = Polynomial(2, {(0, 0): Fraction(1, 2)})
+    for idx, fit in dec.fits.items():
+        for res in fit.lattice.residues():
+            broken_fit = QuasiPolynomial(fit.lattice, {**fit.pieces, res: half})
+            broken = replace(dec, fits={**dec.fits, idx: broken_fit})
+            with pytest.raises(FitError) as want:
+                for band in bands:
+                    decomposition_row_reference(broken, *band)
+            with pytest.raises(FitError, match=f"^{re.escape(str(want.value))}$"):
+                check_decomposition(broken, 20, grid, origin)
 
 
 def test_line_ordering_fails_at_t0_on_corrupted_lines():
