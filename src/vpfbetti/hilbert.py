@@ -13,7 +13,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import add, index, mul, sub
 
 from . import kernels
@@ -76,100 +76,106 @@ def hf_module(kappa: KappaNumerator, u) -> int:
     return total
 
 
-def hf_grid(kappa: KappaNumerator, lo, hi) -> list[list[int]]:
-    """hf_module(kappa, (mu, t)) at every lo <= (mu, t) <= hi, as g[t - lo_t][mu - lo_mu].
+def _padded(start, values, lo, hi) -> list[int]:
+    """values[mu - start] for lo <= mu <= hi, zero where the row (start, values) holds none."""
+    a, b = max(lo, start), min(hi, start + len(values) - 1)
+    if a > b:
+        return [0] * max(hi - lo + 1, 0)
+    return [0] * (a - lo) + values[a - start: b - start + 1] + [0] * (hi - b)
 
-    The grid is a list[list[int]], one list per row t.  One window of the
-    ring's shared count rows (the rows `count` reads), reaching hi minus the
-    lowest shift, is added into each grid row as one shifted slice per
-    numerator term: only the part of count row s = t - a_t that can be
-    nonzero, e_min * s <= mu - a_mu <= e_max * s over the ring's least and
-    greatest degrees.  Bigraded rings only.  A grid or table over
-    `kernels.MAX_TABLE_CELLS` raises BudgetExceededError.
+
+def _value_rows(kappa: KappaNumerator, lo, hi) -> list[tuple[int, list[int]]]:
+    """hf_module(kappa, (mu, t)) for lo <= (mu, t) <= hi, one row (start, values) per t.
+
+    Row t spans the hull of its terms' bands a_mu + e_min * s <= mu <=
+    a_mu + e_max * s, s = t - a_t >= 0, over the ring's least and greatest
+    degrees, cut to lo_mu..hi_mu; the values are zero off it.  Each term
+    adds one slice of the ring's shared count rows.  Bigraded rings only;
+    rows over `kernels.MAX_TABLE_CELLS` cells, an empty row counted as one,
+    raise BudgetExceededError before any is allocated.
     """
     if not kappa.ring.is_bigraded():
         raise ValueError("value grids require a bigraded ring")
     (mu0, t0), (mu1, t1) = lo, hi
-    height, width = max(t1 - t0 + 1, 0), max(mu1 - mu0 + 1, 0)
-    kernels.check_cells(height * width, "value grid")
-    g = [[0] * width for _ in range(height)]
-    if not kappa.terms or not height * width:
-        return g
+    e_min, e_max = min(kappa.ring.degrees), max(kappa.ring.degrees)
+
+    def span(t):
+        """Row t's first mu and its number of values."""
+        live = [(a_mu, t - a_t) for (a_mu, a_t), _ in kappa.terms if a_t <= t]
+        start = max(mu0, min((a + e_min * s for a, s in live), default=mu0))
+        stop = min(mu1, max((a + e_max * s for a, s in live), default=mu0 - 1))
+        return start, max(stop - start + 1, 0)
+
+    kernels.check_cells(max(t1 - t0 + 1, 0), "value rows, one cell or more per height,")
+    # counted no further than the first row past the budget
+    for t, cells in enumerate(accumulate(max(span(t)[1], 1) for t in range(t0, t1 + 1)), t0):
+        kernels.check_cells(cells, f"value rows to t={t}")
+    rows = [(start, [0] * n) for start, n in map(span, range(t0, t1 + 1))]
+    if not any(values for _, values in rows):
+        return rows
     reach_mu = mu1 - min(a[0] for a in kappa.shifts)
     reach_t = t1 - min(a[1] for a in kappa.shifts)
     table = kernels.bigraded_table(kappa.ring.degrees, max(reach_t, 0), max(reach_mu, 0))
-    e_min, e_max = min(kappa.ring.degrees), max(kappa.ring.degrees)
     for (a_mu, a_t), c in kappa.terms:
         op = add if c > 0 else sub
         for t in range(max(t0, a_t), t1 + 1):  # lowest row with t - a_t >= 0
             s = t - a_t
-            start, stop = max(mu0, a_mu + e_min * s), min(mu1, a_mu + e_max * s) + 1
-            if start >= stop:
-                continue
-            part = islice(table[s], start - a_mu, stop - a_mu)
-            if abs(c) != 1:
-                part = map(mul, repeat(abs(c)), part)
-            row = g[t - t0]
-            row[start - mu0:stop - mu0] = map(op, islice(row, start - mu0, stop - mu0), part)
-    return g
+            start, values = rows[t - t0]
+            part = _padded(a_mu + e_min * s, table[s], start, start + len(values) - 1)
+            values[:] = map(op, values, part if abs(c) == 1 else map(mul, repeat(abs(c)), part))
+    return rows
+
+
+def hf_grid(kappa: KappaNumerator, lo, hi) -> list[list[int]]:
+    """hf_module(kappa, (mu, t)) at every lo <= (mu, t) <= hi, as g[t - lo_t][mu - lo_mu].
+
+    The grid is a list[list[int]], one list per row t: the value rows of
+    kappa, padded with zeros to the box.  Bigraded rings only.  A grid or
+    table over `kernels.MAX_TABLE_CELLS` raises BudgetExceededError.
+    """
+    (mu0, t0), (mu1, t1) = lo, hi
+    kernels.check_cells(max(t1 - t0 + 1, 0) * max(mu1 - mu0 + 1, 0), "value grid")
+    return [_padded(start, values, mu0, mu1) for start, values in _value_rows(kappa, lo, hi)]
 
 
 def series_identity_check(kappa: KappaNumerator, bound) -> bool:
-    """Does the value grid times prod_j (1 - x^{d_j} y) leave exactly the numerator?
+    """Do the values times prod_j (1 - x^{d_j} y) leave exactly the numerator?
 
-    The Hilbert series is numerator / prod_j (1 - x^{d_j} y).  The grid runs
-    from the lowest shift, below which every value is zero, up to bound, so
-    the product is exact on it.  Bigraded rings only.
+    The Hilbert series is numerator / prod_j (1 - x^{d_j} y).  The value
+    rows run from the lowest shift, below which every value is zero, up to
+    bound, so the product is exact on them.  Bigraded rings only.
     """
     bound = tuple(index(b) for b in bound)
     lo = tuple(min((a[i] for a in kappa.shifts), default=0) for i in (0, 1))
-    return _series_identity(kappa, hf_grid(kappa, lo, bound), lo)
+    return _series_identity(kappa, _value_rows(kappa, lo, bound), lo[1])
 
 
-def _series_identity(kappa: KappaNumerator, g, lo) -> bool:
-    """The series identity on the value grid g of kappa, with g[0][0] at lo.
+def _series_identity(kappa: KappaNumerator, rows, t0) -> bool:
+    """The series identity on kappa's value rows from t0, starting at its lowest shift.
 
-    Exact when lo is at or below the lowest shift in both coordinates.  The
-    product with the denominator is unitriangular, so the identity holds
-    only if g is numerator x series on the box.  Row t of that is zero
-    outside the union over the terms with a_t <= t of the bands
-    a_mu + e_min * s <= mu <= a_mu + e_max * s, s = t - a_t; a nonzero value
-    there fails at once.  Each factor then subtracts only over the spans
-    that can still be nonzero.  The product is taken in place, so g is
-    consumed.
+    For e_min <= d <= e_max, row t - 1 moved d to the right lies inside row
+    t, since each term's band moves into its own band one row up; so every
+    factor subtracts inside the rows, and the product, unitriangular, is
+    numerator x series times the denominator on the whole box.  A moved row
+    that starts left of row t means the rows are wrong, and fails.  The
+    product is taken in place, so the rows are consumed.
     """
-    h, w = len(g), len(g[0]) if g else 0
-    degrees = kappa.ring.degrees
-    e_min, e_max = min(degrees), max(degrees)
-    spans = []  # per row, the hull [start, stop) of the columns that can be nonzero
-    for i, row in enumerate(g):
-        t = lo[1] + i
-        bands = sorted(
-            (max(a_mu - lo[0] + e_min * (t - a_t), 0), a_mu - lo[0] + e_max * (t - a_t) + 1)
-            for (a_mu, a_t), _ in kappa.terms
-            if a_t <= t
-        )
-        start = stop = bands[0][0] if bands else 0
-        for band_lo, band_hi in bands:
-            if any(row[stop:band_lo]):
-                return False
-            stop = max(stop, band_hi)
-        if any(row[:start]) or any(row[stop:]):
-            return False
-        spans.append((start, min(stop, w)))
-    for d in degrees:
-        for i in range(h - 1, 0, -1):  # from the top, so row i - 1 is still unchanged
-            start, stop = spans[i - 1]
-            a, b = start + d, min(stop + d, w)
+    for d in kappa.ring.degrees:
+        for i in range(len(rows) - 1, 0, -1):  # from the top, so row i - 1 is still unchanged
+            (below, lower), (start, values) = rows[i - 1], rows[i]
+            a, b = below + d - start, min(below + d + len(lower), start + len(values)) - start
             if a < b:
-                row = g[i]
-                row[a:b] = map(sub, islice(row, a, b), islice(g[i - 1], start, stop))
-                spans[i] = min(spans[i][0], a), max(spans[i][1], b)
-    want = [[0] * w for _ in g]
+                if a < 0:
+                    return False
+                values[a:b] = map(sub, islice(values, a, b), lower)
     for (a_mu, a_t), c in kappa.terms:
-        if a_mu - lo[0] < w and a_t - lo[1] < h:
-            want[a_t - lo[1]][a_mu - lo[0]] = c
-    return g == want
+        if a_t - t0 < len(rows):
+            start, values = rows[a_t - t0]
+            if a_mu < start:  # a row that starts past its own coefficient
+                return False
+            if a_mu - start < len(values):
+                values[a_mu - start] -= c
+    return not any(any(values) for _, values in rows)
 
 
 @dataclass(frozen=True)

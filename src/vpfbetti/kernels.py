@@ -11,7 +11,7 @@ A served row keeps that int until its first read unpacks it, through a
 native memoryview when B is 1, 2, 4 or 8 and with int.from_bytes otherwise,
 so rows that are only grown past cost no conversion.
 `band_rows` keeps one shared `BandRows` per ring; `count` and `count_row`
-read it, and `bigraded_table` is the dense window of it that value grids read.
+read it, and `bigraded_table` copies the band rows that value rows read.
 Every table is checked against MAX_TABLE_CELLS before anything is allocated.
 """
 
@@ -211,13 +211,16 @@ def band_rows(degrees) -> BandRows:
 
 
 def bigraded_table(degrees, t_max, mu_max):
-    """Dense window T[t][mu] of the ring's shared band rows, exact, as lists of ints."""
-    check_cells((t_max + 1) * (mu_max + 1), "count window")
+    """Rows 0..t_max of the ring's shared band rows, cut at mu_max, as lists of ints.
+
+    Row t holds the counts at mu = lo * t + k for 0 <= k <= min(width * t,
+    mu_max - lo * t), with `band_rows(degrees)`'s lo and width; it is empty
+    when lo * t > mu_max.  Each row counts as one cell or more of the budget.
+    """
+    check_cells(t_max + 1, "count table rows")
     band = band_rows(degrees)
-    lo = band.lo
+    lo, hi = band.lo, band.lo + band.width
     t_top = t_max if lo == 0 else min(t_max, mu_max // lo)  # later rows start past mu_max
-    # the last offset row t needs: the cap grows no further than the window reaches
-    reach = [min(mu_max - lo * t, band.width * t) for t in range(t_top + 1)]
-    band.extend(t_top, max(reach))
-    # rows past t_top start beyond mu_max: row() returns their zeros unbuilt
-    return [band.row(t, 0, mu_max) for t in range(t_max + 1)]
+    # the last offset row t needs: the cap grows no further than the rows reach
+    band.extend(t_top, max(min(mu_max - lo * t, band.width * t) for t in range(t_top + 1)))
+    return [band.row(t, lo * t, min(hi * t, mu_max)) for t in range(t_max + 1)]

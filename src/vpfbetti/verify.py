@@ -10,7 +10,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 
-from .hilbert import _series_identity, hf_grid
+from .hilbert import _padded, _series_identity, _value_rows
 from .regions import RegionDecomposition, eval_rows, region_decomposition, row_support
 from .rees import ToriSpec, serialize
 
@@ -77,34 +77,25 @@ def _unsorted(values) -> bool:
     return any(b < a for a, b in zip(values, values[1:]))
 
 
-def check_decomposition(dec: RegionDecomposition, tmax: int, grid, origin):
+def check_decomposition(dec: RegionDecomposition, tmax: int, rows, box):
     """Oracle equivalence and support exactness up to tmax, line ordering for all t >= t0.
 
-    The oracle is the value grid with grid[t - origin[1]][mu - origin[0]] at
-    (mu, t); it must hold every band row, or this raises ValueError.
+    The oracle is rows = `hilbert._value_rows(dec.kappa, *box)`; rows whose
+    box misses a band row raise ValueError.
     """
-    checks = []
     if tmax < dec.t0:
-        checks.append(
-            CheckResult(
-                "oracle equivalence",
-                True,
-                detail=f"empty grid: tmax {tmax} below threshold {dec.t0}",
-            )
-        )
-        return checks
+        detail = f"empty grid: tmax {tmax} below threshold {dec.t0}"
+        return [CheckResult("oracle equivalence", True, detail=detail)]
 
     supports = [(t, *row_support(dec, t)) for t in range(dec.t0, tmax + 1)]
     bands = [(t, lo - GRID_PAD, hi + GRID_PAD) for t, lo, hi in supports]
-    mu0, g_t0 = origin
+    (mu0, t_first), (mu1, t_last) = box
     lo, hi = min(b[1] for b in bands), max(b[2] for b in bands)
-    if dec.t0 < g_t0 or tmax >= g_t0 + len(grid) or lo < mu0 or hi >= mu0 + len(grid[0]):
-        raise ValueError(f"band rows mu={lo}..{hi}, t={dec.t0}..{tmax} leave the value grid")
-    equiv_witness = None
-    support_witness = None
-    negative_witness = None
+    if dec.t0 < t_first or tmax > t_last or lo < mu0 or hi > mu1:
+        raise ValueError(f"band rows mu={lo}..{hi}, t={dec.t0}..{tmax} leave the value rows")
+    equiv_witness = support_witness = negative_witness = None
     for (t, lo, hi), gots in zip(bands, eval_rows(dec, bands)):
-        wants = grid[t - g_t0][lo - mu0: hi - mu0 + 1]
+        wants = _padded(*rows[t - t_first], lo, hi)
         # a row is scanned point by point only for a witness it can still give
         if (gots != wants and (equiv_witness is None or support_witness is None)) or (
             negative_witness is None and min(wants) < 0
@@ -117,30 +108,14 @@ def check_decomposition(dec: RegionDecomposition, tmax: int, grid, origin):
                 if want < 0 and negative_witness is None:
                     negative_witness = (mu, t, want)
     npoints = sum(hi - lo + 1 for _, lo, hi in bands)
-    checks.append(
-        CheckResult(
-            "oracle equivalence",
-            equiv_witness is None,
-            witness=equiv_witness,
-            detail=f"grid t={dec.t0}..{tmax}, {npoints} points",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "support exactness",
-            support_witness is None,
-            witness=support_witness,
-            detail="zero exactly where the oracle is zero",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "nonnegative values",
-            negative_witness is None,
-            witness=negative_witness,
-            detail="genuine syzygy dimensions cannot be negative",
-        )
-    )
+    checks = [
+        CheckResult("oracle equivalence", equiv_witness is None, equiv_witness,
+                    f"grid t={dec.t0}..{tmax}, {npoints} points"),
+        CheckResult("support exactness", support_witness is None, support_witness,
+                    "zero exactly where the oracle is zero"),
+        CheckResult("nonnegative values", negative_witness is None, negative_witness,
+                    "genuine syzygy dimensions cannot be negative"),
+    ]
 
     # the gap between neighbours at t is their gap at t0 plus their slope gap
     # times t - t0: sorted slopes and values sorted at t0 stay sorted for all
@@ -148,15 +123,9 @@ def check_decomposition(dec: RegionDecomposition, tmax: int, grid, origin):
     unsorted = _unsorted([line.slope for line in dec.lines]) or _unsorted(
         [line.value(dec.t0) for line in dec.lines]
     )
-    checks.append(
-        CheckResult(
-            "line ordering",
-            not unsorted,
-            witness=(dec.t0,) if unsorted else None,
-            detail=f"monotone values and slope blocks, t={dec.t0}..{tmax}",
-        )
-    )
-    return checks
+    detail = f"monotone values and slope blocks, t={dec.t0}..{tmax}"
+    witness = (dec.t0,) if unsorted else None
+    return [*checks, CheckResult("line ordering", not unsorted, witness, detail)]
 
 
 def verify_spec(spec: ToriSpec, tmax: int) -> RunReport:
@@ -178,20 +147,21 @@ def verify_spec(spec: ToriSpec, tmax: int) -> RunReport:
                 )
             )
             continue
-        # one grid per index: the oracle checks read it, then the identity
-        # certifies it, last because its product runs in place
+        # one set of value rows per index: the oracle checks read them, then
+        # the identity certifies them, last because its product runs in place
         shifts = kappa.shifts
         mu_bound = max_deg * tmax + max((a[0] for a in shifts), default=0) + GRID_PAD
-        origin = (min((a[0] for a in shifts), default=0) - GRID_PAD,
-                  min((a[1] for a in shifts), default=0))
-        grid = hf_grid(kappa, origin, (mu_bound, tmax))
+        # the rows start at the lowest shift whatever the box's left edge
+        box = ((min((a[0] for a in shifts), default=0) - GRID_PAD,
+                min((a[1] for a in shifts), default=0)), (mu_bound, tmax))
+        rows = _value_rows(kappa, *box)
         if kappa.is_zero():
             checks = [CheckResult("decomposition", True, detail="empty numerator")]
         else:
-            checks = check_decomposition(region_decomposition(kappa), tmax, grid, origin)
+            checks = check_decomposition(region_decomposition(kappa), tmax, rows, box)
         identity = CheckResult(
             "series identity",
-            _series_identity(kappa, grid, origin),
+            _series_identity(kappa, rows, box[0][1]),
             detail=f"coefficients up to ({mu_bound}, {tmax})",
         )
         for check in [identity, *checks]:

@@ -21,7 +21,9 @@ Laplace expansion) check Hermite normal forms with no library code, and
 full_row_rank_reference decides through det_reference which matrices a
 Hermite normal form must reject.  stability_threshold_reference meets every
 pair of half-lines in Fractions, apart from the library's closed form over
-degree pairs.
+degree pairs.  koszul_betti_reference computes the Betti numbers of the
+powers of a monomial complete intersection from reduced homology ranks of
+simplicial complexes over Q, with no count table, wave or shift table.
 qp_eval_row_reference, decomposition_row_reference and
 series_identity_reference are the row evaluators and the series identity as
 they were before the row path was batched: Horner at every point of a class,
@@ -224,6 +226,74 @@ def series_identity_reference(kappa, g, lo):
         if a_mu - lo[0] < w and a_t - lo[1] < h:
             want[a_t - lo[1]][a_mu - lo[0]] = c
     return g == want
+
+
+def _rank(rows):
+    """Rank over Q of an integer matrix, by Gaussian elimination in Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@functools.cache
+def _reduced_homology_ranks(faces, r):
+    """dim H~_{k-1} over Q for k = 0..r of the simplicial complex of these faces.
+
+    Faces are sorted tuples of vertices, the empty face among them unless the
+    complex is void; a face of k vertices is a (k - 1)-chain.
+    """
+    by_size = [[f for f in faces if len(f) == k] for k in range(r + 2)]
+    ranks = [0]  # of the boundary from k-vertex chains to (k - 1)-vertex chains
+    for k in range(1, r + 2):
+        lower = {f: n for n, f in enumerate(by_size[k - 1])}
+        matrix = [[0] * len(lower) for _ in by_size[k]]
+        for row, f in zip(matrix, by_size[k]):
+            for m in range(k):
+                row[lower[f[:m] + f[m + 1:]]] = (-1) ** m
+        ranks.append(_rank(matrix))
+    return [len(by_size[k]) - ranks[k] - ranks[k + 1] for k in range(r + 1)]
+
+
+def koszul_betti_reference(degrees, t):
+    """{mu: [beta_0, ..., beta_r]} of I^t for I = (x_1^{d_1}, ..., x_r^{d_r}), t >= 0.
+
+    beta_{i,b}(I^t) = dim H~_{i-1}(K^b(I^t); Q), where the upper Koszul
+    complex K^b(I^t) holds the squarefree F with x^{b - F} in I^t
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34), and x^c
+    lies in I^t iff sum_j floor(c_j / d_j) >= t.  Only the lcm-lattice
+    degrees b = (alpha_1 d_1, ..., alpha_r d_r) carry Betti numbers, and
+    beta_{i,mu} sums them over alpha . d = mu.  K^b is void when |alpha| < t
+    (x^b is not in I^t) and is the full simplex on supp alpha, which is
+    acyclic, when |alpha| >= t + r; so only t <= |alpha| < t + r is read.
+    Degrees with no Betti number are left out.
+    """
+    r = len(degrees)
+    out = {}
+    for n in range(t, t + r):
+        for cut in itertools.combinations(range(n + r - 1), r - 1):  # stars and bars
+            alpha = [b - a - 1 for a, b in zip((-1, *cut), (*cut, n + r - 1))]
+            b = [a * d for a, d in zip(alpha, degrees)]
+            faces = tuple(
+                face
+                for k in range(r + 1)
+                for face in itertools.combinations(range(r), k)
+                if all(b[j] for j in face)
+                and sum((b[j] - (j in face)) // d for j, d in enumerate(degrees)) >= t
+            )
+            ranks = _reduced_homology_ranks(faces, r)
+            if any(ranks):
+                total = out.setdefault(sum(b), [0] * (r + 1))
+                out[sum(b)] = [x + y for x, y in zip(total, ranks)]
+    return out
 
 
 def stability_threshold_reference(shifts, degrees):

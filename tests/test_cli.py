@@ -526,6 +526,19 @@ def test_verify_catches_a_piece_used_outside_its_cone(capsys, tmp_path, degrees,
     assert {c["name"]: c["witness"] for c in checks if not c["passed"]} == failed
 
 
+def test_verify_over_budget_exits_2_without_allocating(capsys):
+    # 10**12 value rows, checked before a row is counted or built
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "verify", "--degrees", "2,3,6", "--tmax", str(10**12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == "" and err.startswith("error: value rows") and "budget" in err
+    assert err.count("\n") == 1
+    assert peak < 2**20
+
+
 def test_verify_tmax_zero_warns(capsys):
     rc, out, err = run(capsys, "verify", "--degrees", "2,3,6", "--tmax", "0")
     assert rc == 0

@@ -6,6 +6,7 @@ import vpfbetti
 
 # exported names that no package module calls, each with the reason it stays
 UNCALLED_EXPORTS = {
+    "hf_grid": "the README's dense value grid for library callers; verify reads value rows",
     "series_coeffs": "perfbench/tracer.py wraps it by name",
     "series_identity_check": "perfbench/tracer.py wraps it by name",
     "total_betti_polynomial": "the README's eventual totals",

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -28,7 +29,9 @@ from vpfbetti.hilbert import (
     RingHilbertValue,
     hf_bigraded_ring,
     hf_grid,
+    _padded,
     _series_identity,
+    _value_rows,
     hf_module,
     series_identity_check,
 )
@@ -259,7 +262,7 @@ def test_series_identity_catches_corrupted_table(monkeypatch, fresh_tables):
 
     def corrupted(degrees, t_max, mu_max):
         table = fill(degrees, t_max, mu_max)
-        table[3][9] += 1
+        table[3][3] += 1  # (9, 3): offset 9 - 2 * 3 of band row 3
         return table
 
     monkeypatch.setattr(kernels, "bigraded_table", corrupted)
@@ -291,6 +294,36 @@ def test_hf_grid_over_budget_raises_before_allocating():
         hf_grid(TOR1, (0, 0), (10**6, 10**5))
 
 
+def test_value_rows_over_budget_raise_before_allocating(monkeypatch):
+    # a billion rows, empty past mu = 10, or one value that reads a billion table rows
+    unit = KappaNumerator.from_terms(RING, [((0, 0), 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(kernels.BudgetExceededError, match="value rows, one cell or more"):
+            series_identity_check(unit, (10, 10**9))
+        with pytest.raises(kernels.BudgetExceededError, match="count table rows"):
+            hf_grid(unit, (2 * 10**9, 10**9), (2 * 10**9, 10**9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # fewer rows than the budget, but more cells: row t holds 4t + 1, counted to the first
+    # t past the budget
+    monkeypatch.setattr(kernels, "MAX_TABLE_CELLS", 4000)
+    with pytest.raises(kernels.BudgetExceededError, match="value rows to t=44 needs 4005 cells"):
+        series_identity_check(unit, (10**6, 1000))
+
+
+def test_series_identity_needs_only_the_bands_inside_the_budget(monkeypatch, fresh_tables):
+    # rows t <= 30 of the unit hold the bands 2t <= mu <= 6t, 1,891 cells of the 5,611-cell box
+    monkeypatch.setattr(kernels, "MAX_TABLE_CELLS", 4000)
+    unit = KappaNumerator.from_terms(RING, [((0, 0), 1)])
+    assert sum(len(values) for _, values in _value_rows(unit, (0, 0), (180, 30))) == 1891
+    assert series_identity_check(unit, (180, 30))
+    with pytest.raises(kernels.BudgetExceededError, match="value grid needs 5611 cells"):
+        hf_grid(unit, (0, 0), (180, 30))
+
+
 @st.composite
 def bigraded_numerators(draw):
     degrees = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
@@ -306,46 +339,62 @@ def bigraded_numerators(draw):
 @settings(max_examples=150, deadline=None)
 @given(bigraded_numerators())
 def test_hf_grid_matches_hf_module_and_series_identity(case):
-    # hf_grid and hf_module read the same rows, so both answer to brute force
+    # hf_grid, the value rows and hf_module read the same rows, so all answer to brute force
     kappa, lo, hi = case
     g = hf_grid(kappa, lo, hi)
+    rows = _value_rows(kappa, lo, hi)
+    assert len(rows) == len(g)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataIntegrityWarning)
-        for t in range(lo[1], hi[1] + 1):
+        for t, (start, values) in enumerate(rows, lo[1]):
             for mu in range(lo[0], hi[0] + 1):
                 want = sum(
                     c * brute_count(kappa.ring.columns, (mu - a_mu, t - a_t))
                     for (a_mu, a_t), c in kappa.terms
                 )
                 assert g[t - lo[1]][mu - lo[0]] == want == hf_module(kappa, (mu, t))
+                on_span = 0 <= mu - start < len(values)
+                assert (values[mu - start] if on_span else 0) == want
     assert series_identity_check(kappa, hi)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(bigraded_numerators(), st.data())
 def test_series_identity_matches_the_full_box_reference(case, data):
-    # 0-2 cells bumped anywhere in the box, inside the support or outside it
+    # 0-2 cells bumped inside the rows, compared on the rows padded to the box
     kappa, _, hi = case
     lo = tuple(min((a[i] for a in kappa.shifts), default=0) for i in (0, 1))
     hi = (max(hi[0], lo[0]), max(hi[1], lo[1]))
-    g = hf_grid(kappa, lo, hi)
-    cell = st.tuples(
-        st.integers(0, len(g) - 1), st.integers(0, len(g[0]) - 1), st.sampled_from([-1, 1])
-    )
-    for i, j, bump in data.draw(st.lists(cell, max_size=2)):
-        g[i][j] += bump
-    want = series_identity_reference(kappa, [row[:] for row in g], lo)
-    assert _series_identity(kappa, g, lo) == want
+    rows = _value_rows(kappa, lo, hi)
+    cells = [(i, k) for i, (_, values) in enumerate(rows) for k in range(len(values))]
+    if cells:
+        bumps = st.tuples(st.sampled_from(cells), st.sampled_from([-1, 1]))
+        for (i, k), bump in data.draw(st.lists(bumps, max_size=2)):
+            rows[i][1][k] += bump
+    g = [_padded(start, values, lo[0], hi[0]) for start, values in rows]
+    assert _series_identity(kappa, rows, lo[1]) == series_identity_reference(kappa, g, lo)
 
 
-def test_series_identity_fails_on_a_value_outside_the_support():
-    # row t = 3 of TOR1 is nonzero only on 5 + 2*2 <= mu <= 9 + 6*2 (terms with a_t = 1)
+def test_series_identity_fails_on_a_row_that_starts_inside_its_band():
+    # the top row t = 3 of TOR1 starts at the band edge mu = 5 + 2 * 2, where the value
+    # is 1; a row that starts one cell later must fail, not drop what row 2 moves there
     lo = (5, 1)
-    g = hf_grid(TOR1, lo, (40, 6))
-    assert series_identity_reference(TOR1, [row[:] for row in g], lo)
-    g[3 - lo[1]][30 - lo[0]] = 1
-    assert not _series_identity(TOR1, [row[:] for row in g], lo)
+    rows = _value_rows(TOR1, lo, (40, 3))
+    start, values = rows[3 - lo[1]]
+    assert (start, values[0]) == (9, 1) and _series_identity(TOR1, [(a, v[:]) for a, v in rows], 1)
+    rows[3 - lo[1]] = (start + 1, values[1:])
+    g = [_padded(a, v, lo[0], 40) for a, v in rows]
+    assert not _series_identity(TOR1, rows, 1)
     assert not series_identity_reference(TOR1, g, lo)
+    # a row that starts past its own numerator coefficient fails the same way
+    unit = KappaNumerator.from_terms(RING, [((0, 0), 1)])
+    for kappa, lo in [(TOR1, (5, 1)), (unit, (0, 0))]:
+        rows = _value_rows(kappa, lo, (40, 3))
+        start, values = rows[0]
+        rows[0] = (start + 1, values[1:])
+        g = [_padded(a, v, lo[0], 40) for a, v in rows]
+        assert not _series_identity(kappa, rows, lo[1])
+        assert not series_identity_reference(kappa, g, lo)
 
 
 def test_hf_grid_and_count_share_one_ring_from_eight_threads(fresh_tables):

@@ -11,12 +11,18 @@ from vpfbetti.counting import DegreeMatrix, count
 
 
 def assert_window_matches(degrees, t_max, mu_max):
+    # row t is the band min(d) * t <= mu <= max(d) * t cut at mu_max, and every count off it is 0
     table = kernels.bigraded_table(degrees, t_max, mu_max)
-    assert [len(row) for row in table] == [mu_max + 1] * (t_max + 1)
+    lo, hi = min(degrees), max(degrees)
+    assert [len(row) for row in table] == [
+        max(min(hi * t, mu_max) - lo * t + 1, 0) for t in range(t_max + 1)
+    ]
     cols = [(d, 1) for d in degrees]
-    for t in range(t_max + 1):
+    for t, row in enumerate(table):
         for mu in range(mu_max + 1):
-            assert table[t][mu] == brute_count(cols, (mu, t)), (mu, t)
+            k = mu - lo * t
+            got = row[k] if 0 <= k < len(row) else 0
+            assert got == brute_count(cols, (mu, t)), (mu, t)
 
 
 def test_rows_match_brute_force():
@@ -34,7 +40,7 @@ def test_degree_zero_column():
 
 
 def test_degrees_wider_than_window():
-    # most columns never fit inside the window; some rows start past mu_max
+    # most columns never fit inside the window; some rows start past mu_max and are empty
     for degrees, mu_max in (([1, 20], 15), ([3, 12], 8), ([2, 7], 5), ([9, 11], 4)):
         assert_window_matches(degrees, 6, mu_max)
 
@@ -65,7 +71,7 @@ def test_band_cells_closed_form():
                 assert kernels.band_cells(width, t, cap) == want
 
 
-def test_budget_raises_before_allocating(monkeypatch):
+def test_budget_raises_before_allocating(monkeypatch, fresh_tables):
     monkeypatch.setattr(kernels, "MAX_TABLE_CELLS", 90)
     band = kernels.BandRows([1, 3])
     band.extend(8, 16)  # the whole band to t = 8: 81 cells
@@ -73,8 +79,14 @@ def test_budget_raises_before_allocating(monkeypatch):
         band.extend(9, 18)  # the cap doubles to 32, so the whole band: 100 cells
     assert len(band.rows) == 9 and band.cap == 16
     band.extend(8, 16)
+    # mu <= 9 of rows t <= 9 is a 100-cell box but 37 band cells, read from a
+    # 58-cell table; mu <= 27 needs the whole band to t = 9, 100 cells
+    assert sum(map(len, kernels.bigraded_table([1, 3], 9, 9))) == 37
+    shared = kernels.band_rows([1, 3])
+    assert kernels.band_cells(shared.width, 9, shared.cap) == 58
     with pytest.raises(kernels.BudgetExceededError):
-        kernels.bigraded_table([1, 3], 9, 9)
+        kernels.bigraded_table([1, 3], 9, 27)
+    assert len(shared.rows) == 10 and shared.cap == 6
 
 
 def test_rows_stop_at_largest_offset_asked():
@@ -168,14 +180,13 @@ def test_window_of_rows_wider_than_eight_bytes(fresh_tables):
     # twenty columns each of degrees 0 and 1: every count is a product of two binomials
     table = kernels.bigraded_table([0] * 20 + [1] * 20, 40, 40)
     assert table == [
-        [comb(mu + 19, 19) * comb(t - mu + 19, 19) if mu <= t else 0 for mu in range(41)]
-        for t in range(41)
+        [comb(mu + 19, 19) * comb(t - mu + 19, 19) for mu in range(t + 1)] for t in range(41)
     ]
     assert table[40][20] > 2**64
 
 
 def test_window_reads_the_shared_rows(fresh_tables):
-    # count and the dense window read one table per ring, whatever the degree order
+    # count and the window read one table per ring, whatever the degree order
     ring = DegreeMatrix.bigraded([6, 2, 3])
     assert count(ring, (30, 8)) == brute_count(ring.columns, (30, 8))
     band = kernels.band_rows([2, 3, 6])

@@ -2,7 +2,10 @@ import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import koszul_betti_reference
 from vpfbetti.counting import DegreeMatrix
 from vpfbetti.hilbert import (
     DataIntegrityWarning,
@@ -182,3 +185,36 @@ def test_shift_second_coordinate_bounds():
         for index, kappa in spec.tors:
             for shift, _ in kappa.terms:
                 assert 0 <= shift[1] <= index + 1
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=2, max_size=3))
+def test_ci_shifts_give_the_betti_numbers_of_the_powers_of_the_ideal(degrees):
+    # the Koszul homology of I^t, I = (x_1^{d_1}, ..., x_r^{d_r}), against every
+    # index of the shift table; no index >= r carries a Betti number
+    spec = ci_shifts(degrees)
+    r = len(degrees)
+    for t in range(1, 7):
+        betti = koszul_betti_reference(degrees, t)
+        assert max(betti, default=0) <= max(degrees) * (t + 2)
+        for mu in range(max(degrees) * (t + 2) + 1):
+            want = betti.get(mu, [0] * (r + 1))
+            got = [hf_module(spec.tor(i), (mu, t)) if spec.tor(i) else 0 for i in range(r + 1)]
+            assert got == want, (mu, t)
+            assert want[r] == 0
+
+
+def test_the_koszul_oracle_catches_a_missing_shift():
+    # (2, 3, 6) index 1 without its -(11, 2) term counts one more at every point of its cone
+    tor1 = ci_shifts((2, 3, 6)).tor(1)
+    mutant = KappaNumerator.from_terms(tor1.ring, [a for a in tor1.terms if a[0] != (11, 2)])
+    betti = {t: koszul_betti_reference((2, 3, 6), t) for t in range(1, 5)}
+    differ = [
+        (mu, t)
+        for t in range(1, 5)
+        for mu in range(6 * (t + 2) + 1)
+        if hf_module(mutant, (mu, t)) != betti[t].get(mu, [0, 0])[1]
+    ]
+    assert differ == [
+        (11, 2), (13, 3), (14, 3), (17, 3), (15, 4), (16, 4), (17, 4), (19, 4), (20, 4), (23, 4)
+    ]

@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import decomposition_row_reference
-from vpfbetti import hilbert, verify
+from vpfbetti import hilbert
 from vpfbetti.counting import DegreeMatrix
-from vpfbetti.hilbert import KappaNumerator, hf_grid
+from vpfbetti.hilbert import KappaNumerator, _value_rows
 from vpfbetti.quasipoly import FitError, Polynomial, QuasiPolynomial
 from vpfbetti.rees import ci_shifts, ingest, serialize
 from vpfbetti.regions import region_decomposition, row_support
@@ -40,7 +40,8 @@ def test_check_decomposition_leaves_warning_filters_alone(monkeypatch):
     # every other thread, so it must not touch them at all
     kappa = sign_flipped_236().tor(1)
     dec = region_decomposition(kappa)
-    grid = hf_grid(kappa, (0, 1), (80, 10))
+    box = ((0, 1), (80, 10))
+    rows = _value_rows(kappa, *box)
 
     def refuse(*args, **kwargs):
         raise AssertionError("process-wide warning filters touched")
@@ -49,25 +50,27 @@ def test_check_decomposition_leaves_warning_filters_alone(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(warnings, "catch_warnings", refuse)
         patch.setattr(warnings, "simplefilter", refuse)
-        checks = {c.name: c for c in check_decomposition(dec, 10, grid, (0, 1))}
+        checks = {c.name: c for c in check_decomposition(dec, 10, rows, box)}
     assert not checks["nonnegative values"].passed
     assert checks["nonnegative values"].witness == (13, 5, -1)
 
 
-def test_check_decomposition_refuses_a_grid_short_of_a_band_row():
+def test_check_decomposition_refuses_rows_short_of_a_band_row():
+    # rows cut short on any side would read as zeros and give false witnesses
     kappa = sign_flipped_236().tor(1)
     dec = region_decomposition(kappa)
-    for lo, hi in [((0, 1), (60, 10)), ((10, 1), (80, 10)), ((0, 1), (80, 9))]:
-        with pytest.raises(ValueError, match="leave the value grid"):
-            check_decomposition(dec, 10, hf_grid(kappa, lo, hi), lo)
+    assert dec.t0 == 5
+    for box in [((0, 6), (80, 10)), ((0, 1), (80, 9)), ((9, 1), (80, 10)), ((0, 1), (40, 10))]:
+        with pytest.raises(ValueError, match="leave the value rows"):
+            check_decomposition(dec, 10, _value_rows(kappa, *box), box)
 
 
-def verify_grid(kappa, tmax):
-    """The value grid and its origin that verify_spec reads for kappa up to tmax."""
+def verify_rows(kappa, tmax):
+    """The value rows and their box that verify_spec reads for kappa up to tmax."""
     shifts = kappa.shifts
-    origin = (min(a[0] for a in shifts) - GRID_PAD, min(a[1] for a in shifts))
+    lo = (min(a[0] for a in shifts) - GRID_PAD, min(a[1] for a in shifts))
     bound = (max(kappa.ring.degrees) * tmax + max(a[0] for a in shifts) + GRID_PAD, tmax)
-    return hf_grid(kappa, origin, bound), origin
+    return _value_rows(kappa, lo, bound), (lo, bound)
 
 
 def test_a_failing_report_compares_every_band_row(monkeypatch):
@@ -75,7 +78,7 @@ def test_a_failing_report_compares_every_band_row(monkeypatch):
     ring = DegreeMatrix.bigraded((4, 9))
     kappa = KappaNumerator.from_terms(ring, [((8, 0), 1), ((6, 2), -1)])
     dec = region_decomposition(kappa)
-    grid, origin = verify_grid(kappa, 30)
+    rows, box = verify_rows(kappa, 30)
     heights = set()
     read = QuasiPolynomial.eval_row
 
@@ -84,7 +87,7 @@ def test_a_failing_report_compares_every_band_row(monkeypatch):
         return read(self, t, lo, hi)
 
     monkeypatch.setattr(QuasiPolynomial, "eval_row", recorded)
-    checks = {c.name: c for c in check_decomposition(dec, 30, grid, origin)}
+    checks = {c.name: c for c in check_decomposition(dec, 30, rows, box)}
     assert checks["oracle equivalence"].detail == "grid t=4..30, 2862 points"
     witnesses = ("oracle equivalence", "support exactness", "nonnegative values")
     assert [checks[name].witness[1] for name in witnesses] == [4, 4, 4]
@@ -97,7 +100,7 @@ def test_a_corrupted_fit_fails_at_the_reference_point(degrees):
     # every residue of every tor1 fit in turn is worth 1/2 (4 + 12, 15 + 10 and 4 + 4 classes)
     kappa = ci_shifts(degrees).tor(1)
     dec = region_decomposition(kappa)
-    grid, origin = verify_grid(kappa, 20)
+    rows, box = verify_rows(kappa, 20)
     bands = [(t, *row_support(dec, t)) for t in range(dec.t0, 21)]
     bands = [(t, lo - GRID_PAD, hi + GRID_PAD) for t, lo, hi in bands]
     half = Polynomial(2, {(0, 0): Fraction(1, 2)})
@@ -109,16 +112,17 @@ def test_a_corrupted_fit_fails_at_the_reference_point(degrees):
                 for band in bands:
                     decomposition_row_reference(broken, *band)
             with pytest.raises(FitError, match=f"^{re.escape(str(want.value))}$"):
-                check_decomposition(broken, 20, grid, origin)
+                check_decomposition(broken, 20, rows, box)
 
 
 def test_line_ordering_fails_at_t0_on_corrupted_lines():
     kappa = ci_shifts((2, 3, 6)).tor(1)
     dec = region_decomposition(kappa)
-    grid = hf_grid(kappa, (0, 1), (80, 10))
+    box = ((0, 1), (80, 10))
+    rows = _value_rows(kappa, *box)
 
     def ordering(d):
-        return next(c for c in check_decomposition(d, 10, grid, (0, 1)) if c.name == "line ordering")
+        return next(c for c in check_decomposition(d, 10, rows, box) if c.name == "line ordering")
 
     assert ordering(dec).passed and ordering(dec).witness is None
     assert dec.t0 == 5
@@ -135,16 +139,22 @@ def test_line_ordering_fails_at_t0_on_corrupted_lines():
         assert not check.passed and check.witness == (dec.t0,)
 
 
-def test_verify_spec_builds_one_grid_per_index(monkeypatch):
-    # the series identity and the oracle checks share one grid per index
+def test_verify_spec_builds_one_set_of_rows_per_index_and_no_grid(monkeypatch):
+    # the series identity and the oracle checks share one set of value rows
+    # per index, and no dense grid is built under them
     calls = []
 
     def counted(kappa, lo, hi):
         calls.append((lo, hi))
-        return hf_grid(kappa, lo, hi)
+        return _value_rows(kappa, lo, hi)
 
-    for module in (hilbert, verify):
-        monkeypatch.setattr(module, "hf_grid", counted)
+    def refuse(*args):
+        raise AssertionError("verify built a dense value grid")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("vpfbetti.")]:
+        for attr, fn in [("hf_grid", hilbert.hf_grid), ("_value_rows", _value_rows)]:
+            if getattr(module, attr, None) is fn:
+                monkeypatch.setattr(module, attr, refuse if attr == "hf_grid" else counted)
     spec = ci_shifts((2, 3, 6))
     report = verify_spec(spec, 20)
     assert report.passed
