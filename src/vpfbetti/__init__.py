@@ -24,7 +24,7 @@ _EXPORTS = {
         "hf_grid", "hf_module", "series_identity_check",
     ),
     "kernels": ("BudgetExceededError",),
-    "lattices": ("Lattice", "RankError", "hnf", "lattice_from_columns", "lattice_intersect"),
+    "lattices": ("Lattice", "RankError", "hnf", "lattice_intersect"),
     "quasipoly": ("FitError", "Polynomial", "QuasiPolynomial", "fit_chamber_qp"),
     "rees": (
         "SpecFormatError", "ToriSpec", "UnsupportedRankError", "ci_shifts", "ingest",

@@ -4,15 +4,20 @@ Under the grading deg T_i = (d_i, 1) every column lies on a degree ray, so
 for columns (d_1, 1) <= ... <= (d_n, 1) the maximal chambers are the closed
 degree intervals lo*t <= mu <= hi*t between consecutive distinct degrees.
 Each chamber records the index pairs whose cone contains it and the
-intersection lattice of those pairs.
+intersection lattice of those pairs.  The columns (a, 1) and (b, 1) span
+the lattice mu = a t mod |b - a|, whose canonical basis is a gcd and a
+modular inverse, so no lattice here needs a Hermite normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
+from math import gcd
 from operator import index
 
-from .lattices import Lattice, lattice_from_columns, lattice_intersect
+from .lattices import Lattice, lattice_intersect
 
 
 class DegenerateGradingError(ValueError):
@@ -50,8 +55,14 @@ class Chamber:
 
 
 def pair_lattice(d_i: int, d_j: int) -> Lattice:
-    """Lattice spanned by (d_i, 1) and (d_j, 1); its index in Z^2 is |d_j - d_i|."""
-    return lattice_from_columns([(d_i, 1), (d_j, 1)])
+    """Lattice spanned by (d_i, 1) and (d_j, 1), d_i != d_j: mu = d_i t mod g, g = |d_j - d_i|.
+
+    Its basis has p = gcd(d_i, g), r = g / p and q = (d_i / p)^-1 mod r, since
+    (p, q) lies in it iff 1 = (d_i / p) q mod r; its index in Z^2 is g.
+    """
+    g = abs(d_j - d_i)
+    p = gcd(d_i, g)
+    return Lattice(basis=((p, pow(d_i // p, -1, g // p)), (0, g // p)))
 
 
 def chamber_complex_2xn(degrees) -> tuple[Chamber, ...]:
@@ -71,27 +82,15 @@ def chamber_complex_2xn(degrees) -> tuple[Chamber, ...]:
             "degree has no chambers (hilbert and hf_bigraded_ring give its values)"
         )
     chambers = []
-    for lo, hi in zip(distinct, distinct[1:]):
-        index_set = tuple(
-            (i, j)
-            for i in range(len(degrees))
-            for j in range(i + 1, len(degrees))
-            if degrees[i] != degrees[j]
-            and min(degrees[i], degrees[j]) <= lo
-            and max(degrees[i], degrees[j]) >= hi
-        )
+    for k in range(1, len(distinct)):
+        lo, hi = distinct[k - 1], distinct[k]
+        # the degrees are sorted, so each column at or below lo precedes each one at or above hi
+        below = [i for i, d in enumerate(degrees) if d <= lo]
+        above = [j for j, d in enumerate(degrees) if d >= hi]
         # repeated degrees repeat a pair lattice; intersect each distinct one once
-        lat = None
-        for pair in sorted({(degrees[i], degrees[j]) for i, j in index_set}):
-            piece = pair_lattice(*pair)
-            lat = piece if lat is None else lattice_intersect(lat, piece)
-        chambers.append(
-            Chamber(
-                generators=((lo, 1), (hi, 1)),
-                index_set=index_set,
-                lattice=lat,
-            )
-        )
+        pairs = product(distinct[:k], distinct[k:])
+        lattice = reduce(lattice_intersect, (pair_lattice(a, b) for a, b in pairs))
+        chambers.append(Chamber(((lo, 1), (hi, 1)), tuple(product(below, above)), lattice))
     return tuple(chambers)
 
 
@@ -104,13 +103,9 @@ def locate(chambers, u) -> tuple[int, ...]:
 
 
 def global_lattice(degrees) -> Lattice:
-    """Intersection of the pair lattices over all pairs of distinct degrees."""
-    distinct = sorted(set(index(d) for d in degrees))
-    if len(distinct) < 2:
-        raise DegenerateGradingError("need at least two distinct generator degrees")
-    lat = None
-    for i in range(len(distinct)):
-        for j in range(i + 1, len(distinct)):
-            piece = pair_lattice(distinct[i], distinct[j])
-            lat = piece if lat is None else lattice_intersect(lat, piece)
-    return lat
+    """Intersection of the pair lattices over all pairs of distinct degrees.
+
+    Each pair straddles the chamber above its lower degree, so this is the
+    intersection of the chamber lattices.
+    """
+    return reduce(lattice_intersect, (c.lattice for c in chamber_complex_2xn(sorted(degrees))))

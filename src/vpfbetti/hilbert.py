@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
@@ -89,22 +90,28 @@ def _value_rows(kappa: KappaNumerator, lo, hi) -> list[tuple[int, list[int]]]:
 
     Row t spans the hull of its terms' bands a_mu + e_min * s <= mu <=
     a_mu + e_max * s, s = t - a_t >= 0, over the ring's least and greatest
-    degrees, cut to lo_mu..hi_mu; the values are zero off it.  Each term
-    adds one slice of the ring's shared count rows.  Bigraded rings only;
-    rows over `kernels.MAX_TABLE_CELLS` cells, an empty row counted as one,
-    raise BudgetExceededError before any is allocated.
+    degrees, cut to lo_mu..hi_mu; the values are zero off it.  Its ends are
+    e_min * t and e_max * t plus running extrema of a_mu - e * a_t over the
+    terms in order of a_t.  Each term adds one slice of the ring's shared
+    count rows.  Bigraded rings only; rows over `kernels.MAX_TABLE_CELLS`
+    cells, an empty row counted as one, raise BudgetExceededError before any
+    is allocated.
     """
     if not kappa.ring.is_bigraded():
         raise ValueError("value grids require a bigraded ring")
     (mu0, t0), (mu1, t1) = lo, hi
     e_min, e_max = min(kappa.ring.degrees), max(kappa.ring.degrees)
+    by_height = sorted((a_t, a_mu) for (a_mu, a_t), _ in kappa.terms)
+    lows = list(accumulate((a_mu - e_min * a_t for a_t, a_mu in by_height), min))
+    highs = list(accumulate((a_mu - e_max * a_t for a_t, a_mu in by_height), max))
 
     def span(t):
         """Row t's first mu and its number of values."""
-        live = [(a_mu, t - a_t) for (a_mu, a_t), _ in kappa.terms if a_t <= t]
-        start = max(mu0, min((a + e_min * s for a, s in live), default=mu0))
-        stop = min(mu1, max((a + e_max * s for a, s in live), default=mu0 - 1))
-        return start, max(stop - start + 1, 0)
+        live = bisect_left(by_height, (t + 1,))  # the terms with a_t <= t
+        if not live:
+            return mu0, 0
+        start = max(mu0, e_min * t + lows[live - 1])
+        return start, max(min(mu1, e_max * t + highs[live - 1]) - start + 1, 0)
 
     kernels.check_cells(max(t1 - t0 + 1, 0), "value rows, one cell or more per height,")
     # counted no further than the first row past the budget

@@ -1,8 +1,10 @@
-"""Planar lattices and the column Hermite normal form.
+"""Planar lattices in closed form, and the column Hermite normal form.
 
-Column-style Hermite normal forms of integer matrices with their unimodular
-transformations, and full-rank sublattices of Z^2 with canonical triangular
-bases, their residue classes and intersections.  Everything is exact
+A full-rank sublattice of Z^2 is kept on its canonical basis ((p, q), (0, r)):
+(x, y) lies in it iff p divides x and y = (x / p) q mod r.  Two of them
+intersect in closed form, by a gcd for p and the Chinese remainder theorem
+for q.  Column-style Hermite normal forms of integer matrices, with their
+unimodular transformations, are for `reproduce`.  Everything is exact
 integer arithmetic.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import index
 
 
@@ -119,27 +121,20 @@ class Lattice:
         return tuple(itertools.product(range(p), range(r)))
 
 
-def lattice_from_columns(vectors) -> Lattice:
-    """Integer span of the given planar vectors; they must span Q^2."""
-    vecs = [tuple(index(x) for x in v) for v in vectors]
-    if not vecs:
-        raise RankError("no generators")
-    if any(len(v) != 2 for v in vecs):
-        raise ValueError("lattice generators must have two coordinates")
-    H, _ = hnf(zip(*vecs))  # RankError when the span is a line
-    return Lattice(basis=((H[0][0], H[1][0]), (0, H[1][1])))
-
-
 def lattice_intersect(L1: Lattice, L2: Lattice) -> Lattice:
-    """Exact intersection of two planar lattices."""
-    (p, q), (_, r) = L1.basis
-    gen = list(L1.basis) + [(-x, -y) for x, y in L2.basis]
-    H, U = hnf(zip(*gen))
-    # the columns of U under zero columns of H span the relations between
-    # the generators; their L1 halves give the common vectors
-    vectors = [
-        (a * p, a * q + b * r)
-        for (a, b, _, _), h in zip(zip(*U), zip(*H))
-        if h == (0, 0)
-    ]
-    return lattice_from_columns(vectors)
+    """Exact intersection of two planar lattices, in closed form.
+
+    A common point has x = k P, P = lcm(p1, p2), and y = k (P/p1) q1 mod r1
+    and y = k (P/p2) q2 mod r2.  These agree mod G = gcd(r1, r2) iff
+    G / gcd(c, G) divides k, c = (P/p1) q1 - (P/p2) q2.  So p = P G / gcd(c, G),
+    r = lcm(r1, r2), and q solves y = (p/p1) q1 mod r1 and y = (p/p2) q2 mod r2.
+    """
+    (p1, q1), (_, r1) = L1.basis
+    (p2, q2), (_, r2) = L2.basis
+    P, G = lcm(p1, p2), gcd(r1, r2)
+    p = P * G // gcd(P // p1 * q1 - P // p2 * q2, G)
+    y1, y2 = p // p1 * q1, p // p2 * q2
+    # y1 = y2 mod G, so y1 + r1 s solves both for (r1/G) s = (y2 - y1)/G mod r2/G
+    s = (y2 - y1) // G * pow(r1 // G, -1, r2 // G)
+    r = r1 // G * r2
+    return Lattice(basis=((p, (y1 + r1 * s) % r), (0, r)))

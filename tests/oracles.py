@@ -27,7 +27,14 @@ simplicial complexes over Q, with no count table, wave or shift table.
 qp_eval_row_reference, decomposition_row_reference and
 series_identity_reference are the row evaluators and the series identity as
 they were before the row path was batched: Horner at every point of a class,
-one fit-row read per strip and term, and the product over the whole box.  The
+one fit-row read per strip and term, and the product over the whole box.
+value_rows_reference builds value rows as they were before each row's span
+was a running extremum, by a pass over the terms for every row.
+lattice_from_columns spans planar vectors through the library's column
+Hermite normal form, lattice_intersect_reference intersects two lattices
+through the relations between their generators, and
+chamber_lattices_reference and global_lattice_reference fold pair lattices
+by them, the construction the closed forms replaced.  The
 closed-form fixtures reproduce the traditionally quoted piecewise tables for
 the worked example with generator degrees (2, 3, 6); the first-syzygy table
 is kept verbatim, including its two known defects, so tests can pin down
@@ -38,10 +45,13 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import sub
+from operator import add, index, mul, sub
 
+from vpfbetti import kernels
 from vpfbetti.chambers import chamber_complex_2xn, global_lattice
 from vpfbetti.counting import DegreeMatrix
+from vpfbetti.hilbert import _padded
+from vpfbetti.lattices import Lattice, RankError, hnf
 from vpfbetti.quasipoly import FitError, Polynomial, fit_chamber_qp
 from vpfbetti.regions import TOTAL_BETTI_CHECKS, BelowThresholdError, eval_row, row_support
 
@@ -226,6 +236,91 @@ def series_identity_reference(kappa, g, lo):
         if a_mu - lo[0] < w and a_t - lo[1] < h:
             want[a_t - lo[1]][a_mu - lo[0]] = c
     return g == want
+
+
+def value_rows_reference(kappa, lo, hi):
+    """hilbert._value_rows with each row's span a pass over the live terms, twice a row."""
+    if not kappa.ring.is_bigraded():
+        raise ValueError("value grids require a bigraded ring")
+    (mu0, t0), (mu1, t1) = lo, hi
+    e_min, e_max = min(kappa.ring.degrees), max(kappa.ring.degrees)
+
+    def span(t):
+        live = [(a_mu, t - a_t) for (a_mu, a_t), _ in kappa.terms if a_t <= t]
+        start = max(mu0, min((a + e_min * s for a, s in live), default=mu0))
+        stop = min(mu1, max((a + e_max * s for a, s in live), default=mu0 - 1))
+        return start, max(stop - start + 1, 0)
+
+    kernels.check_cells(max(t1 - t0 + 1, 0), "value rows, one cell or more per height,")
+    for t, cells in enumerate(itertools.accumulate(max(span(t)[1], 1) for t in range(t0, t1 + 1)), t0):
+        kernels.check_cells(cells, f"value rows to t={t}")
+    rows = [(start, [0] * n) for start, n in map(span, range(t0, t1 + 1))]
+    if not any(values for _, values in rows):
+        return rows
+    reach_mu = mu1 - min(a[0] for a in kappa.shifts)
+    reach_t = t1 - min(a[1] for a in kappa.shifts)
+    table = kernels.bigraded_table(kappa.ring.degrees, max(reach_t, 0), max(reach_mu, 0))
+    for (a_mu, a_t), c in kappa.terms:
+        op = add if c > 0 else sub
+        for t in range(max(t0, a_t), t1 + 1):
+            s = t - a_t
+            start, values = rows[t - t0]
+            part = _padded(a_mu + e_min * s, table[s], start, start + len(values) - 1)
+            values[:] = map(op, values, part if abs(c) == 1 else map(mul, itertools.repeat(abs(c)), part))
+    return rows
+
+
+def lattice_from_columns(vectors):
+    """Integer span of the given planar vectors, by the column Hermite normal form.
+
+    They must span Q^2: RankError otherwise.
+    """
+    vecs = [tuple(index(x) for x in v) for v in vectors]
+    if not vecs:
+        raise RankError("no generators")
+    if any(len(v) != 2 for v in vecs):
+        raise ValueError("lattice generators must have two coordinates")
+    H, _ = hnf(zip(*vecs))  # RankError when the span is a line
+    return Lattice(basis=((H[0][0], H[1][0]), (0, H[1][1])))
+
+
+def lattice_intersect_reference(L1, L2):
+    """Intersection of two planar lattices by the HNF of their four generators.
+
+    The columns of U under zero columns of H span the relations between the
+    generators; their L1 halves give the common vectors.
+    """
+    (p, q), (_, r) = L1.basis
+    gen = list(L1.basis) + [(-x, -y) for x, y in L2.basis]
+    H, U = hnf(zip(*gen))
+    vectors = [
+        (a * p, a * q + b * r)
+        for (a, b, _, _), h in zip(zip(*U), zip(*H))
+        if h == (0, 0)
+    ]
+    return lattice_from_columns(vectors)
+
+
+def _pair_fold_reference(pairs):
+    lattice = None
+    for a, b in pairs:
+        piece = lattice_from_columns([(a, 1), (b, 1)])
+        lattice = piece if lattice is None else lattice_intersect_reference(lattice, piece)
+    return lattice
+
+
+def chamber_lattices_reference(degrees):
+    """Each chamber's lattice, in chamber order: the pair lattices around it, folded by HNF."""
+    distinct = sorted(set(degrees))
+    return [
+        _pair_fold_reference((a, b) for a in distinct if a <= lo for b in distinct if b >= hi)
+        for lo, hi in zip(distinct, distinct[1:])
+    ]
+
+
+def global_lattice_reference(degrees):
+    """The pair lattices of all pairs of distinct degrees, folded by HNF."""
+    return _pair_fold_reference(itertools.combinations(sorted(set(degrees)), 2))
 
 
 def _rank(rows):

@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import lattice_from_columns
+from vpfbetti import hilbert, lattices
 from vpfbetti.chambers import (
     Chamber,
     DegenerateGradingError,
@@ -7,7 +9,9 @@ from vpfbetti.chambers import (
     global_lattice,
     locate,
 )
-from vpfbetti.lattices import lattice_from_columns
+from vpfbetti.counting import DegreeMatrix
+from vpfbetti.hilbert import KappaNumerator, hf_bigraded_ring
+from vpfbetti.regions import region_decomposition
 
 
 def test_chambers_2367():
@@ -138,3 +142,17 @@ def test_chamber_derives_its_inequalities_from_its_generators():
     assert c.inequalities == ((1, 2), (-1, 5))
     assert c.contains((-6, 3)) and c.contains((15, 3)) and c.contains((0, 0))
     assert not c.contains((-7, 3)) and not c.contains((16, 3)) and not c.contains((0, -1))
+
+
+def test_the_ring_path_builds_its_lattices_without_a_hermite_normal_form(monkeypatch, fresh_tables):
+    def hnf(rows):
+        raise AssertionError("the ring path called hnf")
+
+    monkeypatch.setattr(lattices, "hnf", hnf)
+    degrees = (2, 3, 6, 7, 11)
+    assert [c.lattice.det for c in chamber_complex_2xn(degrees)] == [180, 4320, 1800, 360]
+    assert global_lattice(degrees).det == 21600
+    assert hilbert._ring(degrees).lattice == global_lattice(degrees)
+    assert hf_bigraded_ring(degrees, (40, 6)).chamber == 2
+    unit = KappaNumerator.from_terms(DegreeMatrix.bigraded(degrees), [((0, 0), 1)])
+    assert region_decomposition(unit).fits

@@ -14,6 +14,7 @@ from oracles import (
     ring_fits_reference,
     ring_hilbert_closed_form,
     series_identity_reference,
+    value_rows_reference,
 )
 from vpfbetti import hilbert, kernels, regions
 from vpfbetti.chambers import (
@@ -21,6 +22,7 @@ from vpfbetti.chambers import (
     chamber_complex_2xn,
     global_lattice,
     locate,
+    pair_lattice,
 )
 from vpfbetti.counting import DegreeMatrix, count, count_row
 from vpfbetti.hilbert import (
@@ -35,7 +37,7 @@ from vpfbetti.hilbert import (
     hf_module,
     series_identity_check,
 )
-from vpfbetti.lattices import hnf, lattice_from_columns
+from vpfbetti.lattices import hnf
 from vpfbetti.quasipoly import Polynomial, QuasiPolynomial
 from vpfbetti.rees import ToriSpec, ci_shifts
 
@@ -87,7 +89,7 @@ def _tor1_fit():
         lambda: _tor1_fit().eval_row(10.5, 20.2, 22),
         lambda: _tor1_fit().shift((5.5, 1)),
         lambda: global_lattice([2, 3, 6]).reduce((5.9, 2)),
-        lambda: lattice_from_columns([(2, 1), (3.5, 1)]),
+        lambda: pair_lattice(2, 3.5),
         lambda: hnf([[1, 2.5]]),
         lambda: Polynomial(1.0, {(1,): 1}),
         lambda: Polynomial(1, {(Fraction(1),): 1}),
@@ -312,6 +314,36 @@ def test_value_rows_over_budget_raise_before_allocating(monkeypatch):
     monkeypatch.setattr(kernels, "MAX_TABLE_CELLS", 4000)
     with pytest.raises(kernels.BudgetExceededError, match="value rows to t=44 needs 4005 cells"):
         series_identity_check(unit, (10**6, 1000))
+
+
+def test_value_rows_equal_the_reference_builder_and_its_budget_errors(monkeypatch):
+    # terms over many heights, negative a_mu, coefficients +-1 and +-2; then a budget of a few
+    # hundred cells, which both builders must exceed at the same row with the same text
+    rng = random.Random(33)
+
+    def built(build, kappa, lo, hi):
+        try:
+            return build(kappa, lo, hi)
+        except kernels.BudgetExceededError as exc:
+            return str(exc)
+
+    over = 0
+    for case in range(160):
+        ring = DegreeMatrix.bigraded(rng.choices(range(5), k=rng.randint(2, 4)))
+        terms = [
+            ((rng.randint(-15, 30), rng.randint(-2, 25)), rng.choice([-2, -1, 1, 2]))
+            for _ in range(rng.randint(1, 8))
+        ]
+        kappa = KappaNumerator.from_terms(ring, terms)
+        lo = (rng.randint(-20, 10), rng.randint(-4, 10))
+        hi = (lo[0] + rng.randint(-1, 60), lo[1] + rng.randint(-1, 30))
+        if case % 2:
+            monkeypatch.setattr(kernels, "MAX_TABLE_CELLS", rng.randint(20, 400))
+        rows = built(_value_rows, kappa, lo, hi)
+        assert rows == built(value_rows_reference, kappa, lo, hi), (kappa.terms, lo, hi)
+        over += isinstance(rows, str) and "value rows" in rows
+        monkeypatch.undo()
+    assert over >= 20
 
 
 def test_series_identity_needs_only_the_bands_inside_the_budget(monkeypatch, fresh_tables):

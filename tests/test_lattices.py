@@ -2,14 +2,18 @@ import random
 
 import pytest
 
-from oracles import det_reference, full_row_rank_reference, matmul_reference, solve_exact
-from vpfbetti.lattices import (
-    Lattice,
-    RankError,
-    hnf,
+from oracles import (
+    chamber_lattices_reference,
+    det_reference,
+    full_row_rank_reference,
+    global_lattice_reference,
     lattice_from_columns,
-    lattice_intersect,
+    lattice_intersect_reference,
+    matmul_reference,
+    solve_exact,
 )
+from vpfbetti.chambers import chamber_complex_2xn, global_lattice, pair_lattice
+from vpfbetti.lattices import Lattice, RankError, hnf, lattice_intersect
 
 
 def test_hnf_worked_example():
@@ -225,6 +229,32 @@ def test_pair_lattice_det_is_degree_gap():
         for j in range(i + 1, len(degrees)):
             L = lattice_from_columns([(degrees[i], 1), (degrees[j], 1)])
             assert L.det == degrees[j] - degrees[i]
+
+
+def test_closed_forms_equal_the_hermite_normal_form_references():
+    rng = random.Random(34)
+    # pair lattices, degree 0 and negative degrees among them
+    pairs = [(0, 1), (0, 7), (7, 0), (-3, 5), (4, 10), (12, 30)]
+    pairs += [tuple(rng.sample(range(-5, 60), 2)) for _ in range(300)]
+    for a, b in pairs:
+        assert pair_lattice(a, b) == lattice_from_columns([(a, 1), (b, 1)]), (a, b)
+    # intersections of canonical lattices, with p = 1, r = 1 and q = 0 drawn often
+    def canonical():
+        p, r = rng.choice([1, rng.randint(1, 40)]), rng.choice([1, rng.randint(1, 40)])
+        return Lattice(((p, rng.choice([0, rng.randrange(r)])), (0, r)))
+
+    fixed = [Lattice(((1, 0), (0, 1))), Lattice(((3, 0), (0, 1))), Lattice(((1, 0), (0, 5)))]
+    for L1, L2 in [(a, b) for a in fixed for b in fixed] + [(canonical(), canonical()) for _ in range(600)]:
+        assert lattice_intersect(L1, L2) == lattice_intersect_reference(L1, L2), (L1, L2)
+    # every chamber lattice and the global lattice of rings of 2-6 degrees; those drawn
+    # from 0-5 mostly repeat a degree and hold 0
+    for _ in range(60):
+        degrees = sorted(rng.choices(rng.choice([range(40), range(6)]), k=rng.randint(2, 6)))
+        if len(set(degrees)) < 2:
+            continue
+        lattices = [c.lattice for c in chamber_complex_2xn(degrees)]
+        assert lattices == chamber_lattices_reference(degrees), degrees
+        assert global_lattice(degrees) == global_lattice_reference(degrees), degrees
 
 
 def test_solve_exact_identity():

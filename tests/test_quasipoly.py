@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Q_formula, brute_count, poly_eval_reference, qp_eval_row_reference
+from oracles import (
+    Q_formula,
+    brute_count,
+    lattice_from_columns,
+    poly_eval_reference,
+    qp_eval_row_reference,
+)
 from vpfbetti import quasipoly
 from vpfbetti.chambers import Chamber, chamber_complex_2xn, global_lattice
 from vpfbetti.counting import DegreeMatrix, count, count_row
-from vpfbetti.lattices import Lattice, lattice_from_columns
+from vpfbetti.lattices import Lattice
 from vpfbetti.quasipoly import (
     FitError,
     Polynomial,
