@@ -2,13 +2,16 @@
 
 count(A, u) is the number of ways to write u as a nonnegative integer
 combination of the columns of A.  Nonnegative columns with no zero column
-make the grading positive, so every count is finite.  Bigraded matrices
-(second row all ones) are read from the ring's shared cone-sheared rows
-(`kernels.band_rows`), packed into Python ints, the same rows that value
-grids read; everything else runs a boxed dynamic program.  Both are pure
-Python, both caches are safe to share between threads, and every table is
-checked against `kernels.MAX_TABLE_CELLS` before it grows.  count_row(A, t,
-lo, hi) reads a planar row at once: one slice of a bigraded ring's band row.
+make the grading positive, so every count is finite.  A point of a
+bigraded matrix (second row all ones) is read from the partition waves of
+the ring's shared record (`hilbert._ring`), the same waves that `hilbert`
+reads; any other matrix runs a boxed dynamic program.  count_row(A, t, lo,
+hi) reads a planar row at once: one slice of a bigraded ring's shared
+cone-sheared rows (`kernels.band_rows`), the rows that value grids read, so
+a chamber fit's apex sweep checks the waves against a table that shares no
+code with them.  All of it is pure Python, every cache is safe to share
+between threads, and every table is checked against its budget before it
+grows.
 """
 
 from __future__ import annotations
@@ -115,33 +118,35 @@ def _box_table(columns, bound):
     return table
 
 
-# memo of each matrix's table: looking a band up by its sorted degrees on
-# every count would cost more than the read itself
-_ORACLES: dict[DegreeMatrix, object] = {}
+# the boxed table of each matrix that is not bigraded
+_ORACLES: dict[DegreeMatrix, _GeneralOracle] = {}
 _ORACLES_LOCK = threading.Lock()
 
 
-def _oracle(A: DegreeMatrix):
+def _oracle(A: DegreeMatrix) -> _GeneralOracle:
     cached = _ORACLES.get(A)
     if cached is None:
         with _ORACLES_LOCK:
             cached = _ORACLES.get(A)
             if cached is None:
-                if A.is_bigraded():
-                    cached = kernels.band_rows(A.degrees)
-                else:
-                    cached = _GeneralOracle(A.columns, A.dim)
-                _ORACLES[A] = cached
+                cached = _ORACLES[A] = _GeneralOracle(A.columns, A.dim)
     return cached
 
 
 def count(A: DegreeMatrix, u) -> int:
-    """Number of lambda in N^n with A . lambda = u; zero outside the cone."""
+    """Number of lambda in N^n with A . lambda = u; zero outside the cone.
+
+    A bigraded ring reads its partition waves: BudgetExceededError over their budget.
+    """
     u = tuple(map(index, u))
     if len(u) != A.dim:
         raise ValueError("point dimension mismatch")
     if not A.columns:
         return 1 if all(x == 0 for x in u) else 0
+    if A.is_bigraded():
+        from .hilbert import _ring  # hilbert keeps each ring's record and imports this module
+
+        return _ring(A.degrees).waves.count(*u)
     return _oracle(A).value(u)
 
 
@@ -152,9 +157,8 @@ def count_row(A: DegreeMatrix, t: int, lo: int, hi: int) -> list[int]:
     read point by point through count.
     """
     t, lo, hi = index(t), index(lo), index(hi)
-    oracle = _oracle(A) if A.columns else None
-    if isinstance(oracle, kernels.BandRows):
-        return oracle.row(t, lo, hi)
+    if A.columns and A.is_bigraded():
+        return kernels.band_rows(A.degrees).row(t, lo, hi)
     return [count(A, (mu, t)) for mu in range(lo, hi + 1)]
 
 

@@ -13,13 +13,14 @@ import threading
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, islice, repeat
 from operator import add, index, mul, sub
 
 from . import kernels
-from .chambers import chamber_complex_2xn, global_lattice, locate
+from .chambers import chamber_complex_2xn, locate
 from .counting import DegreeMatrix, count
+from .lattices import lattice_intersect
 from .quasipoly import QuasiPolynomial, fit_chamber_qp
 from .waves import RingWaves
 
@@ -118,14 +119,15 @@ def _value_rows(kappa: KappaNumerator, lo, hi) -> list[tuple[int, list[int]]]:
     for t, cells in enumerate(accumulate(max(span(t)[1], 1) for t in range(t0, t1 + 1)), t0):
         kernels.check_cells(cells, f"value rows to t={t}")
     rows = [(start, [0] * n) for start, n in map(span, range(t0, t1 + 1))]
-    if not any(values for _, values in rows):
+    held = [t for t, (_, values) in enumerate(rows, t0) if values]  # the rows that hold values
+    if not held:
         return rows
     reach_mu = mu1 - min(a[0] for a in kappa.shifts)
     reach_t = t1 - min(a[1] for a in kappa.shifts)
     table = kernels.bigraded_table(kappa.ring.degrees, max(reach_t, 0), max(reach_mu, 0))
     for (a_mu, a_t), c in kappa.terms:
         op = add if c > 0 else sub
-        for t in range(max(t0, a_t), t1 + 1):  # lowest row with t - a_t >= 0
+        for t in islice(held, bisect_left(held, a_t), None):  # the rows with t - a_t >= 0
             s = t - a_t
             start, values = rows[t - t0]
             part = _padded(a_mu + e_min * s, table[s], start, start + len(values) - 1)
@@ -210,7 +212,9 @@ class _Ring:
         self.waves = RingWaves(degrees)
         planar = len(set(degrees)) > 1
         self.chambers = chamber_complex_2xn(degrees) if planar else ()
-        self.lattice = global_lattice(degrees) if planar else None
+        # the global lattice, folded from these chambers as `chambers.global_lattice` does
+        lattices = [c.lattice for c in self.chambers]
+        self.lattice = reduce(lattice_intersect, lattices) if planar else None
         self._fits = [None] * len(self.chambers)
         self._lock = threading.Lock()
 

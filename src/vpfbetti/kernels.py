@@ -10,8 +10,11 @@ size; B is the least of 1, 2, 4, 8 or more bytes that holds `value_bound`.
 A served row keeps that int until its first read unpacks it, through a
 native memoryview when B is 1, 2, 4 or 8 and with int.from_bytes otherwise,
 so rows that are only grown past cost no conversion.
-`band_rows` keeps one shared `BandRows` per ring; `count` and `count_row`
-read it, and `bigraded_table` copies the band rows that value rows read.
+`band_rows` keeps one shared `BandRows` per ring; `counting.count_row` (the
+chamber fits' apex sweeps) reads it, and `bigraded_table` copies the band
+rows that `verify`'s value rows and series identity read.  Point counts read
+the partition waves instead (`waves.RingWaves`), so these rows stay a check
+that shares no code with them.
 Every table is checked against MAX_TABLE_CELLS before anything is allocated.
 """
 
@@ -120,18 +123,6 @@ class BandRows:
         self._last = (0, 1, 1, [1] * len(degrees))  # row len(rows) - 1
         self._whole = self._last  # the last row the cap holds whole
         self._lock = threading.Lock()
-
-    def value(self, u):
-        """The count at bidegree u = (mu, t); grows the rows on a miss."""
-        mu, t = u
-        k = mu - self.lo * t
-        if t < 0 or not 0 <= k <= self.width * t:
-            return 0
-        rows = self.rows
-        if t >= len(rows) or k >= (row := rows[t]).length:
-            self.extend(t, k)
-            row = rows[t]
-        return (row.view or row.unpack())[k]
 
     def row(self, t, lo, hi):
         """Counts at (mu, t) for lo <= mu <= hi, zero off the band; [] when lo > hi.

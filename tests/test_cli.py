@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import brute_count
 from vpfbetti import hilbert, kernels
 from vpfbetti.cli import main
-from vpfbetti.counting import DegreeMatrix, count
+from vpfbetti.counting import DegreeMatrix, count_row
 from vpfbetti.rees import ci_shifts, serialize
 
 
@@ -68,24 +68,41 @@ def test_count_degree_wider_than_first_table(capsys):
 def test_count_over_budget_exits_2_without_allocating(capsys):
     tracemalloc.start()
     try:
-        # rows to t = 10**5 holding offsets up to 5 * 10**4: 3.75e9 cells
-        rc, out, err = run(capsys, "count", "--degrees", "1,2", "150000,100000")
+        # both sides of the wall read the one wave of the part 10**11 - 1: a
+        # table of 2e11 values, about 7.2e12 bytes
+        rc, out, err = run(capsys, "count", "--degrees", "1,100000000000", "200000000003,5")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 2 and out == "" and err.startswith("error:") and "budget" in err
+    assert err.count("\n") == 1
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["count", "--degrees", "2,3,6", "100000000000,20000000000"], "1666666667\n"),
+        (["count", "--degrees", "5,5", "10000000000,2000000000"], "2000000001\n"),
+        (["hilbert", "--degrees", "2,3,6", "--index", "1", "100000000000,20000000000"],
+         "3333333334\n"),
+    ],
+    ids=["count-2,3,6", "count-5,5", "hilbert-index-2,3,6"],
+)
+def test_point_queries_answer_far_past_the_count_table(capsys, fresh_tables, argv, want):
+    # a count table to t = 2e10 would be far over the budget; the waves answer
+    assert run(capsys, *argv) == (0, want, "")
 
 
 @pytest.mark.parametrize("degrees,point", [("1,1000000", "10,10"), ("2,1000", "4000,2000")])
 def test_count_widely_spread_degrees_near_the_band_edge(capsys, degrees, point):
-    # the whole band would be over the budget; the rows asked for are tiny
+    # the wave of the one part max(d) - min(d) is read at its first value
     rc, out, _ = run(capsys, "count", "--degrees", degrees, point)
     assert rc == 0 and out.strip() == "1"
 
 
 def test_count_degree_spread_past_any_allocation(capsys):
-    # shifting a row by 10**20 offsets cannot be allocated; the cut row needs none
+    # a table of the part 10**20 - 1 cannot be allocated; the point needs its first two values
     rc, out, err = run(capsys, "count", "--degrees", "1,100000000000000000000", "3,2")
     assert (rc, out, err) == (0, "0\n", "")
 
@@ -211,7 +228,7 @@ def test_hilbert_answers_where_the_chamber_fit_is_over_budget(capsys, fresh_tabl
     degrees = (2, 3, 5, 7, 11, 13)
     rc, out, err = run(capsys, "hilbert", "--degrees", "2,3,5,7,11,13", "60,10")
     assert (rc, out, err) == (0, "65  chamber=C3 residue=(0, 2950)\n", "")
-    assert count(DegreeMatrix.bigraded(degrees), (60, 10)) == 65
+    assert count_row(DegreeMatrix.bigraded(degrees), 10, 60, 60) == [65]
     assert brute_count([(d, 1) for d in degrees], (60, 10)) == 65
 
 
@@ -227,7 +244,7 @@ def test_hilbert_reads_a_wave_no_further_than_its_argument(capsys, fresh_tables)
     assert (rc, out, err) == (0, "6  chamber=C5 residue=(3, 2782228)\n", "")
     ring_waves = hilbert._ring(degrees).waves
     assert max(len(term[4]._table) for term in ring_waves._terms) == 336
-    assert count(DegreeMatrix.bigraded(degrees), (345, 10)) == 6
+    assert count_row(DegreeMatrix.bigraded(degrees), 10, 345, 345) == [6]
     assert brute_count([(d, 1) for d in degrees], (345, 10)) == 6
 
 
@@ -306,7 +323,7 @@ def test_hilbert_chamber_fits_from_its_lowest_points(capsys):
     assert rc == 0
     assert json.loads(out) == {"chamber": 2, "point": [65, 10], "residue": [5, 70], "value": 23}
     columns = [(d, 1) for d in (2, 3, 6, 7, 11)]
-    assert count(DegreeMatrix.bigraded([2, 3, 6, 7, 11]), (65, 10)) == 23
+    assert count_row(DegreeMatrix.bigraded([2, 3, 6, 7, 11]), 10, 65, 65) == [23]
     assert brute_count(columns, (65, 10)) == 23
 
 

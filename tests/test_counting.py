@@ -1,13 +1,16 @@
 import itertools
+import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from oracles import brute_count
 from vpfbetti import BudgetExceededError, counting, kernels
 from vpfbetti.counting import DegreeMatrix, count, count_row, series_coeffs
+from vpfbetti.hilbert import KappaNumerator, hf_bigraded_ring, hf_module
 
 RING_236 = DegreeMatrix.bigraded([2, 3, 6])
 RING_2367 = DegreeMatrix.bigraded([2, 3, 6, 7])
@@ -128,23 +131,29 @@ def test_degree_matrix_constructor_checks_what_from_columns_checks():
 
 
 def test_count_shared_ring_from_eight_threads(fresh_tables):
-    # every thread asks for ever larger t, so rows are appended while others read
+    # every thread asks for ever larger t, so band rows are appended and wave
+    # tables grow while others read them
     ring = DegreeMatrix.bigraded([2, 3, 6, 7])
     rng = random.Random(11)
     jobs = [
         [(rng.randint(2 * t, 7 * t), t) for t in range(k, 400, 8)] for k in range(8)
     ]
+
+    def read(pts):
+        return [(count(ring, (mu, t)), *count_row(ring, t, mu, mu)) for mu, t in pts]
+
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda pts: [count(ring, u) for u in pts], pts) for pts in jobs]
-            answers = [f.result(timeout=60) for f in futures]
+            answers = [f.result(timeout=60) for f in [pool.submit(read, pts) for pts in jobs]]
     finally:
         sys.setswitchinterval(switch)
     fresh_tables()
-    assert answers == [[count(ring, u) for u in pts] for pts in jobs]
-    assert len(counting._ORACLES[ring].rows) == 400
+    assert answers == [read(pts) for pts in jobs]
+    assert all(waves == band for job in answers for waves, band in job)
+    assert ring not in counting._ORACLES
+    assert len(kernels.band_rows(ring.degrees).rows) == 400
 
 
 def test_general_box_grows_only_the_missed_coordinate(fresh_tables):
@@ -163,7 +172,7 @@ def test_general_box_grows_only_the_missed_coordinate(fresh_tables):
 
 def test_count_row_equals_count_at_every_point(monkeypatch, fresh_tables):
     ring = DegreeMatrix.bigraded([2, 3, 6])
-    band = counting._oracle(ring)
+    band = kernels.band_rows(ring.degrees)
     band.extend(6, 36)
     # (t, lo, hi): across the band and past both edges, wholly left or right
     # of it, t = 0, t < 0, empty, and a row past the table
@@ -190,3 +199,36 @@ def test_count_row_equals_count_at_every_point(monkeypatch, fresh_tables):
     with pytest.raises(BudgetExceededError):
         count_row(ring, 60, 120, 360)
     assert len(band.rows) == 41
+
+
+def test_point_queries_never_grow_band_rows(monkeypatch, fresh_tables):
+    # count, hf_module and series_coeffs read the ring's waves; count_row reads the band rows
+    def refuse(self, t_max, k_max=0):
+        raise AssertionError("band rows grown")
+
+    monkeypatch.setattr(kernels.BandRows, "extend", refuse)
+    for degrees in ((2, 3, 6, 7), (5, 5)):
+        ring = DegreeMatrix.bigraded(degrees)
+        kappa = KappaNumerator.from_terms(ring, [((0, 0), 1), ((2, 1), 1)])
+        for mu, t in ((0, 0), (9, 2), (10, 2), (40, 8), (50, 10)):
+            want = brute_count(ring.columns, (mu, t))
+            assert count(ring, (mu, t)) == want
+            assert hf_module(kappa, (mu, t)) == want + brute_count(ring.columns, (mu - 2, t - 1))
+        table = series_coeffs(ring, (30, 6))
+        assert table == {u: brute_count(ring.columns, u) for u in table}
+        with pytest.raises(AssertionError, match="band rows grown"):
+            count_row(ring, 4, 0, 30)
+        assert ring not in counting._ORACLES
+
+
+def test_count_equals_the_ring_query_at_every_pooled_far_point(fresh_tables):
+    # the far points of the benchmark's hilbert jobs, each past the count table's budget
+    with open(Path(__file__).parents[1] / "perfbench" / "expected.json") as fh:
+        pool = json.load(fh)["hilbert_pool"]
+    assert sum(map(len, pool.values())) == 64
+    for ring, entries in pool.items():
+        degrees = tuple(map(int, ring.split(",")))
+        A = DegreeMatrix.bigraded(degrees)
+        for entry in entries:
+            point = tuple(entry["point"])
+            assert count(A, point) == hf_bigraded_ring(degrees, point).value, (degrees, point)

@@ -16,7 +16,7 @@ from oracles import (
     series_identity_reference,
     value_rows_reference,
 )
-from vpfbetti import hilbert, kernels, regions
+from vpfbetti import chambers, hilbert, kernels, regions
 from vpfbetti.chambers import (
     Chamber,
     chamber_complex_2xn,
@@ -220,11 +220,18 @@ def test_hf_bigraded_ring_outside():
 
 def test_hf_bigraded_ring_matches_count_and_closed_form():
     for t in range(0, 41):
+        row = count_row(RING, t, 2 * t - 2, 6 * t + 2)  # the band rows, apart from the waves
         for mu in range(2 * t - 2, 6 * t + 3):
             res = hf_bigraded_ring([2, 3, 6], (mu, t))
-            assert res.value == count(RING, (mu, t))
+            assert res.value == count(RING, (mu, t)) == row[mu - 2 * t + 2]
             if 2 * t <= mu <= 6 * t:
                 assert res.value == ring_hilbert_closed_form(mu, t)
+    # far past any count table
+    rng = random.Random(5)
+    for t in (10**6, 2 * 10**10, 10**30):
+        for mu in (2 * t, 3 * t, 5 * t, 6 * t, *(rng.randint(2 * t, 6 * t) for _ in range(6))):
+            res = hf_bigraded_ring([2, 3, 6], (mu, t))
+            assert res.value == count(RING, (mu, t)) == ring_hilbert_closed_form(mu, t), (mu, t)
 
 
 def test_hf_bigraded_ring_degenerate():
@@ -273,13 +280,13 @@ def test_series_identity_catches_corrupted_table(monkeypatch, fresh_tables):
 
 
 def test_series_identity_catches_a_corrupted_served_row(fresh_tables):
-    # the check must certify the rows count serves, not a private copy
+    # the check must certify the rows count_row serves, not a private copy
     unit = KappaNumerator.from_terms(RING, [((0, 0), 1)])
-    assert series_identity_check(unit, (40, 12)) and count(RING, (9, 3)) == 1
+    assert series_identity_check(unit, (40, 12)) and count_row(RING, 3, 9, 9) == [1]
     rows = kernels.band_rows(RING.degrees).rows
     row, k = rows[3], 9 - 2 * 3
     rows[3] = kernels._Row(row.packed + (1 << 8 * row.itemsize * k), row.itemsize, len(row))
-    assert count(RING, (9, 3)) == 2
+    assert count_row(RING, 3, 9, 9) == [2] and count(RING, (9, 3)) == 1
     for kappa in (unit, TOR1):
         assert not series_identity_check(kappa, (40, 12))
 
@@ -430,7 +437,7 @@ def test_series_identity_fails_on_a_row_that_starts_inside_its_band():
 
 
 def test_hf_grid_and_count_share_one_ring_from_eight_threads(fresh_tables):
-    # grids and point reads grow the same rows while the other kind reads them
+    # grids and single-point rows grow the same band rows while the other kind reads them
     ring = DegreeMatrix.bigraded([2, 3, 6, 7])
     kappa = KappaNumerator.from_terms(ring, [((0, 0), 1), ((9, 2), -1)])
     rng = random.Random(23)
@@ -438,12 +445,12 @@ def test_hf_grid_and_count_share_one_ring_from_eight_threads(fresh_tables):
     for k in range(8):
         ts = range(k, 240, 4 if k % 2 else 16)
         if k % 2:
-            jobs.append([("count", (rng.randint(2 * t, 7 * t), t)) for t in ts])
+            jobs.append([("row", (t, mu, mu)) for t in ts for mu in [rng.randint(2 * t, 7 * t)]])
         else:
             jobs.append([("grid", ((2 * t, t - 3), (2 * t + 60, t))) for t in ts])
 
     def run(job):
-        return [count(ring, a) if kind == "count" else hf_grid(kappa, *a) for kind, a in job]
+        return [count_row(ring, *a) if kind == "row" else hf_grid(kappa, *a) for kind, a in job]
 
     want = [run(job) for job in jobs]
     switch = sys.getswitchinterval()
@@ -456,6 +463,22 @@ def test_hf_grid_and_count_share_one_ring_from_eight_threads(fresh_tables):
                 assert [f.result(timeout=120) for f in futures] == want
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_a_ring_record_builds_its_chambers_once(monkeypatch, fresh_tables):
+    # the global lattice is the meet of the record's own chamber lattices
+    calls = []
+
+    def counted(degrees):
+        calls.append(tuple(degrees))
+        return chamber_complex_2xn(degrees)
+
+    monkeypatch.setattr(chambers, "chamber_complex_2xn", counted)
+    monkeypatch.setattr(hilbert, "chamber_complex_2xn", counted)
+    degrees = (2, 3, 5, 7, 11, 13)
+    ring = hilbert._ring(degrees)
+    assert calls == [degrees]
+    assert ring.lattice == global_lattice(degrees) and ring.lattice.det == 237600
 
 
 def test_fit_cache_is_keyed_by_sorted_degrees(fresh_tables):

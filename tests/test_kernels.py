@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_count
 from vpfbetti import counting, kernels
-from vpfbetti.counting import DegreeMatrix, count
+from vpfbetti.counting import DegreeMatrix, count, count_row
 
 
 def assert_window_matches(degrees, t_max, mu_max):
@@ -30,7 +30,7 @@ def test_rows_match_brute_force():
     band = kernels.BandRows([2, 3, 6])
     for t in range(7):
         for mu in range(-1, 40):
-            assert band.value((mu, t)) == brute_count([(2, 1), (3, 1), (6, 1)], (mu, t))
+            assert band.row(t, mu, mu) == [brute_count([(2, 1), (3, 1), (6, 1)], (mu, t))]
     assert [len(row) for row in band.rows] == [4 * t + 1 for t in range(7)]
 
 
@@ -108,7 +108,7 @@ def test_a_shift_past_the_cut_allocates_nothing(fresh_tables):
     # of 10**8 - 1 lands past it, so nothing is shifted that far
     tracemalloc.start()
     try:
-        value = count(DegreeMatrix.bigraded([1, 10**8]), (3, 2))
+        [value] = count_row(DegreeMatrix.bigraded([1, 10**8]), 2, 3, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -132,7 +132,7 @@ def test_random_order_queries_match_brute_force(degrees, points):
     band = kernels.BandRows(degrees)
     cols = [(d, 1) for d in degrees]
     for mu, t in points:
-        assert band.value((mu, t)) == brute_count(cols, (mu, t))
+        assert band.row(t, mu, mu) == [brute_count(cols, (mu, t))]
     lo, width = min(degrees), max(degrees) - min(degrees)
     in_band = [(t, mu - lo * t) for mu, t in points if 0 <= mu - lo * t <= width * t]
     assert len(band.rows) == max([t for t, _ in in_band] + [0]) + 1
@@ -164,7 +164,7 @@ def test_stage_rows_widen_between_extensions(fresh_tables):
     assert [len(row) for row in band.rows] == [4 * t + 1 for t in range(15)]
     for t in range(15):
         for mu in range(t - 1, 5 * t + 2):
-            assert band.value((mu, t)) == brute_count(cols, (mu, t)), (mu, t)
+            assert band.row(t, mu, mu) == [brute_count(cols, (mu, t))], (mu, t)
 
 
 def test_window_of_rows_wider_than_eight_bytes(fresh_tables):
@@ -186,11 +186,13 @@ def test_window_of_rows_wider_than_eight_bytes(fresh_tables):
 
 
 def test_window_reads_the_shared_rows(fresh_tables):
-    # count and the window read one table per ring, whatever the degree order
+    # count_row and the window read one table per ring, whatever the degree order;
+    # count reads the ring's waves and keeps no table of its own
     ring = DegreeMatrix.bigraded([6, 2, 3])
-    assert count(ring, (30, 8)) == brute_count(ring.columns, (30, 8))
+    want = brute_count(ring.columns, (30, 8))
+    assert count_row(ring, 8, 30, 30) == [want] and count(ring, (30, 8)) == want
     band = kernels.band_rows([2, 3, 6])
-    assert counting._ORACLES[ring] is band and kernels.band_rows((3, 6, 2)) is band
+    assert ring not in counting._ORACLES and kernels.band_rows((3, 6, 2)) is band
     rows = band.rows
     kernels.bigraded_table([3, 2, 6], 20, 50)
     assert band.rows is rows and len(rows) == 21
@@ -216,4 +218,4 @@ def test_rows_stay_valid_after_an_error_mid_extension(monkeypatch):
     cols = [(d, 1) for d in degrees]
     for t in range(15):
         for mu in range(5 * t + 2):
-            assert band.value((mu, t)) == brute_count(cols, (mu, t)), (mu, t)
+            assert band.row(t, mu, mu) == [brute_count(cols, (mu, t))], (mu, t)
