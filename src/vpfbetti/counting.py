@@ -6,12 +6,11 @@ make the grading positive, so every count is finite.  A point of a
 bigraded matrix (second row all ones) is read from the partition waves of
 the ring's shared record (`hilbert._ring`), the same waves that `hilbert`
 reads; any other matrix runs a boxed dynamic program.  count_row(A, t, lo,
-hi) reads a planar row at once: one slice of a bigraded ring's shared
-cone-sheared rows (`kernels.band_rows`), the rows that value grids read, so
-a chamber fit's apex sweep checks the waves against a table that shares no
-code with them.  All of it is pure Python, every cache is safe to share
-between threads, and every table is checked against its budget before it
-grows.
+hi) reads a planar row at once: one slice of a bigraded ring's cone-sheared
+rows (`kernels.band_rows`), built to row t and cut at hi for this call
+alone, a table that shares no code with the waves.  All of it is pure
+Python, every cache is safe to share between threads, and every table is
+checked against its budget before it grows.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from operator import index
 
@@ -118,19 +118,13 @@ def _box_table(columns, bound):
     return table
 
 
-# the boxed table of each matrix that is not bigraded
-_ORACLES: dict[DegreeMatrix, _GeneralOracle] = {}
-_ORACLES_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=64)
 def _oracle(A: DegreeMatrix) -> _GeneralOracle:
-    cached = _ORACLES.get(A)
-    if cached is None:
-        with _ORACLES_LOCK:
-            cached = _ORACLES.get(A)
-            if cached is None:
-                cached = _ORACLES[A] = _GeneralOracle(A.columns, A.dim)
-    return cached
+    """The boxed table of a matrix that is not bigraded, kept for the 64 read last.
+
+    Two oracles built on a concurrent miss give equal answers.
+    """
+    return _GeneralOracle(A.columns, A.dim)
 
 
 def count(A: DegreeMatrix, u) -> int:
@@ -153,13 +147,20 @@ def count(A: DegreeMatrix, u) -> int:
 def count_row(A: DegreeMatrix, t: int, lo: int, hi: int) -> list[int]:
     """count(A, (mu, t)) for lo <= mu <= hi; [] when lo > hi.
 
-    A bigraded ring's row is one slice of its band row; any other matrix is
-    read point by point through count.
+    A bigraded ring's row is one slice of its band row t, built with rows
+    0..t cut at hi for this call; any other matrix is read point by point
+    through count.
     """
     t, lo, hi = index(t), index(lo), index(hi)
-    if A.columns and A.is_bigraded():
-        return kernels.band_rows(A.degrees).row(t, lo, hi)
-    return [count(A, (mu, t)) for mu in range(lo, hi + 1)]
+    if not (A.columns and A.is_bigraded()):
+        return [count(A, (mu, t)) for mu in range(lo, hi + 1)]
+    e = min(A.degrees)
+    base = e * t
+    a, b = max(lo - base, 0), min(hi - base, (max(A.degrees) - e) * t)
+    if t < 0 or a > b:
+        return [0] * max(hi - lo + 1, 0)
+    band = list(kernels.band_rows(A.degrees, t, b)[t][a: b + 1])
+    return [0] * (base + a - lo) + band + [0] * (hi - base - b)
 
 
 def series_coeffs(A: DegreeMatrix, bound) -> dict[tuple[int, ...], int]:

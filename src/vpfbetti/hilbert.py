@@ -93,10 +93,10 @@ def _value_rows(kappa: KappaNumerator, lo, hi) -> list[tuple[int, list[int]]]:
     a_mu + e_max * s, s = t - a_t >= 0, over the ring's least and greatest
     degrees, cut to lo_mu..hi_mu; the values are zero off it.  Its ends are
     e_min * t and e_max * t plus running extrema of a_mu - e * a_t over the
-    terms in order of a_t.  Each term adds one slice of the ring's shared
-    count rows.  Bigraded rings only; rows over `kernels.MAX_TABLE_CELLS`
-    cells, an empty row counted as one, raise BudgetExceededError before any
-    is allocated.
+    terms in order of a_t.  Each term adds one slice of the ring's count
+    rows, built for this call up to the last row that holds a value.
+    Bigraded rings only; rows over `kernels.MAX_TABLE_CELLS` cells, an empty
+    row counted as one, raise BudgetExceededError before any is allocated.
     """
     if not kappa.ring.is_bigraded():
         raise ValueError("value grids require a bigraded ring")
@@ -115,15 +115,17 @@ def _value_rows(kappa: KappaNumerator, lo, hi) -> list[tuple[int, list[int]]]:
         return start, max(min(mu1, e_max * t + highs[live - 1]) - start + 1, 0)
 
     kernels.check_cells(max(t1 - t0 + 1, 0), "value rows, one cell or more per height,")
-    # counted no further than the first row past the budget
-    for t, cells in enumerate(accumulate(max(span(t)[1], 1) for t in range(t0, t1 + 1)), t0):
+    spans, cells = [], 0  # counted no further than the first row past the budget
+    for t in range(t0, t1 + 1):
+        spans.append(span(t))
+        cells += max(spans[-1][1], 1)
         kernels.check_cells(cells, f"value rows to t={t}")
-    rows = [(start, [0] * n) for start, n in map(span, range(t0, t1 + 1))]
-    held = [t for t, (_, values) in enumerate(rows, t0) if values]  # the rows that hold values
+    rows = [(start, [0] * n) for start, n in spans]
+    held = [t for t, (_, n) in enumerate(spans, t0) if n]  # the rows that hold values
     if not held:
         return rows
     reach_mu = mu1 - min(a[0] for a in kappa.shifts)
-    reach_t = t1 - min(a[1] for a in kappa.shifts)
+    reach_t = held[-1] - min(a[1] for a in kappa.shifts)
     table = kernels.bigraded_table(kappa.ring.degrees, max(reach_t, 0), max(reach_mu, 0))
     for (a_mu, a_t), c in kappa.terms:
         op = add if c > 0 else sub

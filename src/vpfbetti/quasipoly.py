@@ -15,8 +15,9 @@ from itertools import accumulate, repeat
 from math import comb, gcd, lcm
 from types import MappingProxyType
 
+from . import kernels
 from .chambers import Chamber
-from .counting import DegreeMatrix, count_row
+from .counting import DegreeMatrix
 from .lattices import Lattice
 
 
@@ -326,20 +327,24 @@ def fit_chamber_qp(A: DegreeMatrix, chamber: Chamber, lattice: Lattice) -> Quasi
     """
     if not A.is_bigraded() or len(set(A.degrees)) < 2:
         raise ValueError("chambers exist only for a bigraded ring with two distinct degrees")
-    from .hilbert import _ring  # hilbert caches each ring's waves and imports this module
+    from .hilbert import _padded, _ring  # hilbert caches each ring's waves and imports this module
 
     result = _ring(A.degrees).waves.chamber_qp(chamber, lattice)
     # apex-window sweep, first 4096 points: the tip and stretches of both rays
-    left = 4096
+    rows, left = [], 4096
     for y, lo, hi in _sweep_rows(chamber):
         hi = min(hi, lo + left - 1)
-        got, want = result.eval_row(y, lo, hi), count_row(A, y, lo, hi)
+        rows.append((y, lo, hi))
+        left -= hi - lo + 1
+        if not left:
+            break
+    table = kernels.bigraded_table(A.degrees, rows[-1][0], max(hi for _, _, hi in rows))
+    e = min(A.degrees)
+    for y, lo, hi in rows:
+        got, want = result.eval_row(y, lo, hi), _padded(e * y, table[y], lo, hi)
         if got != want:
             x = next(x for x, g, w in zip(range(lo, hi + 1), got, want) if g != w)
             raise FitError(
                 f"boundary sweep failed at {(x, y)}: wrong chamber or lattice input"
             )
-        left -= hi - lo + 1
-        if not left:
-            break
     return result

@@ -131,8 +131,7 @@ def test_degree_matrix_constructor_checks_what_from_columns_checks():
 
 
 def test_count_shared_ring_from_eight_threads(fresh_tables):
-    # every thread asks for ever larger t, so band rows are appended and wave
-    # tables grow while others read them
+    # every thread asks for ever larger t, so wave tables grow while others read them
     ring = DegreeMatrix.bigraded([2, 3, 6, 7])
     rng = random.Random(11)
     jobs = [
@@ -140,7 +139,7 @@ def test_count_shared_ring_from_eight_threads(fresh_tables):
     ]
 
     def read(pts):
-        return [(count(ring, (mu, t)), *count_row(ring, t, mu, mu)) for mu, t in pts]
+        return [count(ring, (mu, t)) for mu, t in pts]
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -151,38 +150,37 @@ def test_count_shared_ring_from_eight_threads(fresh_tables):
         sys.setswitchinterval(switch)
     fresh_tables()
     assert answers == [read(pts) for pts in jobs]
-    assert all(waves == band for job in answers for waves, band in job)
-    assert ring not in counting._ORACLES
-    assert len(kernels.band_rows(ring.degrees).rows) == 400
+    # the band rows, apart from the waves
+    table = kernels.bigraded_table(ring.degrees, 399, 7 * 399)
+    assert len(table) == 400
+    assert answers == [[table[t][mu - 2 * t] for mu, t in pts] for pts in jobs]
+    assert counting._oracle.cache_info().currsize == 0
 
 
 def test_general_box_grows_only_the_missed_coordinate(fresh_tables):
     A = DegreeMatrix.from_columns([(1, 0, 1), (0, 1, 1), (1, 1, 2)])
     assert count(A, (2, 3, 4)) == brute_count(A.columns, (2, 3, 4))
-    assert counting._ORACLES[A].box[0] == (8, 8, 8)
+    assert counting._oracle(A).box[0] == (8, 8, 8)
     for u, bound in (((20, 1, 20), (20, 8, 20)), ((3, 9, 2), (20, 16, 20))):
         assert count(A, u) == brute_count(A.columns, u)
-        assert counting._ORACLES[A].box[0] == bound
+        assert counting._oracle(A).box[0] == bound
     for u in itertools.product((0, 5, 11), (0, 7, 16), (0, 9, 20)):
         assert count(A, u) == brute_count(A.columns, u)
     with pytest.raises(BudgetExceededError):
         count(A, (1000, 1000, 1000))
-    assert counting._ORACLES[A].box[0] == (20, 16, 20)
+    assert counting._oracle(A).box[0] == (20, 16, 20)
 
 
 def test_count_row_equals_count_at_every_point(monkeypatch, fresh_tables):
     ring = DegreeMatrix.bigraded([2, 3, 6])
-    band = kernels.band_rows(ring.degrees)
-    band.extend(6, 36)
     # (t, lo, hi): across the band and past both edges, wholly left or right
-    # of it, t = 0, t < 0, empty, and a row past the table
+    # of it, t = 0, t < 0, empty, and a tall row
     cases = [
         (5, -4, 40), (5, 11, 29), (5, -9, 3), (5, 31, 45), (0, -3, 3),
         (-2, -6, 6), (5, 8, 7), (5, 20, 2), (40, 70, 250),
     ]
     for t, lo, hi in cases:
         got = count_row(ring, t, lo, hi)
-        assert len(band.rows) == max(7, t + 1)
         assert got == [count(ring, (mu, t)) for mu in range(lo, hi + 1)], (t, lo, hi)
         assert got == [brute_count(ring.columns, (mu, t)) for mu in range(lo, hi + 1)]
     # a matrix that is not bigraded is read point by point from its boxed DP
@@ -190,23 +188,22 @@ def test_count_row_equals_count_at_every_point(monkeypatch, fresh_tables):
     for t in range(-1, 7):
         got = count_row(general, t, -2, 15)
         assert got == [brute_count(general.columns, (mu, t)) for mu in range(-2, 16)]
-    assert isinstance(counting._ORACLES[general], counting._GeneralOracle)
+    assert counting._oracle(general).box[0] == (16, 8)  # the oracle the rows grew is kept
     assert count_row(DegreeMatrix.from_columns([], dim=2), 0, -1, 1) == [0, 1, 0]
     with pytest.raises(ValueError, match="point dimension mismatch"):
         count_row(DegreeMatrix.from_columns([(1, 1, 1)]), 1, 0, 2)
-    # an over-budget row raises before any row is added
+    # an over-budget row raises before any row is built: the whole band to t = 60
     monkeypatch.setattr(kernels, "MAX_TABLE_CELLS", 5000)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="count table to t=60 needs 7381 cells"):
         count_row(ring, 60, 120, 360)
-    assert len(band.rows) == 41
 
 
 def test_point_queries_never_grow_band_rows(monkeypatch, fresh_tables):
     # count, hf_module and series_coeffs read the ring's waves; count_row reads the band rows
-    def refuse(self, t_max, k_max=0):
+    def refuse(degrees, t_max, k_max):
         raise AssertionError("band rows grown")
 
-    monkeypatch.setattr(kernels.BandRows, "extend", refuse)
+    monkeypatch.setattr(kernels, "band_rows", refuse)
     for degrees in ((2, 3, 6, 7), (5, 5)):
         ring = DegreeMatrix.bigraded(degrees)
         kappa = KappaNumerator.from_terms(ring, [((0, 0), 1), ((2, 1), 1)])
@@ -218,7 +215,21 @@ def test_point_queries_never_grow_band_rows(monkeypatch, fresh_tables):
         assert table == {u: brute_count(ring.columns, u) for u in table}
         with pytest.raises(AssertionError, match="band rows grown"):
             count_row(ring, 4, 0, 30)
-        assert ring not in counting._ORACLES
+        assert counting._oracle.cache_info().currsize == 0
+
+
+def test_an_evicted_oracle_is_rebuilt_with_equal_counts(fresh_tables):
+    # the boxed tables are kept for the 64 matrices read last
+    A = DegreeMatrix.from_columns([(1, 0, 1), (0, 1, 1), (1, 1, 2)])
+    points = list(itertools.product((0, 3, 7), (0, 4), (2, 9)))
+    before = [count(A, u) for u in points]
+    oracle = counting._oracle(A)
+    for k in range(64):
+        count(DegreeMatrix.from_columns([(1, 0, 1), (0, 1, k + 3)]), (1, 1, 1))
+    assert counting._oracle.cache_info().currsize == 64
+    assert counting._oracle(A) is not oracle and counting._oracle(A).box is None
+    assert [count(A, u) for u in points] == before
+    assert before == [brute_count(A.columns, u) for u in points]
 
 
 def test_count_equals_the_ring_query_at_every_pooled_far_point(fresh_tables):

@@ -27,11 +27,16 @@ def assert_window_matches(degrees, t_max, mu_max):
 
 def test_rows_match_brute_force():
     assert_window_matches([2, 3, 6], 5, 20)
-    band = kernels.BandRows([2, 3, 6])
+    rows = kernels.band_rows([2, 3, 6], 6, 24)
+    assert [len(row) for row in rows] == [4 * t + 1 for t in range(7)]
+    cols = [(2, 1), (3, 1), (6, 1)]
+    assert [list(row) for row in rows] == [
+        [brute_count(cols, (2 * t + k, t)) for k in range(4 * t + 1)] for t in range(7)
+    ]
+    ring = DegreeMatrix.bigraded([2, 3, 6])
     for t in range(7):
         for mu in range(-1, 40):
-            assert band.row(t, mu, mu) == [brute_count([(2, 1), (3, 1), (6, 1)], (mu, t))]
-    assert [len(row) for row in band.rows] == [4 * t + 1 for t in range(7)]
+            assert count_row(ring, t, mu, mu) == [brute_count(cols, (mu, t))]
 
 
 def test_degree_zero_column():
@@ -50,10 +55,8 @@ def test_repeated_degrees():
 
 
 def test_single_degree_has_zero_width_band():
-    band = kernels.BandRows([4])
-    band.extend(9)
-    assert band.width == 0
-    assert [list(row.unpack()) for row in band.rows] == [[1]] * 10
+    for k_max in (0, 50):
+        assert [list(row) for row in kernels.band_rows([4], 9, k_max)] == [[1]] * 10
     assert_window_matches([4], 5, 22)
 
 
@@ -71,36 +74,35 @@ def test_band_cells_closed_form():
                 assert kernels.band_cells(width, t, cap) == want
 
 
-def test_budget_raises_before_allocating(monkeypatch, fresh_tables):
+def test_budget_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(kernels, "MAX_TABLE_CELLS", 90)
-    band = kernels.BandRows([1, 3])
-    band.extend(8, 16)  # the whole band to t = 8: 81 cells
-    with pytest.raises(kernels.BudgetExceededError):
-        band.extend(9, 18)  # the cap doubles to 32, so the whole band: 100 cells
-    assert len(band.rows) == 9 and band.cap == 16
-    band.extend(8, 16)
-    # mu <= 9 of rows t <= 9 is a 100-cell box but 37 band cells, read from a
-    # 58-cell table; mu <= 27 needs the whole band to t = 9, 100 cells
+    assert sum(map(len, kernels.band_rows([1, 3], 8, 16))) == 81  # the whole band to t = 8
+    tracemalloc.start()
+    try:
+        for t_max, k_max in ((9, 18), (10**6, 10**6)):  # 100 cells, then about 10**12
+            with pytest.raises(kernels.BudgetExceededError, match=f"count table to t={t_max} "):
+                kernels.band_rows([1, 3], t_max, k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    # mu <= 9 of rows t <= 9 is a 100-cell box but 37 band cells, read from
+    # 58 cells cut at offset 6; mu <= 27 needs the whole band to t = 9, 100 cells
+    assert kernels.band_cells(2, 9, 6) == 58
     assert sum(map(len, kernels.bigraded_table([1, 3], 9, 9))) == 37
-    shared = kernels.band_rows([1, 3])
-    assert kernels.band_cells(shared.width, 9, shared.cap) == 58
-    with pytest.raises(kernels.BudgetExceededError):
+    with pytest.raises(kernels.BudgetExceededError, match="count table to t=9 needs 100 cells"):
         kernels.bigraded_table([1, 3], 9, 27)
-    assert len(shared.rows) == 10 and shared.cap == 6
 
 
 def test_rows_stop_at_largest_offset_asked():
     degrees = [1, 10**6]
     cols = [(d, 1) for d in degrees]
-    band = kernels.BandRows(degrees)
-    band.extend(10)
-    assert [len(row) for row in band.rows] == [1] * 11
-    band.extend(10, 5)
-    assert [len(row) for row in band.rows] == [1] + [6] * 10
-    band.extend(12, 7)  # a larger offset rebuilds at twice the cap
-    assert band.cap == 10 and [len(row) for row in band.rows] == [1] + [11] * 12
-    for t, row in enumerate(band.rows):
-        assert list(row.unpack()) == [brute_count(cols, (t + k, t)) for k in range(len(row))]
+    assert [len(row) for row in kernels.band_rows(degrees, 10, 0)] == [1] * 11
+    assert [len(row) for row in kernels.band_rows(degrees, 10, 5)] == [1] + [6] * 10
+    rows = kernels.band_rows(degrees, 12, 7)
+    assert [len(row) for row in rows] == [1] + [8] * 12
+    for t, row in enumerate(rows):
+        assert list(row) == [brute_count(cols, (t + k, t)) for k in range(len(row))]
 
 
 def test_a_shift_past_the_cut_allocates_nothing(fresh_tables):
@@ -124,21 +126,18 @@ def test_wide_window_stays_inside_the_budget(monkeypatch, fresh_tables):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.integers(0, 5), min_size=1, max_size=4),
-    st.lists(st.tuples(st.integers(-2, 30), st.integers(-1, 9)), min_size=1, max_size=12),
+    st.lists(st.integers(0, 5), min_size=1, max_size=4), st.integers(0, 9), st.integers(0, 40)
 )
-def test_random_order_queries_match_brute_force(degrees, points):
-    # each query extends the rows to its own t, so growth comes in uneven steps
-    band = kernels.BandRows(degrees)
-    cols = [(d, 1) for d in degrees]
-    for mu, t in points:
-        assert band.row(t, mu, mu) == [brute_count(cols, (mu, t))]
+def test_random_order_queries_match_brute_force(degrees, t_max, k_max):
+    # rows of every height and cut, the same whatever the order of the degrees
+    rows = kernels.band_rows(degrees, t_max, k_max)
     lo, width = min(degrees), max(degrees) - min(degrees)
-    in_band = [(t, mu - lo * t) for mu, t in points if 0 <= mu - lo * t <= width * t]
-    assert len(band.rows) == max([t for t, _ in in_band] + [0]) + 1
-    assert band.cap <= 2 * max([k for _, k in in_band] + [0])
-    assert [len(row) for row in band.rows] == [
-        min(band.cap, width * t) + 1 for t in range(len(band.rows))
+    assert [len(row) for row in rows] == [min(k_max, width * t) + 1 for t in range(t_max + 1)]
+    cols = [(d, 1) for d in degrees]
+    for t, row in enumerate(rows):
+        assert list(row) == [brute_count(cols, (lo * t + k, t)) for k in range(len(row))]
+    assert [list(row) for row in kernels.band_rows(sorted(degrees), t_max, k_max)] == [
+        list(row) for row in rows
     ]
 
 
@@ -146,33 +145,34 @@ def test_twelve_equal_columns_across_the_64_bit_switch():
     ring = DegreeMatrix.bigraded([5] * 12)
     for t in range(261):
         assert count(ring, (5 * t, t)) == comb(t + 11, 11)
-    band = kernels.BandRows([5] * 12)
-    band.extend(300)  # one extension through every width, 1 byte per offset to 9 from t = 272
-    assert [list(row.unpack()) for row in band.rows] == [[comb(t + 11, 11)] for t in range(301)]
-    assert [band.rows[t].itemsize for t in (0, 271, 272)] == [1, 8, 9]
+    # 8 bytes per offset to t = 271, native rows; 9 from t = 272 on, rows of ints
+    assert [kernels._offset_bytes(12, t) for t in (0, 271, 272)] == [1, 8, 9]
+    rows = kernels.band_rows([5] * 12, 271, 0)
+    assert rows[0].itemsize == 8
+    assert [list(row) for row in rows] == [[comb(t + 11, 11)] for t in range(272)]
+    assert kernels.band_rows([5] * 12, 300, 0) == [[comb(t + 11, 11)] for t in range(301)]
 
 
-def test_stage_rows_widen_between_extensions(fresh_tables):
-    # comb(t + 3, 3) needs 1 byte per offset up to t = 9 and 2 bytes from t = 10 on
+def test_stage_rows_widen_between_extensions():
+    # comb(t + 3, 3) needs 1 byte per offset up to t = 9 and 2 bytes from
+    # t = 10 on, so every row of a table to t >= 10 holds 2 bytes per offset
     degrees = [1, 2, 4, 5]
     cols = [(d, 1) for d in degrees]
-    band = kernels.BandRows(degrees)
-    band.extend(6, 8)  # cut rows, 1 byte per offset
-    band.extend(14, 8)  # the kept stage rows of row 6 are widened at row 10
-    assert [band.rows[t].itemsize for t in (6, 9, 10, 14)] == [1, 1, 2, 2]
-    band.extend(14, 56)  # rebuilt from row 2, the last whole one, and widened again
-    assert [len(row) for row in band.rows] == [4 * t + 1 for t in range(15)]
-    for t in range(15):
-        for mu in range(t - 1, 5 * t + 2):
-            assert band.row(t, mu, mu) == [brute_count(cols, (mu, t))], (mu, t)
+    assert [kernels._offset_bytes(4, t) for t in (9, 10)] == [1, 2]
+    assert {row.itemsize for row in kernels.band_rows(degrees, 9, 8)} == {1}
+    assert {row.itemsize for row in kernels.band_rows(degrees, 14, 8)} == {2}
+    band = [[brute_count(cols, (t + k, t)) for k in range(4 * t + 1)] for t in range(15)]
+    for k_max in (8, 56):  # cut rows, then the whole band
+        rows = kernels.band_rows(degrees, 14, k_max)
+        assert [list(row) for row in rows] == [row[: k_max + 1] for row in band]
 
 
-def test_window_of_rows_wider_than_eight_bytes(fresh_tables):
+def test_window_of_rows_wider_than_eight_bytes():
     # comb(t + 34, 34) needs 9 bytes per offset from t = 34 on; the counts
     # near the band's low edge are partition numbers, small enough to enumerate
     degrees = [10 * j for j in range(35)]
+    assert [kernels._offset_bytes(35, t) for t in (33, 34)] == [8, 9]
     table = kernels.bigraded_table(degrees, 36, 80)
-    assert [kernels.band_rows(degrees).rows[t].itemsize for t in (33, 34)] == [8, 9]
     cols = [(d, 1) for d in reversed(degrees)]
     for t in range(33, 37):
         for mu in range(81):
@@ -186,36 +186,37 @@ def test_window_of_rows_wider_than_eight_bytes(fresh_tables):
 
 
 def test_window_reads_the_shared_rows(fresh_tables):
-    # count_row and the window read one table per ring, whatever the degree order;
-    # count reads the ring's waves and keeps no table of its own
+    # count_row and the window read the same counts whatever the degree order,
+    # each from rows built for that call alone; count reads the ring's waves
     ring = DegreeMatrix.bigraded([6, 2, 3])
     want = brute_count(ring.columns, (30, 8))
     assert count_row(ring, 8, 30, 30) == [want] and count(ring, (30, 8)) == want
-    band = kernels.band_rows([2, 3, 6])
-    assert ring not in counting._ORACLES and kernels.band_rows((3, 6, 2)) is band
-    rows = band.rows
-    kernels.bigraded_table([3, 2, 6], 20, 50)
-    assert band.rows is rows and len(rows) == 21
+    assert counting._oracle.cache_info().currsize == 0
+    table = kernels.bigraded_table([3, 2, 6], 20, 50)
+    assert table[8][30 - 2 * 8] == want and len(table) == 21
+    again = kernels.bigraded_table([2, 6, 3], 20, 50)
+    assert again == table and all(a is not b for a, b in zip(again, table))
     assert_window_matches([2, 6, 3], 12, 30)
 
 
 def test_rows_stay_valid_after_an_error_mid_extension(monkeypatch):
-    # rows change in place, so an error must leave a state later extensions can build on
+    # a build that fails part-way keeps nothing, so the next one starts clean
     degrees = [1, 2, 5]
-    band = kernels.BandRows(degrees)
-    band.extend(8, 20)  # rows 6..8 are cut
-    bound = kernels.value_bound
-    for stop in (7, 10):  # inside the rebuild of rows 6..8, then among the appended rows
-        def failing(n, t, stop=stop):
-            if t == stop:
-                raise MemoryError
-            return bound(n, t)
+    want = [list(row) for row in kernels.band_rows(degrees, 14, 45)]
+    calls = []
 
-        monkeypatch.setattr(kernels, "value_bound", failing)
-        with pytest.raises(MemoryError):
-            band.extend(12, 45)
-        monkeypatch.setattr(kernels, "value_bound", bound)
+    def failing(data):
+        calls.append(data)
+        if len(calls) == 8:  # unpacking row 7
+            raise MemoryError
+        return memoryview(data)
+
+    monkeypatch.setattr(kernels, "memoryview", failing, raising=False)
+    with pytest.raises(MemoryError):
+        kernels.band_rows(degrees, 14, 45)
+    monkeypatch.undo()
+    assert len(calls) == 8
+    assert [list(row) for row in kernels.band_rows(degrees, 14, 45)] == want
     cols = [(d, 1) for d in degrees]
-    for t in range(15):
-        for mu in range(5 * t + 2):
-            assert band.row(t, mu, mu) == [brute_count(cols, (mu, t))], (mu, t)
+    for t, row in enumerate(want):
+        assert row == [brute_count(cols, (t + k, t)) for k in range(len(row))]

@@ -14,9 +14,9 @@ from oracles import (
     poly_eval_reference,
     qp_eval_row_reference,
 )
-from vpfbetti import quasipoly
+from vpfbetti import kernels
 from vpfbetti.chambers import Chamber, chamber_complex_2xn, global_lattice
-from vpfbetti.counting import DegreeMatrix, count, count_row
+from vpfbetti.counting import DegreeMatrix, count
 from vpfbetti.lattices import Lattice
 from vpfbetti.quasipoly import (
     FitError,
@@ -310,39 +310,55 @@ def test_window_points_are_the_low_points_of_the_closed_chamber(degrees):
 
 @pytest.mark.parametrize("degrees", [(2, 3, 6), (1, 1000)], ids=["2,3,6", "1,1000"])
 def test_apex_sweep_rejects_a_count_off_the_pattern(monkeypatch, degrees):
-    # the sweep compares the fit with count_row on the first 4096 points of
-    # the apex window, row by row.  The (1, 1000) window has 9995 points.
+    # the sweep compares the fit with one count table on the first 4096 points
+    # of the apex window, row by row.  The (1, 1000) window has 9995 points.
     A = DegreeMatrix.bigraded(degrees)
     chamber = chamber_complex_2xn(degrees)[-1]
     window = [(x, y) for y, lo, hi in _sweep_rows(chamber) for x in range(lo, hi + 1)]
-    swept, rows = window[:4096], []
+    swept, compared = window[:4096], []
+    e, table = min(degrees), kernels.bigraded_table
 
-    def recording_count_row(A, t, lo, hi):
-        rows.extend((x, t) for x in range(lo, hi + 1))
-        return count_row(A, t, lo, hi)
+    class Row(list):
+        """A table row that records the points the sweep slices out of it."""
 
-    monkeypatch.setattr(quasipoly, "count_row", recording_count_row)
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                compared.extend((e * self.t + k, self.t) for k in range(*key.indices(len(self))))
+            return super().__getitem__(key)
+
+    def recording_table(degrees, t_max, mu_max):
+        rows = [Row(row) for row in table(degrees, t_max, mu_max)]
+        for t, row in enumerate(rows):
+            row.t = t
+        return rows
+
+    monkeypatch.setattr(kernels, "bigraded_table", recording_table)
     fit_chamber_qp(A, chamber, chamber.lattice)
-    assert rows == swept
+    assert compared == swept
+
+    bumped = []
 
     def fit_with_one_count_off(target):
-        def perturbed_count_row(A, t, lo, hi):
-            row = count_row(A, t, lo, hi)
-            if t == target[1] and lo <= target[0] <= hi:
-                row[target[0] - lo] += 1
-            return row
+        def perturbed_table(degrees, t_max, mu_max):
+            rows = table(degrees, t_max, mu_max)
+            x, y = target
+            if y < len(rows) and 0 <= x - e * y < len(rows[y]):
+                rows[y][x - e * y] += 1
+                bumped.append(target)
+            return rows
 
-        monkeypatch.setattr(quasipoly, "count_row", perturbed_count_row)
+        monkeypatch.setattr(kernels, "bigraded_table", perturbed_table)
         return fit_chamber_qp(A, chamber, chamber.lattice)
 
     for target in (swept[0], swept[-1]):
         with pytest.raises(FitError, match=re.escape(f"boundary sweep failed at {target}")):
             fit_with_one_count_off(target)
-    # a point past the first 4096 is never compared
+    # a point past the first 4096 is never compared, though the table holds it
     beyond = window[4096:]
     assert len(window) == 9995 if degrees == (1, 1000) else len(window) < 4096
     if beyond:
         fit_with_one_count_off(beyond[0])
+    assert bumped == [swept[0], swept[-1], *beyond[:1]]
 
 
 def test_fit_wrong_lattice_rejected():
