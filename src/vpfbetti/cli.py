@@ -9,6 +9,7 @@ parse error, including a file that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -311,6 +312,7 @@ def _cmd_reproduce(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache  # one build per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vpfbetti",

@@ -171,8 +171,9 @@ def _series_identity(kappa: KappaNumerator, rows, t0) -> bool:
     that starts left of row t means the rows are wrong, and fails.  The
     product is taken in place, so the rows are consumed.
     """
+    steps = [i for i in range(len(rows) - 1, 0, -1) if rows[i - 1][1]]  # row i - 1 holds values
     for d in kappa.ring.degrees:
-        for i in range(len(rows) - 1, 0, -1):  # from the top, so row i - 1 is still unchanged
+        for i in steps:  # from the top, so row i - 1 is still unchanged
             (below, lower), (start, values) = rows[i - 1], rows[i]
             a, b = below + d - start, min(below + d + len(lower), start + len(values)) - start
             if a < b:

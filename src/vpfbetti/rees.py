@@ -1,10 +1,10 @@
 """Resolution shift data: built-in complete-intersection families and file ingestion.
 
-The package never computes resolutions from ideal generators.  For complete
-intersections on two or three generators the bigraded shift pattern of the
-blowup algebra is known and generated here; anything else is ingested from a
-strict JSON document (schema below) so externally computed resolutions can
-be analyzed with the same machinery.
+The package never computes resolutions from ideal generators.  For a
+complete intersection on two or three generators the shifts of the Betti
+numbers of its powers follow in closed form from their upper Koszul complexes
+(`ci_shifts`); anything else is ingested from a strict JSON document (schema
+below) so externally computed resolutions are analyzed by the same machinery.
 
 Document schema (all fields required, unknown fields rejected):
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from itertools import combinations
 
 from .counting import DegreeMatrix
 from .hilbert import KappaNumerator
@@ -83,40 +84,35 @@ class ToriSpec:
 
 
 def ci_shifts(degrees) -> ToriSpec:
-    """Shift data of the blowup algebra of a complete intersection (r = 2, 3).
+    """Shifts of the Betti numbers of the powers of a complete intersection, r = 2, 3.
 
-    r = 2, degrees (d1, d2): the algebra is cut out by the single relation of
-    bidegree (d1 + d2, 1).  r = 3: three Koszul-type relations of bidegrees
-    (d_i + d_j, 1), a first syzygy in bidegrees (d1+d2+d3, 2) and
-    (d1+d2+d3, 1), the latter carrying the whole of homological index 2.
+    Index i holds beta_{i,(mu,t)}(I^t), I = (x_1^{d_1}, ..., x_r^{d_r}).  At
+    b = alpha * d, K^b(I^t) (Miller-Sturmfels, Thm 1.34) is the simplex on
+    S = supp alpha cut to faces of at most |alpha| - t vertices, so for t >= 1
+    the alpha of support S, |S| > i, add C(|S| - 1, i) y^{-i} prod_{j in S} x^{d_j} y
+    prod_{j not in S} (1 - x^{d_j} y) to kappa_i over the ring's prod_j (1 - x^{d_j} y).
+    Each T, |T| > i, collects a |T|-th difference of s -> C(s - 1, i): the shift
+    (sum_{j in T} d_j, |T| - i) with sign (-1)^{|T| - i - 1}.  Index 0 is the unit.
     """
     degrees = tuple(sorted(operator.index(d) for d in degrees))
     if any(d <= 0 for d in degrees):
         raise ValueError("generator degrees must be positive")
-    if len(degrees) == 2:
-        d1, d2 = degrees
-        tor_terms = {
-            0: [((0, 0), 1)],
-            1: [((d1 + d2, 1), 1)],
-        }
-    elif len(degrees) == 3:
-        d1, d2, d3 = degrees
-        tor_terms = {
-            0: [((0, 0), 1)],
-            1: [
-                ((d2 + d3, 1), 1),
-                ((d1 + d3, 1), 1),
-                ((d1 + d2, 1), 1),
-                ((d1 + d2 + d3, 2), -1),
-            ],
-            2: [((d1 + d2 + d3, 1), 1)],
-        }
-    else:
+    if len(degrees) not in (2, 3):
         raise UnsupportedRankError(
             f"built-in shifts cover 2 or 3 generators, not {len(degrees)}; "
             "ingest externally computed shift data instead"
         )
-    return ToriSpec.build(degrees, tor_terms)
+    return ToriSpec.build(degrees, _koszul_terms(degrees))
+
+
+def _koszul_terms(degrees) -> dict[int, list]:
+    """The shifts of `ci_shifts` at every index, for any number of degrees."""
+    terms = {0: [_UNIT_SHIFT]} | {i: [] for i in range(1, len(degrees))}
+    for n in range(2, len(degrees) + 1):
+        for subset in combinations(degrees, n):
+            for i in range(1, n):
+                terms[i].append(((sum(subset), n - i), (-1) ** (n - i - 1)))
+    return terms
 
 
 def to_document(spec: ToriSpec) -> dict:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_count
 from vpfbetti import hilbert, kernels
-from vpfbetti.cli import main
+from vpfbetti.cli import build_parser, main
 from vpfbetti.counting import DegreeMatrix, count_row
 from vpfbetti.rees import ci_shifts, serialize
 
@@ -492,6 +492,38 @@ def test_rees_ci_deterministic(capsys):
     _, out1, _ = run(capsys, "rees-ci", "--degrees", "2,3,6")
     _, out2, _ = run(capsys, "rees-ci", "--degrees", "2,3,6")
     assert out1 == out2
+
+
+def test_one_parser_serves_back_to_back_calls(capsys):
+    # the parser is built once per process, yet each call sees only its own arguments:
+    # the same outputs, errors and exit codes as calls that each build a parser
+    calls = [
+        ["hilbert", "--degrees", "2,3,6", "--format", "structured", "12,2"],
+        ["hilbert", "--degrees", "2,3,6", "12,2"],
+        ["chambers", "--degrees", "2,3,6", "--format", "csv"],
+        ["chambers", "--degrees", "2,3,6"],
+        ["count", "9,2"],
+        ["rees-ci", "--degrees", "1,1"],
+        ["regions", "--degrees", "2,3"],
+        ["rees-ci", "--help"],
+        ["--help"],
+    ]
+
+    def call(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # --help, or arguments argparse rejected
+            rc = exc.code
+        return (rc, *capsys.readouterr())
+
+    assert build_parser() is build_parser()
+    together = [call(argv) for argv in calls]
+    apart = []
+    for argv in calls:
+        build_parser.cache_clear()
+        apart.append(call(argv))
+    assert together == apart
+    assert [rc for rc, _, _ in together] == [0, 0, 0, 0, 2, 0, 2, 0, 0]
 
 
 def test_verify_pass(capsys):

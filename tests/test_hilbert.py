@@ -424,6 +424,18 @@ def test_series_identity_fails_on_a_row_that_starts_inside_its_band():
         assert not series_identity_reference(kappa, g, lo)
 
 
+def test_series_identity_fails_on_an_empty_row_left_of_the_row_below():
+    # steps from an empty row are skipped, but not the step onto one: TOR1's row t = 2,
+    # moved right by a degree, ends left of an empty top row that starts past it
+    lo = (5, 1)
+    rows = _value_rows(TOR1, lo, (40, 3))
+    below, lower = rows[2 - lo[1]]
+    rows[3 - lo[1]] = (below + 2 + len(lower), [])
+    g = [_padded(a, v, lo[0], 40) for a, v in rows]
+    assert not _series_identity(TOR1, rows, 1)
+    assert not series_identity_reference(TOR1, g, lo)
+
+
 def test_hf_grid_and_count_share_one_ring_from_eight_threads(fresh_tables):
     # point counts grow the ring's waves while grids build band rows of their own, all at once
     ring = DegreeMatrix.bigraded([2, 3, 6, 7])

@@ -17,6 +17,7 @@ from vpfbetti.rees import (
     SpecFormatError,
     ToriSpec,
     UnsupportedRankError,
+    _koszul_terms,
     ci_shifts,
     ingest,
     serialize,
@@ -202,6 +203,18 @@ def test_ci_shifts_give_the_betti_numbers_of_the_powers_of_the_ideal(degrees):
             got = [hf_module(spec.tor(i), (mu, t)) if spec.tor(i) else 0 for i in range(r + 1)]
             assert got == want, (mu, t)
             assert want[r] == 0
+
+
+@pytest.mark.parametrize("degrees", [(1, 2, 3, 4), (2, 2, 3, 5), (1, 1, 1, 3)])
+def test_the_shift_formula_gives_the_betti_numbers_past_the_built_in_ranks(degrees):
+    # ci_shifts stops at r = 3, but its terms come from one formula for every r
+    spec = ToriSpec.build(degrees, _koszul_terms(degrees))
+    assert [i for i, _ in spec.tors] == [0, 1, 2, 3]
+    for t in range(1, 5):
+        betti = koszul_betti_reference(degrees, t)
+        for mu in range(max(degrees) * (t + 2) + 1):
+            want = betti.get(mu, [0] * 5)
+            assert [hf_module(kappa, (mu, t)) for _, kappa in spec.tors] + [0] == want, (mu, t)
 
 
 def test_the_koszul_oracle_catches_a_missing_shift():
